@@ -18,7 +18,6 @@ from .allocation import (
     simulate_collection,
     status_quo_ranking,
     sweep,
-    truth_sets,
 )
 from .answers import (
     AgreementLabel,
@@ -125,6 +124,5 @@ __all__ = [
     "sweep",
     "tokenize_question",
     "train_forest",
-    "truth_sets",
     "valid_answers",
 ]

@@ -13,13 +13,12 @@ probability 1 - C(A-c, n) / C(A, n).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .answers import normalize_answer
 from .corpus import Corpus
 from .errors import InvalidBudget, InvalidCounts, KeyMismatch, MissingPrediction
 
@@ -61,19 +60,9 @@ def status_quo_ranking(question_ids: Iterable[int], seed) -> list[int]:
 
 def oracle_ranking(corpus: Corpus) -> list[int]:
     """Ids by descending true-diversity count, ties by ascending id."""
-    truth = truth_sets(corpus)
-    return sorted(truth, key=lambda qid: (-len(truth[qid]), qid))
-
-
-def truth_sets(corpus: Corpus) -> dict[int, frozenset[str]]:
-    """Per question: normalized answers observed at least twice in its pool."""
-    out = {}
-    for vq in corpus:
-        counts = Counter(normalize_answer(ans) for ans in vq.raw_answers)
-        out[vq.question_id] = frozenset(
-            ans for ans, c in counts.items() if c >= TRUTH_MIN_COUNT
-        )
-    return out
+    ids = corpus.question_ids()
+    truth = corpus.answer_table.distinct_at_least(TRUTH_MIN_COUNT)
+    return [ids[row] for row in np.argsort(-truth, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -90,12 +79,15 @@ class AllocationPlan:
         return sum(self.assignments.values())
 
 
-def make_plan(ranking: Sequence[int], budget: int, s: int = 1, r: int = 5) -> AllocationPlan:
-    n = len(ranking)
+def _check_plan(n: int, budget: int, s: int, r: int) -> None:
     if not 0 <= budget <= n:
         raise InvalidBudget(f"budget must be in [0, {n}], got {budget}")
     if not 1 <= s < r:
         raise InvalidCounts(f"need 1 <= S < R, got S={s}, R={r}")
+
+
+def make_plan(ranking: Sequence[int], budget: int, s: int = 1, r: int = 5) -> AllocationPlan:
+    _check_plan(len(ranking), budget, s, r)
     assignments = {qid: (r if pos < budget else s) for pos, qid in enumerate(ranking)}
     return AllocationPlan(assignments=assignments, budget=budget, s=s, r=r)
 
@@ -110,6 +102,13 @@ def diversity_score(
     return sum(len(set(collected[qid]) & set(truth[qid])) for qid in truth)
 
 
+def _hit_ways(pool_size: int, sample_size: int) -> tuple[int, list[int]]:
+    """C(A, n), and per count c = 0..A the n-of-A draws that hit an answer
+    given c times: all but the C(A - c, n) that miss it."""
+    ways = math.comb(pool_size, sample_size)
+    return ways, [ways - math.comb(pool_size - c, sample_size) for c in range(pool_size + 1)]
+
+
 def expected_capture(
     answer_counts: Mapping[str, int],
     truth: AbstractSet[str],
@@ -118,14 +117,11 @@ def expected_capture(
 ) -> float:
     """Expected truth answers hit by an n-of-A draw without replacement.
 
-    Binomial coefficients are evaluated exactly in integer arithmetic, so
-    the result is precise for any pool size.
+    The expectation is summed exactly in integer arithmetic; dividing two
+    ints rounds once, correctly, so the result is precise for any pool size.
     """
-    total_ways = math.comb(pool_size, sample_size)
-    return sum(
-        1.0 - math.comb(pool_size - answer_counts[ans], sample_size) / total_ways
-        for ans in truth
-    )
+    ways, hits = _hit_ways(pool_size, sample_size)
+    return sum(hits[answer_counts[ans]] for ans in truth) / ways
 
 
 @dataclass(frozen=True)
@@ -145,34 +141,6 @@ class DiversityReport:
         return self.diversity / self.max_diversity
 
 
-class _AnswerPools:
-    """Per-question normalized pools, tallies, and truth sets for one corpus."""
-
-    def __init__(self, corpus: Corpus):
-        self.a = corpus.answers_per_question
-        self.normalized: dict[int, tuple[str, ...]] = {}
-        self.counts: dict[int, Counter] = {}
-        self.truth: dict[int, frozenset[str]] = {}
-        for vq in corpus:
-            pool = tuple(normalize_answer(ans) for ans in vq.raw_answers)
-            counts = Counter(pool)
-            self.normalized[vq.question_id] = pool
-            self.counts[vq.question_id] = counts
-            self.truth[vq.question_id] = frozenset(
-                ans for ans, c in counts.items() if c >= TRUTH_MIN_COUNT
-            )
-        self.max_diversity = sum(len(t) for t in self.truth.values())
-        self._capture_cache: dict[tuple[int, int], float] = {}
-
-    def capture(self, qid: int, n: int) -> float:
-        key = (qid, n)
-        if key not in self._capture_cache:
-            self._capture_cache[key] = expected_capture(
-                self.counts[qid], self.truth[qid], n, self.a
-            )
-        return self._capture_cache[key]
-
-
 def simulate_collection(
     plan: AllocationPlan,
     corpus: Corpus,
@@ -187,60 +155,18 @@ def simulate_collection(
     question's stream for a trial is seeded by (seed, question id, trial),
     so results do not depend on evaluation order.
     """
-    return _simulate(plan, _AnswerPools(corpus), mode, trials, seed)
-
-
-def _simulate(
-    plan: AllocationPlan,
-    pools: _AnswerPools,
-    mode: str,
-    trials: int,
-    seed: int,
-) -> DiversityReport:
-    if mode not in SIMULATION_MODES:
-        raise ValueError(f"mode must be one of {SIMULATION_MODES}, got {mode!r}")
-    if plan.assignments.keys() != pools.truth.keys():
-        raise KeyMismatch("plan does not cover the same question ids as the corpus")
-    if plan.r > pools.a:
-        raise InvalidCounts(f"R={plan.r} exceeds the {pools.a} stored answers")
-
-    if mode == "exact":
-        # fsum over a canonical order keeps the result independent of the
-        # ranking permutation, so equal-budget plans score identically.
-        diversity = math.fsum(
-            pools.capture(qid, plan.assignments[qid])
-            for qid in sorted(plan.assignments)
-        )
-        return DiversityReport(
-            budget=plan.budget,
-            diversity=diversity,
-            max_diversity=pools.max_diversity,
-            answers_spent=plan.answers_spent,
-            mode=mode,
-        )
-
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    total = 0
-    for qid, n in plan.assignments.items():
-        pool = pools.normalized[qid]
-        truth = pools.truth[qid]
-        if not truth:
-            continue
-        for trial in range(trials):
-            rng = np.random.default_rng(
-                [seed & _SEED_MASK, qid & _SEED_MASK, trial]
-            )
-            picked = {pool[i] for i in rng.permutation(pools.a)[:n]}
-            total += len(picked & truth)
+    boosted_first = sorted(plan.assignments, key=lambda qid: plan.assignments[qid] != plan.r)
+    [row] = sweep(
+        corpus, {"plan": boosted_first}, [plan.budget], plan.s, plan.r, mode, trials, seed
+    )
     return DiversityReport(
         budget=plan.budget,
-        diversity=total / trials,
-        max_diversity=pools.max_diversity,
+        diversity=row.diversity,
+        max_diversity=int(corpus.answer_table.distinct_at_least(TRUTH_MIN_COUNT).sum()),
         answers_spent=plan.answers_spent,
         mode=mode,
-        trials=trials,
-        seed=seed,
+        trials=trials if mode == "mc" else None,
+        seed=seed if mode == "mc" else None,
     )
 
 
@@ -269,26 +195,67 @@ def sweep(
 
     A ranking entry may be a list of alternative orderings (e.g. several
     random priority orders); their diversities are averaged per budget.
+    Each question's capture under S and under R answers is an integer over
+    a common denominator D. Exact mode: D = lcm(C(A, S), C(A, R)) and the
+    terms are expectations. MC mode: D is the trial count; trial t of
+    question q draws one permutation from a generator seeded by (seed, q,
+    t), and S and R read its prefixes. A budget's diversity is the
+    S-captures plus a prefix sum of (R-capture - S-capture) along the
+    ranking, averaged over orderings exactly; the one int / int division
+    per row rounds correctly.
     """
-    pools = _AnswerPools(corpus)
+    n = len(corpus)
+    ids = corpus.question_ids()
+    variants = {name: _ranking_variants(entry) for name, entry in rankings.items()}
+    for budget in (0, *budgets):
+        _check_plan(n, budget, s, r)
+    for name, orderings in variants.items():
+        if any(sorted(rk) != list(ids) for rk in orderings):
+            raise KeyMismatch(f"ranking {name!r} is not a permutation of the corpus ids")
+    a = corpus.answers_per_question
+    if r > a:
+        raise InvalidCounts(f"R={r} exceeds the {a} stored answers")
+    if mode not in SIMULATION_MODES:
+        raise ValueError(f"mode must be one of {SIMULATION_MODES}, got {mode!r}")
+    if mode == "mc" and trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+    table = corpus.answer_table
+    if mode == "exact":
+        hit_ways = {k: _hit_ways(a, k) for k in (s, r)}
+        denominator = math.lcm(*(ways for ways, _ in hit_ways.values()))
+        terms = {}
+        for k, (ways, hits) in hit_ways.items():
+            hits[:TRUTH_MIN_COUNT] = [0] * TRUTH_MIN_COUNT  # only truth answers count
+            scaled = np.array(hits, dtype=object) * (denominator // ways)
+            terms[k] = scaled[table.counts].sum(axis=1).tolist()
+    else:
+        denominator, terms = trials, {s: [0] * n, r: [0] * n}
+        for row in np.flatnonzero(table.distinct_at_least(TRUTH_MIN_COUNT)).tolist():
+            qid = ids[row] & _SEED_MASK
+            pool = table.codes[row].tolist()
+            truth = {code for code, c in zip(pool, table.counts[row]) if c >= TRUTH_MIN_COUNT}
+            for trial in range(trials):
+                order = np.random.default_rng([seed & _SEED_MASK, qid, trial]).permutation(a)
+                for k in (s, r):
+                    terms[k][row] += len(truth.intersection(pool[i] for i in order[:k]))
+    base = sum(terms[s])
+    gain = dict(zip(ids, (tr - ts for ts, tr in zip(terms[s], terms[r]))))
+    max_diversity = int(table.distinct_at_least(TRUTH_MIN_COUNT).sum())
     rows = []
-    for name, entry in rankings.items():
-        variants = _ranking_variants(entry)
+    for name, orderings in variants.items():
+        prefixes = [[0, *accumulate(gain[qid] for qid in rk)] for rk in orderings]
         for budget in budgets:
-            reports = [
-                _simulate(make_plan(rk, budget, s, r), pools, mode, trials, seed)
-                for rk in variants
-            ]
-            diversity = sum(rep.diversity for rep in reports) / len(reports)
-            spent = reports[0].answers_spent
-            fraction = 1.0 if pools.max_diversity == 0 else diversity / pools.max_diversity
+            total = sum(base + prefix[budget] for prefix in prefixes)
+            diversity = total / (denominator * len(orderings))
+            spent = budget * r + (n - budget) * s
             rows.append(
                 SweepRow(
                     ranking=name,
                     budget=budget,
                     answers_spent=spent,
                     diversity=diversity,
-                    diversity_fraction=fraction,
+                    diversity_fraction=1.0 if max_diversity == 0 else diversity / max_diversity,
                     cost_usd=spent * ANSWER_COST_USD,
                     labor_hours=spent * SECONDS_PER_ANSWER / 3600.0,
                 )
@@ -298,8 +265,6 @@ def sweep(
 
 def _ranking_variants(entry) -> list[list[int]]:
     seq = list(entry)
-    if not seq:
-        raise ValueError("empty ranking entry")
-    if isinstance(seq[0], (list, tuple)):
+    if seq and isinstance(seq[0], (list, tuple)):
         return [list(rk) for rk in seq]
     return [seq]

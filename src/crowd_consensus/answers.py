@@ -5,11 +5,12 @@ from __future__ import annotations
 import enum
 import re
 import string
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import Corpus
+import numpy as np
+
+from .corpus import ANSWER_TYPES, Corpus
 from .errors import AnswerCountMismatch, InvalidThreshold
 
 #: Whole-token number words converted to digits during normalization.
@@ -33,8 +34,6 @@ ARTICLES = frozenset({"a", "an", "the"})
 # The 32 ASCII punctuation characters, removed outright.
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _DIGIT_COMMA = re.compile(r"(?<=\d),(?=\d)")
-
-_TYPE_ORDER = ("yes/no", "number", "other", "unknown", "all")
 
 
 class AgreementLabel(enum.Enum):
@@ -72,8 +71,53 @@ def normalize_answer(raw: str) -> str:
         out = again
 
 
-def _tally(raw_answers: Sequence[str]) -> Counter:
-    return Counter(normalize_answer(ans) for ans in raw_answers)
+@dataclass(frozen=True, eq=False)
+class AnswerTable:
+    """Equal-size answer pools, normalized and coded once; row i is pool i.
+
+    codes[i, j] indexes `vocabulary` (distinct normalized answers, first
+    seen first) for pool i's j-th answer. counts[i, j] is how often pool i
+    gives that answer if slot j is its first occurrence, else 0.
+    """
+
+    vocabulary: tuple[str, ...]
+    codes: np.ndarray  # (n, A) int32
+    counts: np.ndarray  # (n, A) int64
+
+    @classmethod
+    def from_pools(cls, pools: Sequence[Sequence[str]], a: int) -> "AnswerTable":
+        """Code pools of `a` raw answers each, normalizing each distinct string once."""
+        raws = [raw for pool in pools for raw in pool]
+        code_of_answer: dict[str, int] = {}
+        code_of_raw = {
+            raw: code_of_answer.setdefault(normalize_answer(raw), len(code_of_answer))
+            for raw in dict.fromkeys(raws)
+        }
+        flat = [code_of_raw[raw] for raw in raws]
+        codes = np.array(flat, dtype=np.int32).reshape(len(pools), a)
+        same = codes[:, :, None] == codes[:, None, :]
+        first = ~np.tril(same, -1).any(axis=2)
+        return cls(tuple(code_of_answer), codes, np.where(first, same.sum(axis=2), 0))
+
+    def distinct_at_least(self, m: int) -> np.ndarray:
+        """Per pool: number of distinct normalized answers given at least m times."""
+        return (self.counts >= m).sum(axis=1)
+
+    def labels(self) -> list[AgreementLabel]:
+        """Agreement iff the modal answer covers at least A - 1 of the A answers."""
+        a = self.codes.shape[1]
+        if a < 2:
+            raise AnswerCountMismatch(f"need at least 2 answers, got {a}")
+        agree = self.counts.max(axis=1, initial=0) >= a - 1
+        return [AgreementLabel.AGREEMENT if x else AgreementLabel.DISAGREEMENT for x in agree]
+
+
+def is_disagreement(labels) -> np.ndarray:
+    """Boolean array: DISAGREEMENT labels (or truthy plain values) are True."""
+    return np.array([
+        x is AgreementLabel.DISAGREEMENT if isinstance(x, AgreementLabel) else bool(x)
+        for x in labels
+    ], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -90,9 +134,11 @@ def valid_answers(raw_answers: Sequence[str], m: int) -> ValidAnswerSet:
     a = len(raw_answers)
     if m < 1 or m > a:
         raise InvalidThreshold(f"m must be in [1, {a}], got {m}")
-    counts = _tally(raw_answers)
+    table = AnswerTable.from_pools([raw_answers], a)
+    # One pool's first occurrences run through the vocabulary in order.
+    counts = dict(zip(table.vocabulary, table.counts[table.counts > 0].tolist()))
     kept = frozenset(ans for ans, c in counts.items() if c >= m)
-    return ValidAnswerSet(answers=kept, m=m, counts=dict(counts))
+    return ValidAnswerSet(answers=kept, m=m, counts=counts)
 
 
 def agreement_label(raw_answers: Sequence[str]) -> AgreementLabel:
@@ -101,13 +147,7 @@ def agreement_label(raw_answers: Sequence[str]) -> AgreementLabel:
     With A stored answers the rule is: modal normalized-answer count
     >= A - 1, which tolerates a single careless or spam response.
     """
-    a = len(raw_answers)
-    if a < 2:
-        raise AnswerCountMismatch(f"need at least 2 answers, got {a}")
-    modal = max(_tally(raw_answers).values())
-    if modal >= a - 1:
-        return AgreementLabel.AGREEMENT
-    return AgreementLabel.DISAGREEMENT
+    return AnswerTable.from_pools([raw_answers], len(raw_answers)).labels()[0]
 
 
 def diversity_histogram(corpus: Corpus, m: int) -> dict[int, int]:
@@ -115,10 +155,8 @@ def diversity_histogram(corpus: Corpus, m: int) -> dict[int, int]:
     a = corpus.answers_per_question
     if m < 1 or m > a:
         raise InvalidThreshold(f"m must be in [1, {a}], got {m}")
-    hist = {k: 0 for k in range(a + 1)}
-    for vq in corpus:
-        hist[len(valid_answers(vq.raw_answers, m).answers)] += 1
-    return hist
+    distinct = corpus.answer_table.distinct_at_least(m)
+    return dict(enumerate(np.bincount(distinct, minlength=a + 1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -139,24 +177,18 @@ def agreement_by_answer_type(corpus: Corpus) -> dict[str, AgreementRates]:
     answer covers all but one.
     """
     a = corpus.answers_per_question
-    tallies: dict[str, list[int]] = {}  # stratum -> [unanimous, exactly_one, n]
-    for vq in corpus:
-        modal = max(_tally(vq.raw_answers).values()) if vq.raw_answers else 0
-        for stratum in (vq.answer_type or "unknown", "all"):
-            bucket = tallies.setdefault(stratum, [0, 0, 0])
-            bucket[0] += modal == a
-            bucket[1] += modal == a - 1
-            bucket[2] += 1
-
+    modal = corpus.answer_table.counts.max(axis=1, initial=0)
+    strata = np.array([vq.answer_type or "unknown" for vq in corpus], dtype=object)
     report = {}
-    for stratum in _TYPE_ORDER:
-        if stratum not in tallies:
-            continue
-        unanimous, exactly_one, n = tallies[stratum]
-        report[stratum] = AgreementRates(
-            unanimous_rate=unanimous / n,
-            exactly_one_disagreement_rate=exactly_one / n,
-            at_most_one_disagreement_rate=(unanimous + exactly_one) / n,
-            n=n,
-        )
+    for stratum in (*ANSWER_TYPES, "unknown", "all"):
+        top = modal if stratum == "all" else modal[strata == stratum]
+        n = len(top)
+        if n:
+            unanimous, exactly_one = int((top == a).sum()), int((top == a - 1).sum())
+            report[stratum] = AgreementRates(
+                unanimous_rate=unanimous / n,
+                exactly_one_disagreement_rate=exactly_one / n,
+                at_most_one_disagreement_rate=(unanimous + exactly_one) / n,
+                n=n,
+            )
     return report

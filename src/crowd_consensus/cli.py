@@ -21,7 +21,7 @@ from .allocation import (
     status_quo_ranking,
     sweep,
 )
-from .answers import agreement_by_answer_type, agreement_label, diversity_histogram
+from .answers import agreement_by_answer_type, diversity_histogram
 from .corpus import load_corpus, load_image_features
 from .errors import CrowdConsensusError, DimensionMismatch, EmptyTrainingSet
 from .evalmetrics import pr_curve, stratified_eval
@@ -223,7 +223,7 @@ def cmd_train(args) -> int:
     table = load_image_features(args.image_features) if args.image_features else None
     mode = FeatureMode(args.mode)
     X = extract_matrix(corpus, vocab, table, mode, args.layout)
-    y = [agreement_label(vq.raw_answers) for vq in corpus]
+    y = corpus.answer_table.labels()
     model = train_forest(
         X,
         y,
@@ -275,7 +275,7 @@ def cmd_eval(args) -> int:
     corpus, _, predictions = _model_predictions(args)
     out = _out_dir(args)
     scores = [pred.p_disagreement for pred in predictions]
-    labels = [agreement_label(vq.raw_answers) for vq in corpus]
+    labels = corpus.answer_table.labels()
     types = [vq.answer_type for vq in corpus]
     report = stratified_eval(scores, labels, types)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -332,6 +332,8 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.status_quo_seeds < 1:
+        raise ValueError(f"--status-quo-seeds must be >= 1, got {args.status_quo_seeds}")
     corpus, _, predictions = _model_predictions(args)
     seed = _resolve_seed(args)
     out = _out_dir(args)
@@ -399,3 +401,7 @@ def _parse_budgets(raw: str | None, n: int) -> list[int]:
     if not budgets:
         raise ValueError("--budgets is empty")
     return budgets
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -118,6 +120,13 @@ class Corpus:
     def question_ids(self) -> tuple[int, ...]:
         return tuple(vq.question_id for vq in self.questions)
 
+    @cached_property
+    def answer_table(self):
+        """The `answers.AnswerTable` of every question, in corpus order, built on first use."""
+        from .answers import AnswerTable
+
+        return AnswerTable.from_pools([vq.raw_answers for vq in self], self.answers_per_question)
+
     def subset(self, question_ids: Iterable[int]) -> "Corpus":
         """New corpus restricted to the given ids (re-sorted ascending)."""
         picked = [self.get(qid) for qid in question_ids]
@@ -159,10 +168,12 @@ def load_corpus(
     )
 
 
-def _require(record: Mapping, key: str, where: str):
-    if key not in record:
-        raise ParseError(f"{where}: missing key {key!r}")
-    return record[key]
+def _field(record, key: str, where: str, kind: type):
+    """record[key], which must exist and be of the given JSON type (a bool is not an int)."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"{where}: expected key {key!r} of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def _read_jsonl(path: Path) -> list[VisualQuestion]:
@@ -177,17 +188,15 @@ def _read_jsonl(path: Path) -> list[VisualQuestion]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{where}: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{where}: record is not an object")
-            answers = _require(record, "answers", where)
-            if not isinstance(answers, list):
-                raise ParseError(f"{where}: answers is not a list")
+            answers = _field(record, "answers", where, list)
+            if not all(isinstance(ans, str) for ans in answers):
+                raise ParseError(f"{where}: answers must be strings, got {answers!r}")
             questions.append(
                 VisualQuestion(
-                    question_id=int(_require(record, "question_id", where)),
-                    image_id=int(_require(record, "image_id", where)),
-                    question_text=str(_require(record, "question", where)),
-                    raw_answers=tuple(str(ans) for ans in answers),
+                    question_id=_field(record, "question_id", where, int),
+                    image_id=_field(record, "image_id", where, int),
+                    question_text=_field(record, "question", where, str),
+                    raw_answers=tuple(answers),
                     answer_type=record.get("answer_type"),
                 )
             )
@@ -195,33 +204,32 @@ def _read_jsonl(path: Path) -> list[VisualQuestion]:
 
 
 def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> list[VisualQuestion]:
-    questions_doc = _load_json_doc(questions_path)
-    annotations_doc = _load_json_doc(annotations_path)
-    if "questions" not in questions_doc:
-        raise ParseError(f"{questions_path}: missing top-level 'questions'")
-    if "annotations" not in annotations_doc:
-        raise ParseError(f"{annotations_path}: missing top-level 'annotations'")
+    where = str(questions_path)
+    records = _field(_load_json_doc(questions_path), "questions", where, list)
+    annotations = _field(
+        _load_json_doc(annotations_path), "annotations", str(annotations_path), list
+    )
 
     by_id: dict[int, dict] = {}
-    for ann in annotations_doc["annotations"]:
-        by_id[int(_require(ann, "question_id", str(annotations_path)))] = ann
+    for ann in annotations:
+        by_id[_field(ann, "question_id", str(annotations_path), int)] = ann
 
     questions = []
-    for q in questions_doc["questions"]:
-        where = str(questions_path)
-        qid = int(_require(q, "question_id", where))
+    for q in records:
+        qid = _field(q, "question_id", where, int)
         ann = by_id.get(qid)
         if ann is None:
             raise MissingAnnotation(f"question {qid} has no annotation record")
+        ann_where = f"{annotations_path} question {qid}"
         answers = tuple(
-            str(_require(entry, "answer", f"{annotations_path} question {qid}"))
-            for entry in _require(ann, "answers", f"{annotations_path} question {qid}")
+            _field(entry, "answer", ann_where, str)
+            for entry in _field(ann, "answers", ann_where, list)
         )
         questions.append(
             VisualQuestion(
                 question_id=qid,
-                image_id=int(_require(q, "image_id", where)),
-                question_text=str(_require(q, "question", where)),
+                image_id=_field(q, "image_id", where, int),
+                question_text=_field(q, "question", where, str),
                 raw_answers=answers,
                 answer_type=ann.get("answer_type"),
             )
@@ -275,8 +283,8 @@ class ImageFeatureTable:
 def load_image_features(path: str | Path) -> ImageFeatureTable:
     """Read the saliency CSV (header image_id,p0,p1,p2,p3,p4).
 
-    Rows whose components are non-negative and sum to 1 within 1e-3 are
-    renormalized to sum exactly 1; anything else raises InvalidProbability.
+    Rows whose components are finite, non-negative and sum to 1 within 1e-3
+    are renormalized to sum exactly 1; anything else raises InvalidProbability.
     """
     table: dict[int, tuple[float, ...]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -299,6 +307,8 @@ def load_image_features(path: str | Path) -> ImageFeatureTable:
                 raise ParseError(f"{where}: {exc}") from exc
             if image_id in table:
                 raise ParseError(f"{where}: duplicate image_id {image_id}")
+            if not all(math.isfinite(p) for p in probs):
+                raise InvalidProbability(f"{where}: non-finite probability component")
             if any(p < 0.0 for p in probs):
                 raise InvalidProbability(f"{where}: negative probability component")
             total = sum(probs)

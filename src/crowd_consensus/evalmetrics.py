@@ -14,10 +14,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .answers import AgreementLabel
+from .answers import is_disagreement
+from .corpus import ANSWER_TYPES
 from .errors import LengthMismatch, NoPositives
-
-_TYPE_ORDER = ("yes/no", "number", "other", "unknown")
 
 
 class PrPoint(NamedTuple):
@@ -40,21 +39,11 @@ class EvalReport:
     n_by_type: Mapping[str, int]
 
 
-def _positives(labels) -> np.ndarray:
-    out = np.empty(len(labels), dtype=bool)
-    for i, label in enumerate(labels):
-        if isinstance(label, AgreementLabel):
-            out[i] = label is AgreementLabel.DISAGREEMENT
-        else:
-            out[i] = bool(label)
-    return out
-
-
 def _grouped_counts(scores, labels):
     """Per threshold group (descending score): threshold, cum TP, cum predicted."""
     if len(scores) != len(labels):
         raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels")
-    pos = _positives(labels)
+    pos = is_disagreement(labels)
     n_pos = int(pos.sum())
     if n_pos == 0:
         raise NoPositives("no disagreement-labeled items to rank")
@@ -110,13 +99,13 @@ def stratified_eval(
 
     ap_by_type: dict[str, float] = {}
     n_by_type: dict[str, int] = {}
-    for stratum in _TYPE_ORDER:
+    for stratum in (*ANSWER_TYPES, "unknown"):
         rows = by_type.get(stratum)
         if rows is None:
             continue
         n_by_type[stratum] = len(rows)
         stratum_labels = [labels[i] for i in rows]
-        if not _positives(stratum_labels).any():
+        if not is_disagreement(stratum_labels).any():
             continue
         ap_by_type[stratum] = average_precision(
             [scores[i] for i in rows], stratum_labels

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import enum
 import json
-import string
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from .answers import _PUNCT_TABLE
 from .corpus import Corpus, ImageFeatureTable, UNIFORM_SALIENCY, VisualQuestion
 from .errors import EmptyQuestion
-
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 SALIENCY_DIM = 5
 

@@ -4,22 +4,21 @@ Trees are grown CART-style on bootstrap samples: greedy binary splits
 minimize weighted Gini impurity over a random feature subset per node,
 with candidate thresholds at midpoints between consecutive distinct
 values. Each tree's randomness comes from its own generator seeded by
-(master seed, tree index), so parallel and serial training produce
-identical models.
+(master seed, tree index), so a tree depends only on the data, the
+config and its own index, not on how many trees are grown.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .answers import AgreementLabel
+from .answers import AgreementLabel, is_disagreement
 from .errors import (
     DimensionMismatch,
     EmptyNode,
@@ -112,18 +111,6 @@ class Prediction:
     p_disagreement: float
 
 
-def _as_label_array(y, n_expected: int) -> np.ndarray:
-    if len(y) != n_expected:
-        raise DimensionMismatch(f"got {n_expected} feature rows but {len(y)} labels")
-    out = np.empty(n_expected, dtype=np.uint8)
-    for i, label in enumerate(y):
-        if isinstance(label, AgreementLabel):
-            out[i] = label is AgreementLabel.DISAGREEMENT
-        else:
-            out[i] = bool(label)
-    return out
-
-
 def train_forest(
     X,
     y,
@@ -132,15 +119,13 @@ def train_forest(
     vocab: Vocabularies | None = None,
     feature_mode: FeatureMode = FeatureMode.QI,
     layout: str = "truncated",
-    parallel: bool = False,
 ) -> ForestModel:
     """Fit the ensemble.
 
     X is an (n, d) matrix (or sequence of d-vectors); y holds
     AgreementLabel values (or anything truthy for disagreement). Each tree
     draws its own bootstrap sample of size n. Given identical data and
-    config the result is identical, whether trees are built serially or
-    in parallel.
+    config the result is identical.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -148,7 +133,9 @@ def train_forest(
     n, d = X.shape
     if n < 2:
         raise EmptyTrainingSet(f"need at least 2 training examples, got {n}")
-    y01 = _as_label_array(y, n)
+    if len(y) != n:
+        raise DimensionMismatch(f"got {n} feature rows but {len(y)} labels")
+    y01 = is_disagreement(y).astype(np.uint8)
     if config.features_per_split is not None and config.features_per_split > d:
         raise DimensionMismatch(
             f"features_per_split={config.features_per_split} exceeds {d} features"
@@ -161,15 +148,10 @@ def train_forest(
             )
     k = config.features_per_split or max(1, math.ceil(math.sqrt(d)))
 
-    def build(tree_index: int) -> DecisionTree:
-        rng = np.random.default_rng([config.seed, tree_index])
-        return _grow_tree(X, y01, config, rng, k)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            trees = tuple(pool.map(build, range(config.n_trees)))
-    else:
-        trees = tuple(build(t) for t in range(config.n_trees))
+    trees = tuple(
+        _grow_tree(X, y01, config, np.random.default_rng([config.seed, t]), k)
+        for t in range(config.n_trees)
+    )
     return ForestModel(
         trees=trees,
         config=config,

@@ -118,7 +118,7 @@ def _swap_answers(rng, pools, n_questions, noise, a) -> None:
 
 
 def _answer_type_of(pool: list[str]) -> str:
-    modal = max(set(pool), key=pool.count)
+    modal = max(dict.fromkeys(pool), key=pool.count)  # ties: first occurrence
     if modal in ("yes", "no"):
         return "yes/no"
     if modal.isdigit():

@@ -4,6 +4,7 @@ Each test covers one release criterion at its stated tolerance and prints
 one [acceptance] PASS/FAIL line (run with -s to see them on success).
 """
 
+import json
 import math
 import random
 import time
@@ -192,13 +193,15 @@ def test_criterion_6_determinism(tmp_path):
         for name in ("model.json", "report.json", "pr_overall.csv", "sweep.csv"):
             assert (out / name).read_bytes() == snapshot[name], name
 
+        # Tree t depends only on (seed, t): a smaller forest is a prefix.
         X = np.random.default_rng(3).normal(size=(120, 6))
         y = (X[:, 0] > 0).astype(int)
-        serial = tmp_path / "serial.json"
-        threaded = tmp_path / "threaded.json"
-        save_model(train_forest(X, y, ForestConfig(seed=5), parallel=False), serial)
-        save_model(train_forest(X, y, ForestConfig(seed=5), parallel=True), threaded)
-        assert serial.read_bytes() == threaded.read_bytes()
+        trees = {}
+        for n_trees in (3, 5):
+            path = tmp_path / f"forest{n_trees}.json"
+            save_model(train_forest(X, y, ForestConfig(n_trees=n_trees, seed=5)), path)
+            trees[n_trees] = json.loads(path.read_text())["trees"]
+        assert json.dumps(trees[3]) == json.dumps(trees[5][:3])
 
 
 def test_criterion_7_budget_monotonicity_and_boundaries():
@@ -216,11 +219,11 @@ def test_criterion_7_budget_monotonicity_and_boundaries():
                 previous = -1.0
                 for budget in range(n + 1):
                     report = simulate_collection(make_plan(ranking, budget), corpus)
-                    assert report.diversity >= previous - 1e-9
+                    assert report.diversity >= previous
                     previous = report.diversity
             for budget in (0, n):
-                values = [
+                values = {
                     simulate_collection(make_plan(rk, budget), corpus).diversity
                     for rk in rankings
-                ]
-                assert max(values) - min(values) <= 1e-9
+                }
+                assert len(values) == 1

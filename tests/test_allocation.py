@@ -1,5 +1,8 @@
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from crowd_consensus import (
@@ -8,13 +11,14 @@ from crowd_consensus import (
     expected_capture,
     make_plan,
     make_random_corpus,
+    normalize_answer,
     oracle_ranking,
     rank_by_disagreement,
     simulate_collection,
     status_quo_ranking,
     sweep,
-    truth_sets,
 )
+from crowd_consensus.allocation import TRUTH_MIN_COUNT
 from crowd_consensus.errors import (
     InvalidBudget,
     InvalidCounts,
@@ -71,13 +75,14 @@ def test_oracle_ranking_tie_rule():
     assert oracle_ranking(corpus) == [1, 2, 3]
 
 
-def test_truth_sets_threshold_is_two():
-    truth = truth_sets(_diversity_corpus())
-    assert truth[1] == {"yes"}
-    assert truth[2] == {"red", "blue", "tan"}
-    assert truth[3] == {"2", "3"}
+def test_truth_threshold_is_two():
+    assert TRUTH_MIN_COUNT == 2
+    table = _diversity_corpus().answer_table
+    assert table.distinct_at_least(TRUTH_MIN_COUNT).tolist() == [1, 3, 2]
     singles = Corpus.from_questions([vq(1, "what", [f"w{i}" for i in range(10)])])
-    assert truth_sets(singles)[1] == frozenset()
+    assert singles.answer_table.distinct_at_least(TRUTH_MIN_COUNT).tolist() == [0]
+    pair = Corpus.from_questions([vq(1, "what", ["w1"] * 2 + [f"w{i}" for i in range(2, 10)])])
+    assert pair.answer_table.distinct_at_least(TRUTH_MIN_COUNT).tolist() == [1]
 
 
 def test_make_plan_arithmetic():
@@ -210,14 +215,14 @@ def test_budget_monotone_and_boundaries_on_random_corpora():
             last = -1.0
             for budget in range(len(ids) + 1):
                 report = simulate_collection(make_plan(ranking, budget), corpus)
-                assert report.diversity >= last - 1e-9
+                assert report.diversity >= last
                 last = report.diversity
         for budget in (0, len(ids)):
-            values = [
+            values = {
                 simulate_collection(make_plan(rk, budget), corpus).diversity
                 for rk in rankings
-            ]
-            assert max(values) - min(values) <= 1e-9  # plan ignores order here
+            }
+            assert len(values) == 1  # plan ignores order here
 
 
 def test_sweep_rows_and_averaging():
@@ -240,3 +245,100 @@ def test_sweep_rows_and_averaging():
         assert row.cost_usd == pytest.approx(row.answers_spent * 0.02)
         assert row.labor_hours == pytest.approx(row.answers_spent * 30 / 3600)
         assert 0.0 <= row.diversity_fraction <= 1.0
+
+
+def _exact_capture(corpus, sizes):
+    """Expected captured diversity as a Fraction, from math.comb on each pool."""
+    a = corpus.answers_per_question
+    total = Fraction(0)
+    for q in corpus:
+        pool = [normalize_answer(ans) for ans in q.raw_answers]
+        n = sizes[q.question_id]
+        for ans in set(pool):
+            c = pool.count(ans)
+            if c >= 2:
+                total += 1 - Fraction(math.comb(a - c, n), math.comb(a, n))
+    return total
+
+
+def test_exact_sweep_is_the_correctly_rounded_rational():
+    for seed in range(6):
+        corpus = make_random_corpus(15, seed=seed)
+        ids = corpus.question_ids()
+        orderings = [status_quo_ranking(ids, [seed, k]) for k in range(3)]
+        budgets = list(range(len(ids) + 1))
+        rows = sweep(corpus, {"ours": oracle_ranking(corpus), "sq": orderings},
+                     budgets, s=2, r=6)
+        max_div = simulate_collection(make_plan(ids, 0), corpus).max_diversity
+        for row in rows:
+            variants = [oracle_ranking(corpus)] if row.ranking == "ours" else orderings
+            want = sum(
+                _exact_capture(corpus, make_plan(rk, row.budget, 2, 6).assignments)
+                for rk in variants
+            ) / len(variants)
+            assert row.diversity == float(want)
+            assert row.diversity_fraction == row.diversity / max_div
+        plan = make_plan(orderings[0], 7, 2, 6)
+        assert simulate_collection(plan, corpus).diversity == float(
+            _exact_capture(corpus, plan.assignments)
+        )
+
+
+def test_exact_diversity_depends_only_on_the_top_b_set():
+    corpus = make_random_corpus(40, seed=11)
+    ranking = status_quo_ranking(corpus.question_ids(), seed=3)
+    rnd = random.Random(5)
+    for budget in (0, 1, 13, 27, 40):
+        top, rest = ranking[:budget], ranking[budget:]
+        values = set()
+        for _ in range(5):
+            rnd.shuffle(top)
+            rnd.shuffle(rest)
+            reordered = top + rest
+            values.add(simulate_collection(make_plan(reordered, budget), corpus).diversity)
+            values.add(sweep(corpus, {"x": reordered}, [budget])[0].diversity)
+        assert len(values) == 1, budget
+
+
+def test_sweep_validation():
+    corpus = make_random_corpus(5, seed=1)
+    ids = list(corpus.question_ids())
+    with pytest.raises(InvalidBudget):
+        sweep(corpus, {"x": ids}, [6])
+    with pytest.raises(InvalidCounts):
+        sweep(corpus, {"x": ids}, [1], s=3, r=3)
+    with pytest.raises(InvalidCounts):
+        sweep(corpus, {"x": ids}, [1], r=11)
+    with pytest.raises(KeyMismatch):
+        sweep(corpus, {"x": ids[:-1] + ids[:1]}, [1])
+    with pytest.raises(KeyMismatch):
+        sweep(corpus, {"x": [ids, ids[:-1]]}, [1])
+    with pytest.raises(ValueError):
+        sweep(corpus, {"x": ids}, [1], mode="bogus")
+    with pytest.raises(ValueError):
+        sweep(corpus, {"x": ids}, [1], mode="mc", trials=0)
+
+
+def _reference_mc(corpus, assignments, trials, seed):
+    """The documented MC stream: one generator per (seed, question id, trial)."""
+    a = corpus.answers_per_question
+    total = 0
+    for q in corpus:
+        pool = [normalize_answer(ans) for ans in q.raw_answers]
+        truth = {ans for ans in pool if pool.count(ans) >= 2}
+        for trial in range(trials):
+            order = np.random.default_rng([seed, q.question_id, trial]).permutation(a)
+            total += len({pool[i] for i in order[: assignments[q.question_id]]} & truth)
+    return total / trials
+
+
+def test_monte_carlo_follows_the_documented_stream():
+    corpus = make_random_corpus(12, seed=4)
+    ranking = status_quo_ranking(corpus.question_ids(), seed=2)
+    budgets = [0, 5, 12]
+    rows = sweep(corpus, {"x": ranking}, budgets, mode="mc", trials=30, seed=8)
+    for row in rows:
+        plan = make_plan(ranking, row.budget)
+        want = _reference_mc(corpus, plan.assignments, trials=30, seed=8)
+        assert row.diversity == want
+        assert simulate_collection(plan, corpus, mode="mc", trials=30, seed=8).diversity == want

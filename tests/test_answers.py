@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from crowd_consensus import (
 from crowd_consensus.errors import AnswerCountMismatch, InvalidThreshold
 
 from conftest import vq
+
+POOL_WORDS = ["yes", "Yes!", "the yes", "no", "NO", "two", "2", "a cat", "cat", "dog"]
 
 # Raw answer -> canonical form, covering case folding, articles, number
 # words, punctuation, digit commas, and whitespace.
@@ -226,3 +229,46 @@ def test_agreement_by_answer_type_strata(mixed_corpus):
         assert r.at_most_one_disagreement_rate == pytest.approx(
             r.unanimous_rate + r.exactly_one_disagreement_rate
         )
+
+
+@st.composite
+def _corpora(draw):
+    a = draw(st.integers(min_value=2, max_value=10))
+    pools = draw(st.lists(
+        st.lists(st.sampled_from(POOL_WORDS), min_size=a, max_size=a), max_size=12
+    ))
+    return Corpus.from_questions([vq(i, "what is it", pool) for i, pool in enumerate(pools)])
+
+
+@given(_corpora())
+@settings(max_examples=150, deadline=None)
+def test_answer_table_matches_single_pool_functions(corpus):
+    table = corpus.answer_table
+    a = corpus.answers_per_question
+    labels = table.labels()
+    buckets = {m: table.distinct_at_least(m).tolist() for m in range(1, a + 1)}
+    for row, q in enumerate(corpus):
+        assert labels[row] is agreement_label(q.raw_answers)
+        modal = max(Counter(normalize_answer(ans) for ans in q.raw_answers).values())
+        assert table.counts[row].max() == modal
+        for m in range(1, a + 1):
+            assert buckets[m][row] == len(valid_answers(q.raw_answers, m).answers)
+        truth = valid_answers(q.raw_answers, 2).answers
+        assert table.distinct_at_least(2)[row] == len(truth)
+        assert {table.vocabulary[c] for c in table.codes[row]} == {
+            normalize_answer(ans) for ans in q.raw_answers
+        }
+    for m in range(1, a + 1):
+        hist = diversity_histogram(corpus, m)
+        assert hist == {k: buckets[m].count(k) for k in range(a + 1)}
+
+
+def test_answer_table_is_built_once_per_corpus(mixed_corpus):
+    assert mixed_corpus.answer_table is mixed_corpus.answer_table
+    assert mixed_corpus.answer_table.codes.shape == (len(mixed_corpus), 10)
+
+
+def test_answer_table_labels_need_two_answers():
+    corpus = Corpus.from_questions([vq(1, "is it", ["yes"])])
+    with pytest.raises(AnswerCountMismatch):
+        corpus.answer_table.labels()

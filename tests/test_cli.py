@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +184,13 @@ def test_sweep_outputs_and_boundaries(planted_path, tmp_path):
     assert (out / "sweep.csv").read_bytes() == first
 
 
+def test_sweep_needs_a_status_quo_ordering(planted_path, tmp_path, capsys):
+    model_path = train(planted_path, tmp_path / "run")
+    assert main(["sweep", "--corpus", str(planted_path), "--model", str(model_path),
+                 "--status-quo-seeds", "0", "--out-dir", str(tmp_path / "run")]) == 2
+    assert "--status-quo-seeds" in capsys.readouterr().err
+
+
 def test_sweep_monte_carlo_mode(planted_path, tmp_path):
     out = tmp_path / "run"
     model_path = train(planted_path, out)
@@ -225,3 +237,36 @@ def test_seed_env_var_default(planted_path, tmp_path, monkeypatch):
             "--out-dir", str(out)]
     assert main(args) == 0
     assert json.loads((out / "run_config.json").read_text())["seed"] == 77
+
+
+def test_module_entry_point_reports_missing_corpus(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "crowd_consensus.cli", "analyze",
+         "--corpus", str(tmp_path / "missing.jsonl"), "--out-dir", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "missing.jsonl" in result.stderr
+
+
+def test_each_raw_answer_is_normalized_once_per_command(planted_path, tmp_path, monkeypatch):
+    import crowd_consensus.answers as answers_module
+
+    out = tmp_path / "run"
+    model_path = train(planted_path, out)
+    distinct = {ans for line in open(planted_path) for ans in json.loads(line)["answers"]}
+    calls = Counter()
+    original = answers_module.normalize_answer
+
+    def counting(raw):
+        calls[raw] += 1
+        return original(raw)
+
+    monkeypatch.setattr(answers_module, "normalize_answer", counting)
+    for argv in (["analyze"], ["sweep", "--model", str(model_path), "--budgets", "0,150,300"]):
+        calls.clear()
+        assert main(argv + ["--corpus", str(planted_path), "--out-dir", str(out)]) == 0
+        assert set(calls) <= distinct
+        assert max(calls.values()) == 1, argv

@@ -16,6 +16,8 @@ from crowd_consensus.errors import (
     ParseError,
 )
 
+from crowd_consensus.cli import main
+
 from conftest import vq, write_jsonl
 
 
@@ -218,3 +220,84 @@ def test_image_features_parse_errors(tmp_path):
         load_image_features(
             _write_features(tmp_path, ["1,0.2,0.2,0.2,0.2,0.2", "1,0.2,0.2,0.2,0.2,0.2"])
         )
+
+
+BAD_FIELDS = [
+    ("question_id", None),
+    ("question_id", 7.9),
+    ("question_id", True),
+    ("question_id", "7"),
+    ("image_id", None),
+    ("image_id", False),
+    ("question", None),
+    ("question", 5),
+    ("answers", None),
+    ("answers", ["x"] * 9 + [None]),
+    ("answers", ["x"] * 9 + [3]),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_FIELDS)
+def test_jsonl_field_types_rejected(tmp_path, key, value):
+    records = _records()
+    records[1][key] = value
+    path = write_jsonl(tmp_path / "corpus.jsonl", records)
+    with pytest.raises(ParseError):
+        load_corpus(path)
+    assert main(["analyze", "--corpus", str(path), "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("key,value", BAD_FIELDS)
+def test_vqa_field_types_rejected(tmp_path, mixed_corpus, key, value):
+    q_path, a_path = _write_vqa_pair(tmp_path, mixed_corpus)
+    questions = json.loads(q_path.read_text())
+    annotations = json.loads(a_path.read_text())
+    if key == "answers":
+        if value is None:
+            annotations["annotations"][1]["answers"] = None
+        else:
+            annotations["annotations"][1]["answers"][-1]["answer"] = value[-1]
+    else:
+        questions["questions"][1][key] = value
+    q_path.write_text(json.dumps(questions))
+    a_path.write_text(json.dumps(annotations))
+    with pytest.raises(ParseError):
+        load_corpus(q_path, a_path, format="vqa_v1_json")
+    assert main(["analyze", "--corpus", str(q_path), "--annotations", str(a_path),
+                 "--format", "vqa_v1_json", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_vqa_annotation_id_type_rejected(tmp_path, mixed_corpus):
+    q_path, a_path = _write_vqa_pair(tmp_path, mixed_corpus)
+    annotations = json.loads(a_path.read_text())
+    annotations["annotations"][0]["question_id"] = 1.0
+    a_path.write_text(json.dumps(annotations))
+    with pytest.raises(ParseError):
+        load_corpus(q_path, a_path, format="vqa_v1_json")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_image_features_non_finite_rejected(tmp_path, mixed_corpus, cell):
+    path = _write_features(tmp_path, [f"4,{cell},0.25,0.25,0.25,0.25"])
+    with pytest.raises(InvalidProbability):
+        load_image_features(path)
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus_jsonl(mixed_corpus, corpus_path)
+    assert main(["train", "--corpus", str(corpus_path), "--image-features", str(path),
+                 "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("which,doc", [
+    ("questions", {}),
+    ("questions", {"questions": 5}),
+    ("questions", {"questions": {"a": 1}}),
+    ("annotations", {"annotations": 3}),
+    ("annotations", {"annotations": None}),
+])
+def test_vqa_top_level_types_rejected(tmp_path, mixed_corpus, which, doc):
+    q_path, a_path = _write_vqa_pair(tmp_path, mixed_corpus)
+    (q_path if which == "questions" else a_path).write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load_corpus(q_path, a_path, format="vqa_v1_json")
+    assert main(["analyze", "--corpus", str(q_path), "--annotations", str(a_path),
+                 "--format", "vqa_v1_json", "--out-dir", str(tmp_path)]) == 2

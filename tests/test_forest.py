@@ -95,14 +95,14 @@ def test_seed_determinism():
     ]
 
 
-def test_parallel_matches_serial(tmp_path):
+def test_tree_depends_only_on_seed_and_index(tmp_path):
     X, y = separable_data(n=200, seed=9)
-    serial = train_forest(X, y, ForestConfig(seed=7), parallel=False)
-    threaded = train_forest(X, y, ForestConfig(seed=7), parallel=True)
-    p1, p2 = tmp_path / "serial.json", tmp_path / "parallel.json"
-    save_model(serial, p1)
-    save_model(threaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    trees = {}
+    for n_trees in (3, 5):
+        path = tmp_path / f"forest{n_trees}.json"
+        save_model(train_forest(X, y, ForestConfig(n_trees=n_trees, seed=7)), path)
+        trees[n_trees] = json.loads(path.read_text())["trees"]
+    assert json.dumps(trees[3]) == json.dumps(trees[5][:3])
 
 
 def test_vote_quantization_and_label_coherence():
