@@ -45,6 +45,7 @@ from .evalmetrics import (
     stratified_eval,
 )
 from .features import (
+    FeatureMatrix,
     FeatureMode,
     Vocabularies,
     build_vocabularies,
@@ -80,6 +81,7 @@ __all__ = [
     "DecisionTree",
     "DiversityReport",
     "EvalReport",
+    "FeatureMatrix",
     "FeatureMode",
     "ForestConfig",
     "ForestModel",

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ANSWER_TYPES, Corpus
+from .corpus import Corpus, rows_by_stratum
 from .errors import AnswerCountMismatch, InvalidThreshold
 
 #: Whole-token number words converted to digits during normalization.
@@ -178,10 +178,11 @@ def agreement_by_answer_type(corpus: Corpus) -> dict[str, AgreementRates]:
     """
     a = corpus.answers_per_question
     modal = corpus.answer_table.counts.max(axis=1, initial=0)
-    strata = np.array([vq.answer_type or "unknown" for vq in corpus], dtype=object)
+    groups = rows_by_stratum([vq.answer_type for vq in corpus])
+    groups["all"] = list(range(len(modal)))
     report = {}
-    for stratum in (*ANSWER_TYPES, "unknown", "all"):
-        top = modal if stratum == "all" else modal[strata == stratum]
+    for stratum, rows in groups.items():
+        top = modal[rows]
         n = len(top)
         if n:
             unanimous, exactly_one = int((top == a).sum()), int((top == a - 1).sum())

@@ -156,19 +156,43 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_run_config(out: Path, args, **resolved) -> None:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    config.update(resolved)
-    with open(out / "run_config.json", "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _atomic_write(path: Path, write) -> None:
+    """Call write(tmp) on a sibling temporary file, then move it over path.
+
+    A write that fails leaves any previous file at path untouched and no
+    temporary file behind.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, doc) -> None:
+    def write(tmp: Path) -> None:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+    _atomic_write(path, write)
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    def write(tmp: Path) -> None:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    _atomic_write(path, write)
+
+
+def _write_run_config(out: Path, args, **resolved) -> None:
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config.update(resolved)
+    _write_json(out / "run_config.json", config)
 
 
 def _fmt(x: float) -> str:
@@ -208,7 +232,8 @@ def cmd_analyze(args) -> int:
 def cmd_vocab(args) -> int:
     corpus = _load(args)
     out = _out_dir(args)
-    save_vocabularies(build_vocabularies(corpus), out / "vocabularies.json")
+    vocab = build_vocabularies(corpus)
+    _atomic_write(out / "vocabularies.json", lambda tmp: save_vocabularies(vocab, tmp))
     _write_run_config(out, args)
     return EXIT_OK
 
@@ -233,12 +258,7 @@ def cmd_train(args) -> int:
         layout=args.layout,
     )
     model_path = Path(args.model) if args.model else out / "model.json"
-    tmp = model_path.with_suffix(model_path.suffix + ".tmp")
-    try:
-        save_model(model, tmp)
-        os.replace(tmp, model_path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _atomic_write(model_path, lambda tmp: save_model(model, tmp))
     _write_run_config(out, args, seed=seed, model=str(model_path))
     return EXIT_OK
 
@@ -276,23 +296,18 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     scores = [pred.p_disagreement for pred in predictions]
     labels = corpus.answer_table.labels()
-    types = [vq.answer_type for vq in corpus]
-    report = stratified_eval(scores, labels, types)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "ap_overall": report.ap_overall,
-                "ap_by_type": dict(report.ap_by_type),
-                "n_by_type": dict(report.n_by_type),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    report = stratified_eval(scores, labels, [vq.answer_type for vq in corpus])
+    _write_json(
+        out / "report.json",
+        {
+            "ap_overall": report.ap_overall,
+            "ap_by_type": dict(report.ap_by_type),
+            "n_by_type": dict(report.n_by_type),
+        },
+    )
     _write_curve(out / "pr_overall.csv", scores, labels)
     for stratum in report.ap_by_type:
-        rows = [i for i, t in enumerate(types) if (t or "unknown") == stratum]
+        rows = report.rows_by_type[stratum]
         _write_curve(
             out / f"pr_{stratum.replace('/', '_')}.csv",
             [scores[i] for i in rows],
@@ -375,18 +390,14 @@ def cmd_sweep(args) -> int:
             entry = series.setdefault(row.ranking, {"name": row.ranking, "x": [], "y": []})
             entry["x"].append(row.answers_spent)
             entry["y"].append(row.diversity_fraction)
-        with open(out / "plot_data.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "x_label": "answers_spent",
-                    "y_label": "diversity_fraction",
-                    "series": list(series.values()),
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        _write_json(
+            out / "plot_data.json",
+            {
+                "x_label": "answers_spent",
+                "y_label": "diversity_fraction",
+                "series": list(series.values()),
+            },
+        )
     _write_run_config(out, args, seed=seed, budgets=budgets)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AnswerCountMismatch,
@@ -33,6 +33,17 @@ DEFAULT_ANSWERS_PER_QUESTION = 10
 
 #: Saliency fallback for images absent from a feature table.
 UNIFORM_SALIENCY = (0.2, 0.2, 0.2, 0.2, 0.2)
+
+def rows_by_stratum(answer_types: Sequence[str | None]) -> dict[str, list[int]]:
+    """Row indices of each non-empty answer-type stratum, in ANSWER_TYPES order.
+
+    Untyped rows (None) form the last stratum, "unknown".
+    """
+    groups: dict[str, list[int]] = {}
+    for i, t in enumerate(answer_types):
+        groups.setdefault("unknown" if t is None else t, []).append(i)
+    return {s: groups[s] for s in (*ANSWER_TYPES, "unknown") if s in groups}
+
 
 _SALIENCY_HEADER = ["image_id", "p0", "p1", "p2", "p3", "p4"]
 _SUM_BAND = 1e-3

@@ -9,13 +9,13 @@ input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .answers import is_disagreement
-from .corpus import ANSWER_TYPES
+from .corpus import rows_by_stratum
 from .errors import LengthMismatch, NoPositives
 
 
@@ -37,6 +37,10 @@ class EvalReport:
     ap_overall: float
     ap_by_type: Mapping[str, float]
     n_by_type: Mapping[str, int]
+    #: Input row indices of each stratum; depends on input order, so not compared.
+    rows_by_type: Mapping[str, Sequence[int]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def _grouped_counts(scores, labels):
@@ -93,16 +97,10 @@ def stratified_eval(
     if all(t is None for t in answer_types):
         return EvalReport(ap_overall=overall, ap_by_type={}, n_by_type={})
 
-    by_type: dict[str, list[int]] = {}
-    for i, t in enumerate(answer_types):
-        by_type.setdefault(t if t is not None else "unknown", []).append(i)
-
+    rows_by_type = rows_by_stratum(answer_types)
     ap_by_type: dict[str, float] = {}
     n_by_type: dict[str, int] = {}
-    for stratum in (*ANSWER_TYPES, "unknown"):
-        rows = by_type.get(stratum)
-        if rows is None:
-            continue
+    for stratum, rows in rows_by_type.items():
         n_by_type[stratum] = len(rows)
         stratum_labels = [labels[i] for i in rows]
         if not is_disagreement(stratum_labels).any():
@@ -110,4 +108,9 @@ def stratified_eval(
         ap_by_type[stratum] = average_precision(
             [scores[i] for i in rows], stratum_labels
         )
-    return EvalReport(ap_overall=overall, ap_by_type=ap_by_type, n_by_type=n_by_type)
+    return EvalReport(
+        ap_overall=overall,
+        ap_by_type=ap_by_type,
+        n_by_type=n_by_type,
+        rows_by_type=rows_by_type,
+    )

@@ -1,10 +1,18 @@
-"""Question tokenization, first/second-word vocabularies, and feature assembly.
+"""Question tokenization, first/second-word vocabularies, and feature encoding.
 
 A question is described by its token count plus one-hot encodings of its
 first and second words against vocabularies learned from training data;
 an image contributes its five salient-object-count probabilities. The
 descriptor layout is [length | first-word one-hot | second-word one-hot |
 saliency probabilities].
+
+extract_matrix does not store the one-hot columns: a FeatureMatrix keeps
+the real-valued columns as floats and each question's two word ids as
+integer codes, plus a map from every descriptor column to its source, so
+a question costs at most 56 bytes (six floats, two int32 codes) however
+large the vocabularies are. The forest trains and predicts on this
+encoding directly; np.asarray(matrix) builds the dense descriptor matrix
+when one is needed (for export, or for code that expects a plain array).
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +60,23 @@ class Vocabularies:
     first_words: tuple[str, ...]
     second_words: tuple[str, ...]
     built_from: str = ""
+
+    def to_doc(self) -> dict:
+        """JSON form, as stored in vocabularies.json and in model files."""
+        return {
+            "first": list(self.first_words),
+            "second": list(self.second_words),
+            "built_from": self.built_from,
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "Vocabularies":
+        """Inverse of to_doc; each word list must hold distinct strings."""
+        words = tuple(doc["first"]), tuple(doc["second"])
+        for block in words:
+            if not all(type(w) is str for w in block) or len(set(block)) != len(block):
+                raise ValueError("vocabulary words must be distinct strings")
+        return cls(*words, built_from=doc.get("built_from", ""))
 
     @cached_property
     def first_index(self) -> dict[str, int]:
@@ -108,6 +134,100 @@ def _check_layout(layout: str) -> None:
         raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """Compact (n, d) descriptor matrix: a numeric block plus word codes.
+
+    numeric holds the real-valued columns (question length and/or the five
+    saliency probabilities, or every column of a plain dense matrix);
+    codes holds each question's first- and second-word vocabulary ids,
+    -1 where the word is out of vocabulary or missing. source maps each
+    descriptor column f to (-1, j), numeric column j, or to (b, w), the
+    one-hot column that is 1 where codes[:, b] == w. np.asarray(matrix)
+    gives the dense float64 descriptor matrix.
+    """
+
+    numeric: np.ndarray  # (n, p) float64
+    codes: np.ndarray  # (n, 2) int32, or (n, 0) for a plain dense matrix
+    source: np.ndarray  # (d, 2) int64
+
+    @classmethod
+    def from_dense(cls, X: np.ndarray) -> "FeatureMatrix":
+        """Treat every column of a 2-d float64 array as numeric."""
+        d = X.shape[1]
+        source = np.column_stack([np.full(d, -1), np.arange(d)])
+        return cls(X, np.empty((len(X), 0), dtype=np.int32), source)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.numeric), len(self.source))
+
+    @property
+    def nbytes(self) -> int:
+        return self.numeric.nbytes + self.codes.nbytes + self.source.nbytes
+
+    def __len__(self) -> int:
+        return len(self.numeric)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = np.empty(self.shape)
+        block, j = self.source.T
+        num = block < 0
+        dense[:, num] = self.numeric[:, j[num]]
+        dense[:, ~num] = self.codes[:, block[~num]] == j[~num]
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def extract_matrix(
+    questions: Corpus | Sequence[VisualQuestion],
+    vocab: Vocabularies,
+    table: ImageFeatureTable | None = None,
+    mode: FeatureMode = FeatureMode.QI,
+    layout: str = "truncated",
+) -> FeatureMatrix:
+    """Encode descriptors for a whole corpus, rows in question-id order.
+
+    Out-of-vocabulary first/second words leave their one-hot block all
+    zero, as does a missing second word. Images absent from the table get
+    the uniform saliency fallback. In "zeroed" layout the unused mode's
+    blocks stay in place as zeros; in "truncated" layout they are omitted.
+    Question text is only tokenized when the mode reads it.
+    """
+    _check_layout(layout)
+    n = len(questions)
+    numeric: list[np.ndarray] = []  # columns
+    source: list[tuple[int, int]] = []
+    codes = np.full((n, 2), -1, dtype=np.int32)
+
+    if mode is not FeatureMode.I or layout == "zeroed":
+        length = np.zeros(n)
+        if mode is not FeatureMode.I:
+            for row, vq in enumerate(questions):
+                tokens = tokenize_question(vq.question_text)
+                length[row] = len(tokens)
+                codes[row, 0] = vocab.first_index.get(tokens[0], -1)
+                if len(tokens) > 1:
+                    codes[row, 1] = vocab.second_index.get(tokens[1], -1)
+        source.append((-1, len(numeric)))
+        numeric.append(length)
+        source += [(0, w) for w in range(len(vocab.first_words))]
+        source += [(1, w) for w in range(len(vocab.second_words))]
+
+    if mode is not FeatureMode.Q or layout == "zeroed":
+        probs = np.zeros((n, SALIENCY_DIM))
+        if mode is not FeatureMode.Q:
+            for row, vq in enumerate(questions):
+                probs[row] = table.get(vq.image_id) if table is not None else UNIFORM_SALIENCY
+        source += [(-1, len(numeric) + k) for k in range(SALIENCY_DIM)]
+        numeric.extend(probs.T)
+
+    return FeatureMatrix(
+        numeric=np.column_stack(numeric),
+        codes=codes,
+        source=np.array(source, dtype=np.int64),
+    )
+
+
 def extract_features(
     vq: VisualQuestion,
     vocab: Vocabularies,
@@ -115,54 +235,8 @@ def extract_features(
     mode: FeatureMode = FeatureMode.QI,
     layout: str = "truncated",
 ) -> np.ndarray:
-    """Assemble one question's descriptor.
-
-    Out-of-vocabulary first/second words leave their one-hot block all
-    zero, as does a missing second word. Images absent from the table get
-    the uniform saliency fallback. In "zeroed" layout the unused mode's
-    blocks stay in place as zeros; in "truncated" layout they are omitted.
-    """
-    _check_layout(layout)
-    parts: list[np.ndarray] = []
-
-    question_dim = question_block_dim(vocab)
-    if mode is not FeatureMode.I:
-        block = np.zeros(question_dim)
-        tokens = tokenize_question(vq.question_text)
-        block[0] = len(tokens)
-        i = vocab.first_index.get(tokens[0])
-        if i is not None:
-            block[1 + i] = 1.0
-        if len(tokens) > 1:
-            j = vocab.second_index.get(tokens[1])
-            if j is not None:
-                block[1 + len(vocab.first_words) + j] = 1.0
-        parts.append(block)
-    elif layout == "zeroed":
-        parts.append(np.zeros(question_dim))
-
-    if mode is not FeatureMode.Q:
-        probs = table.get(vq.image_id) if table is not None else UNIFORM_SALIENCY
-        parts.append(np.asarray(probs, dtype=float))
-    elif layout == "zeroed":
-        parts.append(np.zeros(SALIENCY_DIM))
-
-    return np.concatenate(parts)
-
-
-def extract_matrix(
-    corpus: Corpus,
-    vocab: Vocabularies,
-    table: ImageFeatureTable | None = None,
-    mode: FeatureMode = FeatureMode.QI,
-    layout: str = "truncated",
-) -> np.ndarray:
-    """Stack descriptors for a whole corpus, rows in question-id order."""
-    dim = feature_dimension(vocab, mode, layout)
-    out = np.empty((len(corpus), dim))
-    for row, vq in enumerate(corpus):
-        out[row] = extract_features(vq, vocab, table, mode, layout)
-    return out
+    """One question's dense descriptor: a one-row extract_matrix."""
+    return np.asarray(extract_matrix([vq], vocab, table, mode, layout))[0]
 
 
 def save_feature_matrix_csv(matrix, path: str | Path, question_ids=None) -> None:
@@ -185,21 +259,11 @@ def save_feature_matrix_csv(matrix, path: str | Path, question_ids=None) -> None
 
 
 def save_vocabularies(vocab: Vocabularies, path: str | Path) -> None:
-    doc = {
-        "first": list(vocab.first_words),
-        "second": list(vocab.second_words),
-        "built_from": vocab.built_from,
-    }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        json.dump(vocab.to_doc(), fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_vocabularies(path: str | Path) -> Vocabularies:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return Vocabularies(
-        first_words=tuple(doc["first"]),
-        second_words=tuple(doc["second"]),
-        built_from=doc.get("built_from", ""),
-    )
+        return Vocabularies.from_doc(json.load(fh))

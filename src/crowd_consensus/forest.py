@@ -6,6 +6,14 @@ with candidate thresholds at midpoints between consecutive distinct
 values. Each tree's randomness comes from its own generator seeded by
 (master seed, tree index), so a tree depends only on the data, the
 config and its own index, not on how many trees are grown.
+
+Training reads a FeatureMatrix (see features.py) without densifying it:
+numeric columns are sorted per node, and a one-hot column, whose only cut
+is "word != w", is scored from per-node bincounts of the word codes.
+Prediction sends all rows down each tree together, one numpy step per
+tree level. A plain dense array is accepted everywhere and treated as
+all-numeric columns; it gives the same trees and predictions as its
+encoded form.
 """
 
 from __future__ import annotations
@@ -25,7 +33,13 @@ from .errors import (
     EmptyTrainingSet,
     FormatVersionMismatch,
 )
-from .features import FeatureMode, Vocabularies, feature_dimension
+from .features import (
+    FeatureMatrix,
+    FeatureMode,
+    Vocabularies,
+    _check_layout,
+    feature_dimension,
+)
 
 MODEL_FORMAT = "crowd-consensus-forest"
 MODEL_VERSION = 1
@@ -78,17 +92,6 @@ class DecisionTree:
     votes_disagreement: np.ndarray  # int64, leaf-only
     votes_total: np.ndarray  # int64, leaf-only
 
-    def vote(self, x: np.ndarray) -> int:
-        """1 if this tree's leaf for x is majority (or tied) disagreement."""
-        node = 0
-        while self.feature[node] >= 0:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        # Leaf ties vote disagreement: over-collecting answers is the safe error.
-        return int(2 * self.votes_disagreement[node] >= self.votes_total[node])
-
     def n_nodes(self) -> int:
         return len(self.feature)
 
@@ -122,14 +125,14 @@ def train_forest(
 ) -> ForestModel:
     """Fit the ensemble.
 
-    X is an (n, d) matrix (or sequence of d-vectors); y holds
+    X is a FeatureMatrix from extract_matrix, or any (n, d) array (or
+    sequence of d-vectors), whose columns are then all numeric; y holds
     AgreementLabel values (or anything truthy for disagreement). Each tree
     draws its own bootstrap sample of size n. Given identical data and
-    config the result is identical.
+    config the result is identical, and a FeatureMatrix grows the same
+    trees as its dense np.asarray form.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"X must be 2-dimensional, got shape {X.shape}")
+    X = _encoded(X)
     n, d = X.shape
     if n < 2:
         raise EmptyTrainingSet(f"need at least 2 training examples, got {n}")
@@ -162,8 +165,18 @@ def train_forest(
     )
 
 
+def _encoded(X) -> FeatureMatrix:
+    """X itself if encoded; a dense (n, d) array becomes d numeric columns."""
+    if isinstance(X, FeatureMatrix):
+        return X
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"X must be 2-dimensional, got shape {X.shape}")
+    return FeatureMatrix.from_dense(X)
+
+
 def _grow_tree(
-    X: np.ndarray,
+    X: FeatureMatrix,
     y: np.ndarray,
     config: ForestConfig,
     rng: np.random.Generator,
@@ -208,8 +221,7 @@ def _grow_tree(
             votes_d[node] = n_pos
             votes_n[node] = len(idx)
             continue
-        f, thr = split
-        goes_left = X[idx, f] <= thr
+        f, thr, goes_left = split
         feature[node] = f
         threshold[node] = thr
         left_id = new_node()
@@ -230,51 +242,99 @@ def _grow_tree(
 
 
 def _best_split(
-    X: np.ndarray,
+    X: FeatureMatrix,
     ysub: np.ndarray,
     idx: np.ndarray,
     feat_ids: np.ndarray,
     min_leaf: int,
-) -> tuple[int, float] | None:
-    """Strictly impurity-reducing (feature, threshold), or None.
+) -> tuple[int, float, np.ndarray] | None:
+    """Strictly impurity-reducing (feature, threshold, rows going left), or None.
 
     Ties are broken toward the earliest feature in feat_ids and, within a
-    feature, the lowest threshold.
+    feature, the lowest threshold. A numeric column is sorted and every
+    cut between distinct values is a candidate; a one-hot column has the
+    single cut "code != w" (left) at threshold 0.5, and one bincount of
+    totals and one of positives per code block count every sampled word at
+    once. All candidates of the node are scored together.
     """
     m = len(ysub)
     total1 = int(ysub.sum())
     parent = gini_impurity((m - total1, total1))
-    best_gain = 0.0
-    best: tuple[int, float] | None = None
-    for f in feat_ids:
-        values = X[idx, f]
+    block, j = X.source[feat_ids].T
+    # Candidate c is cut key[c] % m of feat_ids[key[c] // m]; a smaller key wins ties.
+    keys, nls, l1s = [], [], []
+    sorted_values = {}
+    for i in np.flatnonzero(block < 0):
+        values = X.numeric[idx, j[i]]
         order = np.argsort(values, kind="stable")
         sv = values[order]
-        cum1 = np.cumsum(ysub[order])
         cut = np.nonzero(sv[:-1] != sv[1:])[0]  # split between cut and cut+1
-        if cut.size == 0:
-            continue
-        nl = cut + 1
-        nr = m - nl
         if min_leaf > 1:
-            ok = (nl >= min_leaf) & (nr >= min_leaf)
-            if not ok.any():
-                continue
-            cut, nl, nr = cut[ok], nl[ok], nr[ok]
-        l1 = cum1[cut]
-        r1 = total1 - l1
-        gini_l = 1.0 - (((nl - l1) / nl) ** 2 + (l1 / nl) ** 2)
-        gini_r = 1.0 - (((nr - r1) / nr) ** 2 + (r1 / nr) ** 2)
-        gain = parent - (nl * gini_l + nr * gini_r) / m
-        j = int(np.argmax(gain))
-        if gain[j] > best_gain:
-            lo, hi = sv[cut[j]], sv[cut[j] + 1]
-            thr = lo + (hi - lo) / 2.0
-            if thr >= hi:  # midpoint rounded up between adjacent floats
-                thr = lo
-            best_gain = float(gain[j])
-            best = (int(f), float(thr))
-    return best
+            cut = cut[(cut + 1 >= min_leaf) & (m - cut - 1 >= min_leaf)]
+        if cut.size:
+            keys.append(i * m + cut)
+            nls.append(cut + 1)
+            l1s.append(np.cumsum(ysub[order])[cut])
+            sorted_values[i] = sv
+    positive = ysub.astype(bool)
+    for b in range(X.codes.shape[1]):
+        at = np.flatnonzero(block == b)
+        if at.size == 0:
+            continue
+        codes = X.codes[idx, b] + 1  # 0 is "no word"
+        size = int(j[at].max()) + 2
+        nr = np.bincount(codes, minlength=size)[j[at] + 1]
+        r1 = np.bincount(codes[positive], minlength=size)[j[at] + 1]
+        ok = (m - nr >= min_leaf) & (nr >= min_leaf)
+        keys.append(at[ok] * m)
+        nls.append(m - nr[ok])
+        l1s.append(total1 - r1[ok])
+    if not keys:
+        return None
+    nl = np.concatenate(nls)
+    l1 = np.concatenate(l1s)
+    gain = _gain(parent, m, nl, l1, m - nl, total1 - l1)
+    best = gain.max(initial=0.0)
+    if best <= 0.0:
+        return None
+    i, cut = divmod(int(np.concatenate(keys)[gain == best].min()), m)
+    f = int(feat_ids[i])
+    if block[i] >= 0:
+        return f, 0.5, X.codes[idx, block[i]] != j[i]
+    sv = sorted_values[i]
+    lo, hi = sv[cut], sv[cut + 1]
+    thr = lo + (hi - lo) / 2.0
+    if thr >= hi:  # midpoint rounded up between adjacent floats
+        thr = lo
+    return f, float(thr), X.numeric[idx, j[i]] <= thr
+
+
+def _gain(parent: float, m: int, nl, l1, nr, r1) -> np.ndarray:
+    """Gini decrease of each candidate cut with nl/nr rows, l1/r1 positive, per side."""
+    gini_l = 1.0 - (((nl - l1) / nl) ** 2 + (l1 / nl) ** 2)
+    gini_r = 1.0 - (((nr - r1) / nr) ** 2 + (r1 / nr) ** 2)
+    return parent - (nl * gini_l + nr * gini_r) / m
+
+
+def _leaves(tree: DecisionTree, X: FeatureMatrix, table: np.ndarray) -> np.ndarray:
+    """Leaf index of every row of X, all rows descending the tree in lockstep.
+
+    table is [X.numeric | X.codes] as floats. Node i reads table column
+    col[i]; a one-hot node's value is 1.0 where that code equals word[i].
+    """
+    block, j = X.source[tree.feature].T  # a leaf's entry (feature -1) is never read
+    col = np.where(block < 0, j, X.numeric.shape[1] + block)
+    word = np.where(block < 0, -1, j)
+    node = np.zeros(len(X), dtype=np.intp)
+    rows = np.arange(len(X))
+    while rows.size:
+        at = node[rows]
+        internal = tree.feature[at] >= 0
+        rows, at = rows[internal], at[internal]
+        value, w = table[rows, col[at]], word[at]
+        value = np.where(w >= 0, value == w, value)
+        node[rows] = np.where(value <= tree.threshold[at], tree.left[at], tree.right[at])
+    return node
 
 
 def predict(model: ForestModel, x) -> Prediction:
@@ -284,21 +344,29 @@ def predict(model: ForestModel, x) -> Prediction:
         raise DimensionMismatch(
             f"model expects {model.n_features} features, got shape {x.shape}"
         )
-    votes = sum(tree.vote(x) for tree in model.trees)
-    p = votes / model.config.n_trees
-    label = (
-        AgreementLabel.DISAGREEMENT if p > 0.5 else AgreementLabel.AGREEMENT
-    )
-    return Prediction(label=label, p_disagreement=p)
+    return predict_many(model, x[None, :])[0]
 
 
 def predict_many(model: ForestModel, X) -> list[Prediction]:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
+    """predict for every row of X (a FeatureMatrix or a dense (n, d) array)."""
+    X = _encoded(X)
+    if X.shape[1] != model.n_features:
         raise DimensionMismatch(
             f"model expects (n, {model.n_features}) features, got shape {X.shape}"
         )
-    return [predict(model, row) for row in X]
+    table = np.hstack([X.numeric, X.codes]) if X.codes.size else X.numeric
+    votes = np.zeros(len(X), dtype=np.int64)
+    for tree in model.trees:
+        leaf = _leaves(tree, X, table)
+        # Leaf ties vote disagreement: over-collecting answers is the safe error.
+        votes += 2 * tree.votes_disagreement[leaf] >= tree.votes_total[leaf]
+    return [
+        Prediction(
+            label=AgreementLabel.DISAGREEMENT if p > 0.5 else AgreementLabel.AGREEMENT,
+            p_disagreement=p,
+        )
+        for p in (votes / model.config.n_trees).tolist()
+    ]
 
 
 def save_model(model: ForestModel, path: str | Path) -> None:
@@ -310,13 +378,7 @@ def save_model(model: ForestModel, path: str | Path) -> None:
         "n_features": model.n_features,
         "feature_mode": model.feature_mode.value,
         "layout": model.layout,
-        "vocab": None
-        if model.vocab is None
-        else {
-            "first": list(model.vocab.first_words),
-            "second": list(model.vocab.second_words),
-            "built_from": model.vocab.built_from,
-        },
+        "vocab": None if model.vocab is None else model.vocab.to_doc(),
         "trees": [
             {
                 "feature": tree.feature.tolist(),
@@ -335,7 +397,14 @@ def save_model(model: ForestModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ForestModel:
-    """Read a model file; predictions round-trip bit-exactly."""
+    """Read a model file; predictions round-trip bit-exactly.
+
+    Besides format and version, the tree structure that prediction walks
+    is checked: child indices point forward inside their tree, features
+    index the model's columns, thresholds are finite, leaf vote counts
+    are consistent and vocabulary words are distinct strings. Any
+    violation raises FormatVersionMismatch.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -347,31 +416,68 @@ def load_model(path: str | Path) -> ForestModel:
                 f"{path}: found {doc.get('format')!r} v{doc.get('version')!r}, "
                 f"expected {MODEL_FORMAT!r} v{MODEL_VERSION}"
             )
-        vocab = None
-        if doc["vocab"] is not None:
-            vocab = Vocabularies(
-                first_words=tuple(doc["vocab"]["first"]),
-                second_words=tuple(doc["vocab"]["second"]),
-                built_from=doc["vocab"].get("built_from", ""),
+        vocab = None if doc["vocab"] is None else Vocabularies.from_doc(doc["vocab"])
+        mode, layout = FeatureMode(doc["feature_mode"]), doc["layout"]
+        n_features = doc["n_features"]
+        if type(n_features) is not int or not 1 <= n_features < 2**31:
+            raise ValueError(f"n_features must be an integer in [1, 2**31), got {n_features!r}")
+        _check_layout(layout)
+        if vocab is not None and n_features != feature_dimension(vocab, mode, layout):
+            raise ValueError(
+                f"n_features is {n_features} but the vocabularies, mode and layout "
+                f"imply {feature_dimension(vocab, mode, layout)}"
             )
-        trees = tuple(
-            DecisionTree(
-                feature=np.asarray(t["feature"], dtype=np.int32),
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=np.asarray(t["left"], dtype=np.int32),
-                right=np.asarray(t["right"], dtype=np.int32),
-                votes_disagreement=np.asarray(t["votes_disagreement"], dtype=np.int64),
-                votes_total=np.asarray(t["votes_total"], dtype=np.int64),
-            )
-            for t in doc["trees"]
-        )
+        config = ForestConfig(**doc["config"])
+        trees = tuple(_tree_from_doc(t, n_features) for t in doc["trees"])
+        if len(trees) != config.n_trees:
+            raise ValueError(f"{len(trees)} trees but config.n_trees is {config.n_trees}")
         return ForestModel(
             trees=trees,
-            config=ForestConfig(**doc["config"]),
-            n_features=int(doc["n_features"]),
-            feature_mode=FeatureMode(doc["feature_mode"]),
-            layout=doc["layout"],
+            config=config,
+            n_features=n_features,
+            feature_mode=mode,
+            layout=layout,
             vocab=vocab,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatVersionMismatch(f"{path}: malformed model file ({exc})") from exc
+
+
+_TREE_ARRAYS = {
+    "feature": np.int32,
+    "threshold": np.float64,
+    "left": np.int32,
+    "right": np.int32,
+    "votes_disagreement": np.int64,
+    "votes_total": np.int64,
+}
+
+
+def _tree_from_doc(doc: dict, n_features: int) -> DecisionTree:
+    """One tree from its JSON arrays, checking every invariant prediction relies on."""
+    arrays = {}
+    for name, dtype in _TREE_ARRAYS.items():
+        values = doc[name]
+        floats = dtype is np.float64
+        if type(values) is not list or not all(
+            type(v) is int or (floats and type(v) is float) for v in values
+        ):
+            raise ValueError(f"tree {name} must be a list of {'numbers' if floats else 'integers'}")
+        arrays[name] = np.array(values, dtype=np.float64 if floats else np.int64)
+    feature, threshold, left, right, votes_d, votes_n = arrays.values()
+    n = len(feature)
+    if n == 0 or any(len(a) != n for a in arrays.values()):
+        raise ValueError("tree arrays must all have the same non-zero length")
+    if ((feature < -1) | (feature >= n_features)).any():
+        raise ValueError(f"tree feature index outside [0, {n_features}) (-1 marks a leaf)")
+    internal = feature >= 0
+    parent = np.arange(n)[internal]
+    for child in (left[internal], right[internal]):
+        if ((child <= parent) | (child >= n)).any():
+            raise ValueError("tree child index must be after its parent and inside the tree")
+    if not np.isfinite(threshold).all():
+        raise ValueError("tree threshold is not finite")
+    d, total = votes_d[~internal], votes_n[~internal]
+    if ((d < 0) | (d > total) | (total <= 0)).any():
+        raise ValueError("leaf votes need 0 <= votes_disagreement <= votes_total, votes_total > 0")
+    return DecisionTree(**{name: a.astype(_TREE_ARRAYS[name]) for name, a in arrays.items()})

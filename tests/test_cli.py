@@ -270,3 +270,34 @@ def test_each_raw_answer_is_normalized_once_per_command(planted_path, tmp_path, 
         assert main(argv + ["--corpus", str(planted_path), "--out-dir", str(out)]) == 0
         assert set(calls) <= distinct
         assert max(calls.values()) == 1, argv
+
+
+def test_failed_write_keeps_previous_output(tmp_path, planted_path, monkeypatch):
+    import crowd_consensus.cli as cli_module
+
+    target = tmp_path / "report.json"
+    target.write_text("previous\n")
+
+    def write_half(tmp):
+        tmp.write_text('{"ap_overall": 0.')
+        raise OSError("disk full")
+
+    with pytest.raises(OSError):
+        cli_module._atomic_write(target, write_half)
+    assert target.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    # The same through a command: train fails while writing model.json.
+    out = tmp_path / "run"
+    model = train(planted_path, out)
+    before = model.read_bytes()
+
+    def save_half(model, path):
+        Path(path).write_text("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli_module, "save_model", save_half)
+    assert main(["train", "--corpus", str(planted_path), "--mode", "q", "--seed", "12",
+                 "--out-dir", str(out)]) == 2
+    assert model.read_bytes() == before
+    assert not list(out.glob("*.tmp"))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,11 @@ def test_vocabularies_json_round_trip(tmp_path, small_corpus):
     path = tmp_path / "vocab.json"
     save_vocabularies(vocab, path)
     assert load_vocabularies(path) == vocab
+
+
+@pytest.mark.parametrize("first", [["what", "what"], ["what", 7]])
+def test_load_vocabularies_rejects_bad_words(tmp_path, first):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"first": first, "second": [], "built_from": ""}))
+    with pytest.raises(ValueError):
+        load_vocabularies(path)

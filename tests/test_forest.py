@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -6,22 +7,30 @@ import pytest
 from crowd_consensus import (
     AgreementLabel,
     DecisionTree,
+    FeatureMode,
     ForestConfig,
     ForestModel,
     Vocabularies,
+    build_vocabularies,
+    extract_matrix,
     gini_impurity,
     load_model,
+    make_planted_corpus,
     predict,
     predict_many,
+    save_corpus_jsonl,
     save_model,
     train_forest,
 )
+from crowd_consensus.cli import main
 from crowd_consensus.errors import (
     DimensionMismatch,
     EmptyNode,
     EmptyTrainingSet,
     FormatVersionMismatch,
 )
+from crowd_consensus.features import FeatureMatrix
+from crowd_consensus.forest import _best_split
 
 A, D = AgreementLabel.AGREEMENT, AgreementLabel.DISAGREEMENT
 
@@ -128,8 +137,8 @@ def test_each_tree_fits_its_own_bootstrap():
     n = len(X)
     for t, tree in enumerate(model.trees):
         boot = np.random.default_rng([31, t]).integers(0, n, size=n)
-        for i in boot:
-            assert tree.vote(X[i]) == y01[i]
+        votes = [p.p_disagreement for p in predict_many(_one_tree_model(tree, 4), X[boot])]
+        assert votes == y01[boot].tolist()
 
 
 def _leaf_tree(votes_disagreement, votes_total):
@@ -148,8 +157,12 @@ def _hand_model(trees):
                        n_features=1)
 
 
+def _one_tree_model(tree, n_features):
+    return ForestModel(trees=(tree,), config=ForestConfig(n_trees=1), n_features=n_features)
+
+
 def test_leaf_tie_votes_disagreement():
-    assert _leaf_tree(1, 2).vote(np.zeros(1)) == 1
+    assert predict(_one_tree_model(_leaf_tree(1, 2), 1), [0.0]).p_disagreement == 1.0
 
 
 def test_vote_share_arithmetic():
@@ -234,3 +247,110 @@ def test_load_rejects_corrupted_file(tmp_path):
 def test_load_empty_path_is_io_error():
     with pytest.raises(OSError):
         load_model("")
+
+
+@pytest.fixture(scope="module")
+def model_doc(tmp_path_factory):
+    """A small trained model file's JSON document; every tree's root splits."""
+    corpus = make_planted_corpus(200, seed=1)
+    vocab = build_vocabularies(corpus)
+    X = extract_matrix(corpus, vocab, mode=FeatureMode.Q)
+    model = train_forest(X, corpus.answer_table.labels(), ForestConfig(n_trees=3, seed=2),
+                         vocab=vocab, feature_mode=FeatureMode.Q)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert all(t["feature"][0] >= 0 for t in doc["trees"])
+    return doc
+
+
+def _corrupted(tmp_path, doc, edit):
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _first_leaf(tree):
+    return tree["feature"].index(-1)
+
+
+def _set(key, value, node=0):
+    def edit(doc):
+        doc["trees"][0][key][node] = value
+    return edit
+
+
+def _set_leaf(key, value):
+    def edit(doc):
+        tree = doc["trees"][0]
+        tree[key][_first_leaf(tree)] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda doc: doc["trees"][0]["threshold"].pop(), id="array-lengths-differ"),
+    pytest.param(lambda doc: [doc["trees"][0][k].clear() for k in doc["trees"][0]], id="empty-tree"),
+    pytest.param(_set("left", 0), id="child-loop"),
+    pytest.param(_set("right", -1), id="child-before-parent"),
+    pytest.param(lambda doc: _set("right", len(doc["trees"][0]["right"]))(doc),
+                 id="child-out-of-range"),
+    pytest.param(_set("feature", 10**6), id="feature-too-large"),
+    pytest.param(_set("feature", -2), id="feature-negative"),
+    pytest.param(_set("feature", 1.5), id="feature-not-integer"),
+    pytest.param(_set("threshold", float("nan")), id="threshold-nan"),
+    pytest.param(_set("threshold", float("inf")), id="threshold-infinite"),
+    pytest.param(_set_leaf("votes_disagreement", -1), id="leaf-votes-negative"),
+    pytest.param(lambda doc: _set_leaf("votes_disagreement", _leaf_total(doc) + 1)(doc),
+                 id="leaf-votes-exceed-total"),
+    pytest.param(_set_leaf("votes_total", 0), id="leaf-total-zero"),
+    pytest.param(lambda doc: doc.update(n_features=doc["n_features"] + 1),
+                 id="n-features-disagree-with-vocab"),
+    pytest.param(lambda doc: doc.update(n_features=0), id="n-features-zero"),
+    pytest.param(lambda doc: doc["trees"].pop(), id="tree-count-disagrees-with-config"),
+    pytest.param(lambda doc: doc["vocab"]["first"].__setitem__(1, doc["vocab"]["first"][0]),
+                 id="vocab-word-repeated"),
+    pytest.param(lambda doc: doc["vocab"]["second"].__setitem__(0, 7), id="vocab-word-not-string"),
+])
+def test_load_rejects_inconsistent_model(tmp_path, model_doc, edit):
+    with pytest.raises(FormatVersionMismatch):
+        load_model(_corrupted(tmp_path, model_doc, edit))
+
+
+def _leaf_total(doc):
+    tree = doc["trees"][0]
+    return tree["votes_total"][_first_leaf(tree)]
+
+
+@pytest.mark.parametrize("edit", [
+    _set("left", 0), _set("feature", 10**6), _set("threshold", float("nan")),
+], ids=["child-loop", "feature-too-large", "threshold-nan"])
+def test_cli_rejects_inconsistent_model(tmp_path, model_doc, edit, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus_jsonl(make_planted_corpus(40, seed=3), corpus_path)
+    model = _corrupted(tmp_path, model_doc, edit)
+    code = main(["eval", "--corpus", str(corpus_path), "--model", str(model),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "malformed model file" in capsys.readouterr().err
+
+
+def test_split_ties_go_to_the_earliest_sampled_feature_and_lowest_cut():
+    # Column 0 is numeric; 1-2 are first words 0-1, 3-4 second words 0-1.
+    # Every one-hot column separates the classes perfectly, so they tie.
+    X = FeatureMatrix(
+        numeric=np.array([[1.0], [2.0], [3.0], [4.0]]),
+        codes=np.array([[0, 0], [1, 1], [1, 1], [0, 0]], dtype=np.int32),
+        source=np.array([[-1, 0], [0, 0], [0, 1], [1, 0], [1, 1]]),
+    )
+    y = np.array([0, 1, 1, 0], dtype=np.uint8)
+    rows = np.arange(4)
+    # The numeric column gains less than any one-hot column, so it never wins.
+    for feat_ids, expected in (([3, 1, 2, 4], 3), ([2, 4, 1, 3], 2), ([0, 4, 1], 4)):
+        f, threshold, goes_left = _best_split(X, y, rows, np.array(feat_ids), 1)
+        assert (f, threshold) == (expected, 0.5)
+        assert goes_left.tolist() == (np.asarray(X)[:, f] <= 0.5).tolist()
+    # On the numeric column the cuts at 1.5 and 3.5 gain the same: the lower wins.
+    f, threshold, goes_left = _best_split(X, y, rows, np.array([0]), 1)
+    assert (f, threshold, goes_left.tolist()) == (0, 1.5, [True, False, False, False])
