@@ -151,9 +151,9 @@ def simulate_collection(
     """Score a plan against a corpus's stored answer pools.
 
     "exact" computes the hypergeometric expectation of captured diversity
-    and is deterministic. "mc" draws `trials` random collections; each
-    question's stream for a trial is seeded by (seed, question id, trial),
-    so results do not depend on evaluation order.
+    and is deterministic. "mc" draws `trials` random collections from one
+    stream per (seed, question id); trial t is its t-th permutation, so
+    results do not depend on evaluation order or on the other questions.
     """
     boosted_first = sorted(plan.assignments, key=lambda qid: plan.assignments[qid] != plan.r)
     [row] = sweep(
@@ -197,12 +197,12 @@ def sweep(
     random priority orders); their diversities are averaged per budget.
     Each question's capture under S and under R answers is an integer over
     a common denominator D. Exact mode: D = lcm(C(A, S), C(A, R)) and the
-    terms are expectations. MC mode: D is the trial count; trial t of
-    question q draws one permutation from a generator seeded by (seed, q,
-    t), and S and R read its prefixes. A budget's diversity is the
-    S-captures plus a prefix sum of (R-capture - S-capture) along the
-    ranking, averaged over orderings exactly; the one int / int division
-    per row rounds correctly.
+    terms are expectations. MC mode: D is the trial count; each question
+    draws from one generator seeded by (seed, question id); trial t is its
+    t-th permutation of the A pool slots, and S and R read its prefixes.
+    A budget's diversity is the S-captures plus a prefix sum of
+    (R-capture - S-capture) along the ranking, averaged over orderings
+    exactly; the one int / int division per row rounds correctly.
     """
     n = len(corpus)
     ids = corpus.question_ids()
@@ -231,14 +231,18 @@ def sweep(
             terms[k] = scaled[table.counts].sum(axis=1).tolist()
     else:
         denominator, terms = trials, {s: [0] * n, r: [0] * n}
+        slots = np.broadcast_to(np.arange(a), (trials, a))
         for row in np.flatnonzero(table.distinct_at_least(TRUTH_MIN_COUNT)).tolist():
-            qid = ids[row] & _SEED_MASK
-            pool = table.codes[row].tolist()
-            truth = {code for code, c in zip(pool, table.counts[row]) if c >= TRUTH_MIN_COUNT}
-            for trial in range(trials):
-                order = np.random.default_rng([seed & _SEED_MASK, qid, trial]).permutation(a)
-                for k in (s, r):
-                    terms[k][row] += len(truth.intersection(pool[i] for i in order[:k]))
+            rng = np.random.default_rng([seed & _SEED_MASK, ids[row] & _SEED_MASK])
+            codes = table.codes[row]
+            # truth[j, u]: slot j gives the question's u-th truth answer.
+            truth = codes[:, None] == codes[table.counts[row] >= TRUTH_MIN_COUNT]
+            # Row t is the generator's t-th permutation; seen[t, i, u]: u is
+            # among trial t's first i + 1 draws.
+            draws = rng.permuted(slots, axis=1)[:, :r]
+            seen = np.logical_or.accumulate(truth[draws], axis=1)
+            for k in (s, r):
+                terms[k][row] = np.count_nonzero(seen[:, k - 1])
     base = sum(terms[s])
     gain = dict(zip(ids, (tr - ts for ts, tr in zip(terms[s], terms[r]))))
     max_diversity = int(table.distinct_at_least(TRUTH_MIN_COUNT).sum())

@@ -349,6 +349,8 @@ def cmd_allocate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.status_quo_seeds < 1:
         raise ValueError(f"--status-quo-seeds must be >= 1, got {args.status_quo_seeds}")
+    if args.sim == "mc" and args.trials < 1:
+        raise ValueError(f"--trials must be >= 1 with --sim mc, got {args.trials}")
     corpus, _, predictions = _model_predictions(args)
     seed = _resolve_seed(args)
     out = _out_dir(args)

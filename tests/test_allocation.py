@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -320,25 +321,69 @@ def test_sweep_validation():
 
 
 def _reference_mc(corpus, assignments, trials, seed):
-    """The documented MC stream: one generator per (seed, question id, trial)."""
+    """The documented MC stream: one generator per (seed, question id), both
+    taken mod 2**64; trial t draws that generator's t-th permutation(A)."""
     a = corpus.answers_per_question
     total = 0
     for q in corpus:
         pool = [normalize_answer(ans) for ans in q.raw_answers]
         truth = {ans for ans in pool if pool.count(ans) >= 2}
-        for trial in range(trials):
-            order = np.random.default_rng([seed, q.question_id, trial]).permutation(a)
+        rng = np.random.default_rng([seed % 2**64, q.question_id % 2**64])
+        for _ in range(trials):
+            order = rng.permutation(a)
             total += len({pool[i] for i in order[: assignments[q.question_id]]} & truth)
     return total / trials
 
 
 def test_monte_carlo_follows_the_documented_stream():
-    corpus = make_random_corpus(12, seed=4)
-    ranking = status_quo_ranking(corpus.question_ids(), seed=2)
-    budgets = [0, 5, 12]
-    rows = sweep(corpus, {"x": ranking}, budgets, mode="mc", trials=30, seed=8)
-    for row in rows:
-        plan = make_plan(ranking, row.budget)
-        want = _reference_mc(corpus, plan.assignments, trials=30, seed=8)
-        assert row.diversity == want
-        assert simulate_collection(plan, corpus, mode="mc", trials=30, seed=8).diversity == want
+    random12 = make_random_corpus(12, seed=4)
+    # A negative seed and an id >= 2**64 pin the mod-2**64 wrap of both.
+    pools = [["a"] * 3 + ["b"] * 3 + ["c"] * 2 + ["d", "e"], ["x"] * 5 + ["y"] * 5]
+    wrapped = Corpus.from_questions(
+        [vq(qid, "what is it", pool) for qid, pool in zip((7, 2**64 + 3), pools)]
+    )
+    cases = [
+        (random12, status_quo_ranking(random12.question_ids(), seed=2), [0, 5, 12], 8),
+        (wrapped, [2**64 + 3, 7], [0, 1, 2], -5),
+    ]
+    for corpus, ranking, budgets, seed in cases:
+        rows = sweep(corpus, {"x": ranking}, budgets, mode="mc", trials=30, seed=seed)
+        for row in rows:
+            plan = make_plan(ranking, row.budget)
+            want = _reference_mc(corpus, plan.assignments, trials=30, seed=seed)
+            assert row.diversity == want
+            assert simulate_collection(
+                plan, corpus, mode="mc", trials=30, seed=seed
+            ).diversity == want
+
+
+def test_monte_carlo_terms_do_not_depend_on_the_other_questions():
+    corpus = make_random_corpus(30, seed=6)
+    ids = corpus.question_ids()
+    halves = [corpus.subset(ids[0::2]), corpus.subset(ids[1::2])]
+    trials = 200
+
+    def boundary_hits(c):
+        rows = sweep(c, {"x": c.question_ids()}, [0, len(c)], mode="mc",
+                     trials=trials, seed=12)
+        return [round(row.diversity * trials) for row in rows]
+
+    whole = boundary_hits(corpus)
+    assert whole[0] < whole[1]
+    assert whole == [sum(parts) for parts in zip(*map(boundary_hits, halves))]
+
+
+def test_monte_carlo_sweep_keeps_one_question_in_memory():
+    corpus = make_random_corpus(500, seed=9)
+    ids = corpus.question_ids()
+    corpus.answer_table  # built once per corpus, outside the measurement
+    tracemalloc.start()
+    try:
+        sweep(corpus, {"x": ids}, [0, 250, 500], mode="mc", trials=1000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # All draws at once, a (500, 1000, 10) int64 tensor, would take 40 MB.
+    # One question's (1000, 10) block is 80 kB; 4 MB leaves room for a few
+    # such temporaries and the per-question lists, and is a tenth of 40 MB.
+    assert peak < 4_000_000

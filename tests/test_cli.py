@@ -191,6 +191,14 @@ def test_sweep_needs_a_status_quo_ordering(planted_path, tmp_path, capsys):
     assert "--status-quo-seeds" in capsys.readouterr().err
 
 
+def test_sweep_rejects_monte_carlo_without_trials_before_loading(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["sweep", "--corpus", str(missing / "c.jsonl"), "--model",
+                 str(missing / "model.json"), "--sim", "mc", "--trials", "0",
+                 "--out-dir", str(tmp_path / "run")]) == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_sweep_monte_carlo_mode(planted_path, tmp_path):
     out = tmp_path / "run"
     model_path = train(planted_path, out)
