@@ -61,7 +61,6 @@ from .forest import (
     DecisionTree,
     ForestConfig,
     ForestModel,
-    Prediction,
     gini_impurity,
     load_model,
     predict,
@@ -87,7 +86,6 @@ __all__ = [
     "ForestModel",
     "ImageFeatureTable",
     "PrCurve",
-    "Prediction",
     "SweepRow",
     "ValidAnswerSet",
     "VisualQuestion",

@@ -1,7 +1,9 @@
 """Budgeted answer-collection planning and captured-diversity scoring.
 
-A plan gives the top-B questions of a ranking R answers each and everyone
-else the minimum S. Collection is simulated by sampling without
+A question is identified by its corpus row: a ranking is a permutation of
+the rows 0..n-1, and question ids only seed the Monte Carlo streams. A
+plan gives the first B rows of a ranking R answers each and every other
+row the minimum S. Collection is simulated by sampling without
 replacement from each question's stored answer pool; captured diversity
 is the number of ground-truth answers (those observed at least twice in
 the pool) that the sample hits, summed over questions. The exact mode
@@ -14,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Corpus
-from .errors import InvalidBudget, InvalidCounts, KeyMismatch, MissingPrediction
+from .errors import InvalidBudget, InvalidCounts, KeyMismatch
 
 #: Minimum occurrences for an answer to count as ground truth.
 TRUTH_MIN_COUNT = 2
@@ -33,50 +34,49 @@ SIMULATION_MODES = ("exact", "mc")
 
 _SEED_MASK = (1 << 64) - 1
 
-
-def rank_by_disagreement(
-    predictions: Mapping[int, float],
-    question_ids: Iterable[int] | None = None,
-) -> list[int]:
-    """Question ids by descending predicted disagreement, ties by ascending id."""
-    if question_ids is not None:
-        ids = list(question_ids)
-        missing = sorted(set(ids) - predictions.keys())
-        if missing:
-            raise MissingPrediction(
-                f"{len(missing)} questions lack predictions (first: {missing[:5]})"
-            )
-    else:
-        ids = list(predictions)
-    return sorted(ids, key=lambda qid: (-predictions[qid], qid))
+#: Monte Carlo trials drawn per generator call, which bounds working memory.
+_MC_TRIAL_CHUNK = 1024
 
 
-def status_quo_ranking(question_ids: Iterable[int], seed) -> list[int]:
-    """Uniform random priority order, deterministic given the seed."""
-    ids = sorted(question_ids)
-    rng = np.random.default_rng(seed)
-    return [ids[i] for i in rng.permutation(len(ids))]
+def rank_by_disagreement(scores: Sequence[float]) -> list[int]:
+    """Corpus rows by descending predicted disagreement, ties to the lower row."""
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable").tolist()
+
+
+def status_quo_ranking(n: int, seed) -> list[int]:
+    """Uniform random priority order of n corpus rows, deterministic given the seed."""
+    return np.random.default_rng(seed).permutation(n).tolist()
 
 
 def oracle_ranking(corpus: Corpus) -> list[int]:
-    """Ids by descending true-diversity count, ties by ascending id."""
-    ids = corpus.question_ids()
+    """Corpus rows by descending true-diversity count, ties to the lower row."""
     truth = corpus.answer_table.distinct_at_least(TRUTH_MIN_COUNT)
-    return [ids[row] for row in np.argsort(-truth, kind="stable")]
+    return np.argsort(-truth, kind="stable").tolist()
+
+
+def _answers_spent(n: int, budget: int, s: int, r: int) -> int:
+    return budget * r + (n - budget) * s
 
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """Per-question answer counts: the ranking's top-B get r, the rest s."""
+    """The first `budget` rows of `ranking` get r answers, every other row s."""
 
-    assignments: Mapping[int, int]
+    ranking: Sequence[int]
     budget: int
     s: int
     r: int
 
     @property
+    def counts(self) -> np.ndarray:
+        """Answers collected per corpus row."""
+        counts = np.full(len(self.ranking), self.s)
+        counts[self.ranking[: self.budget]] = self.r
+        return counts
+
+    @property
     def answers_spent(self) -> int:
-        return sum(self.assignments.values())
+        return _answers_spent(len(self.ranking), self.budget, self.s, self.r)
 
 
 def _check_plan(n: int, budget: int, s: int, r: int) -> None:
@@ -88,8 +88,7 @@ def _check_plan(n: int, budget: int, s: int, r: int) -> None:
 
 def make_plan(ranking: Sequence[int], budget: int, s: int = 1, r: int = 5) -> AllocationPlan:
     _check_plan(len(ranking), budget, s, r)
-    assignments = {qid: (r if pos < budget else s) for pos, qid in enumerate(ranking)}
-    return AllocationPlan(assignments=assignments, budget=budget, s=s, r=r)
+    return AllocationPlan(ranking=list(ranking), budget=budget, s=s, r=r)
 
 
 def diversity_score(
@@ -155,15 +154,14 @@ def simulate_collection(
     stream per (seed, question id); trial t is its t-th permutation, so
     results do not depend on evaluation order or on the other questions.
     """
-    boosted_first = sorted(plan.assignments, key=lambda qid: plan.assignments[qid] != plan.r)
     [row] = sweep(
-        corpus, {"plan": boosted_first}, [plan.budget], plan.s, plan.r, mode, trials, seed
+        corpus, {"plan": [plan.ranking]}, [plan.budget], plan.s, plan.r, mode, trials, seed
     )
     return DiversityReport(
         budget=plan.budget,
         diversity=row.diversity,
         max_diversity=int(corpus.answer_table.distinct_at_least(TRUTH_MIN_COUNT).sum()),
-        answers_spent=plan.answers_spent,
+        answers_spent=row.answers_spent,
         mode=mode,
         trials=trials if mode == "mc" else None,
         seed=seed if mode == "mc" else None,
@@ -183,7 +181,7 @@ class SweepRow:
 
 def sweep(
     corpus: Corpus,
-    rankings: Mapping[str, Sequence[int] | Sequence[Sequence[int]]],
+    rankings: Mapping[str, Sequence[Sequence[int]]],
     budgets: Sequence[int],
     s: int = 1,
     r: int = 5,
@@ -193,25 +191,23 @@ def sweep(
 ) -> list[SweepRow]:
     """One row per (ranking, budget).
 
-    A ranking entry may be a list of alternative orderings (e.g. several
-    random priority orders); their diversities are averaged per budget.
-    Each question's capture under S and under R answers is an integer over
-    a common denominator D. Exact mode: D = lcm(C(A, S), C(A, R)) and the
-    terms are expectations. MC mode: D is the trial count; each question
-    draws from one generator seeded by (seed, question id); trial t is its
-    t-th permutation of the A pool slots, and S and R read its prefixes.
-    A budget's diversity is the S-captures plus a prefix sum of
-    (R-capture - S-capture) along the ranking, averaged over orderings
+    Each ranking name maps to a list of orderings of the corpus rows (one,
+    or several random priority orders); their diversities are averaged per
+    budget. Each question's capture under S and under R answers is an
+    integer over a common denominator D. Exact mode: D = lcm(C(A, S),
+    C(A, R)) and the terms are expectations. MC mode: D is the trial count;
+    each question draws from one generator seeded by (seed, question id);
+    trial t is its t-th permutation of the A pool slots, and S and R read
+    its prefixes. A budget's diversity is the S-captures plus a prefix sum
+    of (R-capture - S-capture) along the ordering, averaged over orderings
     exactly; the one int / int division per row rounds correctly.
     """
     n = len(corpus)
-    ids = corpus.question_ids()
-    variants = {name: _ranking_variants(entry) for name, entry in rankings.items()}
     for budget in (0, *budgets):
         _check_plan(n, budget, s, r)
-    for name, orderings in variants.items():
-        if any(sorted(rk) != list(ids) for rk in orderings):
-            raise KeyMismatch(f"ranking {name!r} is not a permutation of the corpus ids")
+    orders = {name: [_permutation(name, rk, n) for rk in rks] for name, rks in rankings.items()}
+    if not all(orders.values()):
+        raise KeyMismatch("every ranking needs at least one ordering")
     a = corpus.answers_per_question
     if r > a:
         raise InvalidCounts(f"R={r} exceeds the {a} stored answers")
@@ -220,6 +216,7 @@ def sweep(
     if mode == "mc" and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
+    # terms[k][row]: the row's capture under k answers, times D, as Python ints.
     table = corpus.answer_table
     if mode == "exact":
         hit_ways = {k: _hit_ways(a, k) for k in (s, r)}
@@ -228,31 +225,35 @@ def sweep(
         for k, (ways, hits) in hit_ways.items():
             hits[:TRUTH_MIN_COUNT] = [0] * TRUTH_MIN_COUNT  # only truth answers count
             scaled = np.array(hits, dtype=object) * (denominator // ways)
-            terms[k] = scaled[table.counts].sum(axis=1).tolist()
+            terms[k] = scaled[table.counts].sum(axis=1)
     else:
-        denominator, terms = trials, {s: [0] * n, r: [0] * n}
-        slots = np.broadcast_to(np.arange(a), (trials, a))
+        denominator, terms = trials, {k: np.zeros(n, dtype=object) for k in (s, r)}
+        ids = corpus.question_ids()
         for row in np.flatnonzero(table.distinct_at_least(TRUTH_MIN_COUNT)).tolist():
             rng = np.random.default_rng([seed & _SEED_MASK, ids[row] & _SEED_MASK])
             codes = table.codes[row]
             # truth[j, u]: slot j gives the question's u-th truth answer.
             truth = codes[:, None] == codes[table.counts[row] >= TRUTH_MIN_COUNT]
-            # Row t is the generator's t-th permutation; seen[t, i, u]: u is
-            # among trial t's first i + 1 draws.
-            draws = rng.permuted(slots, axis=1)[:, :r]
-            seen = np.logical_or.accumulate(truth[draws], axis=1)
-            for k in (s, r):
-                terms[k][row] = np.count_nonzero(seen[:, k - 1])
-    base = sum(terms[s])
-    gain = dict(zip(ids, (tr - ts for ts, tr in zip(terms[s], terms[r]))))
+            for done in range(0, trials, _MC_TRIAL_CHUNK):
+                # Trial t is the generator's t-th permutation across chunks;
+                # seen[t, i, u]: u is among trial t's first i + 1 draws.
+                chunk = min(_MC_TRIAL_CHUNK, trials - done)
+                draws = rng.permuted(np.broadcast_to(np.arange(a), (chunk, a)), axis=1)
+                seen = np.logical_or.accumulate(truth[draws[:, :r]], axis=1)
+                for k in (s, r):
+                    terms[k][row] += np.count_nonzero(seen[:, k - 1])
+    base = terms[s].sum()
+    gain = terms[r] - terms[s]
     max_diversity = int(table.distinct_at_least(TRUTH_MIN_COUNT).sum())
     rows = []
-    for name, orderings in variants.items():
-        prefixes = [[0, *accumulate(gain[qid] for qid in rk)] for rk in orderings]
+    for name, orderings in orders.items():
+        # prefix[b]: the gain of the first b rows, summed over the orderings.
+        prefix = np.zeros(n + 1, dtype=object)
+        for ordering in orderings:
+            prefix[1:] += np.cumsum(gain[ordering])
         for budget in budgets:
-            total = sum(base + prefix[budget] for prefix in prefixes)
-            diversity = total / (denominator * len(orderings))
-            spent = budget * r + (n - budget) * s
+            diversity = (base * len(orderings) + prefix[budget]) / (denominator * len(orderings))
+            spent = _answers_spent(n, budget, s, r)
             rows.append(
                 SweepRow(
                     ranking=name,
@@ -267,8 +268,9 @@ def sweep(
     return rows
 
 
-def _ranking_variants(entry) -> list[list[int]]:
-    seq = list(entry)
-    if seq and isinstance(seq[0], (list, tuple)):
-        return [list(rk) for rk in seq]
-    return [seq]
+def _permutation(name: str, ordering: Sequence[int], n: int) -> np.ndarray:
+    """ordering as an index array, if it is a permutation of the rows 0..n-1."""
+    rows = np.asarray(ordering)
+    if rows.shape != (n,) or not np.array_equal(np.sort(rows), np.arange(n)):
+        raise KeyMismatch(f"ranking {name!r} is not a permutation of the corpus rows")
+    return rows.astype(np.intp)

@@ -21,7 +21,7 @@ from .allocation import (
     status_quo_ranking,
     sweep,
 )
-from .answers import agreement_by_answer_type, diversity_histogram
+from .answers import AgreementLabel, agreement_by_answer_type, diversity_histogram
 from .corpus import load_corpus, load_image_features
 from .errors import CrowdConsensusError, DimensionMismatch, EmptyTrainingSet
 from .evalmetrics import pr_curve, stratified_eval
@@ -145,9 +145,14 @@ def _load(args):
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    """--seed, else $CROWD_CONSENSUS_SEED, else 0; in [0, 2**64) like ForestConfig.seed."""
+    if args.seed is not None:
+        source, raw = "--seed", str(args.seed)
+    else:
+        source, raw = f"${SEED_ENV_VAR}", os.environ.get(SEED_ENV_VAR, "0")
+    if not raw.strip().isdecimal() or int(raw) >= 2**64:
+        raise ValueError(f"{source} must be an integer in [0, 2**64), got {raw!r}")
+    return int(raw)
 
 
 def _out_dir(args) -> Path:
@@ -239,10 +244,10 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
+    seed = _resolve_seed(args)
     corpus = _load(args)
     if len(corpus) == 0:
         raise EmptyTrainingSet(f"no questions in {args.corpus}")
-    seed = _resolve_seed(args)
     out = _out_dir(args)
     vocab = build_vocabularies(corpus)
     table = load_image_features(args.image_features) if args.image_features else None
@@ -264,7 +269,7 @@ def cmd_train(args) -> int:
 
 
 def _model_predictions(args):
-    """(corpus, model, predictions) for the commands that apply a model."""
+    """(corpus, scores): the corpus and predict_many's vote share for each row."""
     model = load_model(args.model)
     if model.vocab is None:
         raise DimensionMismatch(
@@ -273,18 +278,19 @@ def _model_predictions(args):
     corpus = _load(args)
     table = load_image_features(args.image_features) if args.image_features else None
     X = extract_matrix(corpus, model.vocab, table, model.feature_mode, model.layout)
-    return corpus, model, predict_many(model, X)
+    return corpus, predict_many(model, X)
 
 
 def cmd_predict(args) -> int:
-    corpus, _, predictions = _model_predictions(args)
+    corpus, scores = _model_predictions(args)
     out = _out_dir(args)
+    agree, disagree = AgreementLabel.AGREEMENT.value, AgreementLabel.DISAGREEMENT.value
     _write_csv(
         out / "predictions.csv",
         ["question_id", "p_disagreement", "label"],
         [
-            [vq.question_id, _fmt(pred.p_disagreement), pred.label.value]
-            for vq, pred in zip(corpus, predictions)
+            [qid, _fmt(p), disagree if p > 0.5 else agree]
+            for qid, p in zip(corpus.question_ids(), scores.tolist())
         ],
     )
     _write_run_config(out, args)
@@ -292,9 +298,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    corpus, _, predictions = _model_predictions(args)
+    corpus, scores = _model_predictions(args)
     out = _out_dir(args)
-    scores = [pred.p_disagreement for pred in predictions]
     labels = corpus.answer_table.labels()
     report = stratified_eval(scores, labels, [vq.answer_type for vq in corpus])
     _write_json(
@@ -310,7 +315,7 @@ def cmd_eval(args) -> int:
         rows = report.rows_by_type[stratum]
         _write_curve(
             out / f"pr_{stratum.replace('/', '_')}.csv",
-            [scores[i] for i in rows],
+            scores[rows],
             [labels[i] for i in rows],
         )
     _write_run_config(out, args)
@@ -327,19 +332,15 @@ def _write_curve(path: Path, scores, labels) -> None:
 
 
 def cmd_allocate(args) -> int:
-    corpus, _, predictions = _model_predictions(args)
+    corpus, scores = _model_predictions(args)
     out = _out_dir(args)
-    p_by_id = {
-        vq.question_id: pred.p_disagreement for vq, pred in zip(corpus, predictions)
-    }
-    ranking = rank_by_disagreement(p_by_id, corpus.question_ids())
-    plan = make_plan(ranking, args.budget, args.s, args.r)
+    plan = make_plan(rank_by_disagreement(scores), args.budget, args.s, args.r)
     _write_csv(
         out / "plan.csv",
         ["question_id", "answer_count", "p_disagreement"],
         [
-            [qid, plan.assignments[qid], _fmt(p_by_id[qid])]
-            for qid in corpus.question_ids()
+            [qid, count, _fmt(p)]
+            for qid, count, p in zip(corpus.question_ids(), plan.counts.tolist(), scores.tolist())
         ],
     )
     _write_run_config(out, args)
@@ -351,19 +352,15 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--status-quo-seeds must be >= 1, got {args.status_quo_seeds}")
     if args.sim == "mc" and args.trials < 1:
         raise ValueError(f"--trials must be >= 1 with --sim mc, got {args.trials}")
-    corpus, _, predictions = _model_predictions(args)
     seed = _resolve_seed(args)
+    corpus, scores = _model_predictions(args)
     out = _out_dir(args)
-    ids = corpus.question_ids()
-    p_by_id = {
-        vq.question_id: pred.p_disagreement for vq, pred in zip(corpus, predictions)
-    }
     rankings = {
-        "ours": rank_by_disagreement(p_by_id, ids),
+        "ours": [rank_by_disagreement(scores)],
         "status_quo": [
-            status_quo_ranking(ids, [seed, k]) for k in range(args.status_quo_seeds)
+            status_quo_ranking(len(corpus), [seed, k]) for k in range(args.status_quo_seeds)
         ],
-        "oracle": oracle_ranking(corpus),
+        "oracle": [oracle_ranking(corpus)],
     }
     budgets = _parse_budgets(args.budgets, len(corpus))
     rows = sweep(

@@ -187,30 +187,40 @@ def _field(record, key: str, where: str, kind: type):
     return value
 
 
+def _read_text(path: str | Path, split=iter):
+    """The lines of a UTF-8 text file, or its rows with split=csv.reader;
+    bytes that are not UTF-8 and CSV the reader rejects raise ParseError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield from split(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+
+
 def _read_jsonl(path: Path) -> list[VisualQuestion]:
     questions = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: {exc}") from exc
-            answers = _field(record, "answers", where, list)
-            if not all(isinstance(ans, str) for ans in answers):
-                raise ParseError(f"{where}: answers must be strings, got {answers!r}")
-            questions.append(
-                VisualQuestion(
-                    question_id=_field(record, "question_id", where, int),
-                    image_id=_field(record, "image_id", where, int),
-                    question_text=_field(record, "question", where, str),
-                    raw_answers=tuple(answers),
-                    answer_type=record.get("answer_type"),
-                )
+    for lineno, line in enumerate(_read_text(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        # ValueError includes JSONDecodeError; RecursionError is too deep nesting.
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+        answers = _field(record, "answers", where, list)
+        if not all(isinstance(ans, str) for ans in answers):
+            raise ParseError(f"{where}: answers must be strings, got {answers!r}")
+        questions.append(
+            VisualQuestion(
+                question_id=_field(record, "question_id", where, int),
+                image_id=_field(record, "image_id", where, int),
+                question_text=_field(record, "question", where, str),
+                raw_answers=tuple(answers),
+                answer_type=record.get("answer_type"),
             )
+        )
     return questions
 
 
@@ -250,9 +260,10 @@ def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> list[VisualQue
 
 def _load_json_doc(path: Path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
+        # ValueError includes JSONDecodeError and UnicodeDecodeError.
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -298,34 +309,33 @@ def load_image_features(path: str | Path) -> ImageFeatureTable:
     are renormalized to sum exactly 1; anything else raises InvalidProbability.
     """
     table: dict[int, tuple[float, ...]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _SALIENCY_HEADER:
-            raise ParseError(
-                f"{path}: expected header {','.join(_SALIENCY_HEADER)}, got {header}"
+    reader = _read_text(path, csv.reader)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != _SALIENCY_HEADER:
+        raise ParseError(
+            f"{path}: expected header {','.join(_SALIENCY_HEADER)}, got {header}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        where = f"{path}:{lineno}"
+        if len(row) != 6:
+            raise ParseError(f"{where}: expected 6 columns, got {len(row)}")
+        try:
+            image_id = int(row[0])
+            probs = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+        if image_id in table:
+            raise ParseError(f"{where}: duplicate image_id {image_id}")
+        if not all(math.isfinite(p) for p in probs):
+            raise InvalidProbability(f"{where}: non-finite probability component")
+        if any(p < 0.0 for p in probs):
+            raise InvalidProbability(f"{where}: negative probability component")
+        total = sum(probs)
+        if abs(total - 1.0) > _SUM_BAND:
+            raise InvalidProbability(
+                f"{where}: probabilities sum to {total}, outside 1 +/- {_SUM_BAND}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != 6:
-                raise ParseError(f"{where}: expected 6 columns, got {len(row)}")
-            try:
-                image_id = int(row[0])
-                probs = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from exc
-            if image_id in table:
-                raise ParseError(f"{where}: duplicate image_id {image_id}")
-            if not all(math.isfinite(p) for p in probs):
-                raise InvalidProbability(f"{where}: non-finite probability component")
-            if any(p < 0.0 for p in probs):
-                raise InvalidProbability(f"{where}: negative probability component")
-            total = sum(probs)
-            if abs(total - 1.0) > _SUM_BAND:
-                raise InvalidProbability(
-                    f"{where}: probabilities sum to {total}, outside 1 +/- {_SUM_BAND}"
-                )
-            table[image_id] = tuple(p / total for p in probs)
+        table[image_id] = tuple(p / total for p in probs)
     return ImageFeatureTable(table)

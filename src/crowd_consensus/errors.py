@@ -53,10 +53,6 @@ class LengthMismatch(CrowdConsensusError):
     """Parallel input lists have different lengths."""
 
 
-class MissingPrediction(CrowdConsensusError):
-    """A ranking was requested for questions that lack predictions."""
-
-
 class InvalidBudget(CrowdConsensusError):
     """Budget outside [0, number of questions]."""
 
@@ -66,4 +62,4 @@ class InvalidCounts(CrowdConsensusError):
 
 
 class KeyMismatch(CrowdConsensusError):
-    """Two per-question maps do not cover the same question ids."""
+    """Two question-id maps, or an ordering and the corpus rows, cover different questions."""

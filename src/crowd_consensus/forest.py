@@ -11,9 +11,11 @@ Training reads a FeatureMatrix (see features.py) without densifying it:
 numeric columns are sorted per node, and a one-hot column, whose only cut
 is "word != w", is scored from per-node bincounts of the word codes.
 Prediction sends all rows down each tree together, one numpy step per
-tree level. A plain dense array is accepted everywhere and treated as
-all-numeric columns; it gives the same trees and predictions as its
-encoded form.
+tree level, and returns one float64 array: each row's share of trees
+voting disagreement. Turning a share into a label is left to the caller
+(the CLI labels p > 0.5 as disagreement). A plain dense array is
+accepted everywhere and treated as all-numeric columns; it gives the
+same trees and predictions as its encoded form.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .answers import AgreementLabel, is_disagreement
+from .answers import is_disagreement
 from .errors import (
     DimensionMismatch,
     EmptyNode,
@@ -106,12 +108,6 @@ class ForestModel:
     feature_mode: FeatureMode = FeatureMode.QI
     layout: str = "truncated"
     vocab: Vocabularies | None = None
-
-
-@dataclass(frozen=True)
-class Prediction:
-    label: AgreementLabel
-    p_disagreement: float
 
 
 def train_forest(
@@ -337,18 +333,19 @@ def _leaves(tree: DecisionTree, X: FeatureMatrix, table: np.ndarray) -> np.ndarr
     return node
 
 
-def predict(model: ForestModel, x) -> Prediction:
-    """Majority vote over the ensemble with vote-share confidence."""
+def predict(model: ForestModel, x) -> float:
+    """The share of the ensemble's trees that vote disagreement for one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or len(x) != model.n_features:
         raise DimensionMismatch(
             f"model expects {model.n_features} features, got shape {x.shape}"
         )
-    return predict_many(model, x[None, :])[0]
+    return float(predict_many(model, x[None, :])[0])
 
 
-def predict_many(model: ForestModel, X) -> list[Prediction]:
-    """predict for every row of X (a FeatureMatrix or a dense (n, d) array)."""
+def predict_many(model: ForestModel, X) -> np.ndarray:
+    """The (n,) float64 vote shares of every row of X (a FeatureMatrix or a
+    dense (n, d) array); each is a multiple of 1 / n_trees."""
     X = _encoded(X)
     if X.shape[1] != model.n_features:
         raise DimensionMismatch(
@@ -360,13 +357,7 @@ def predict_many(model: ForestModel, X) -> list[Prediction]:
         leaf = _leaves(tree, X, table)
         # Leaf ties vote disagreement: over-collecting answers is the safe error.
         votes += 2 * tree.votes_disagreement[leaf] >= tree.votes_total[leaf]
-    return [
-        Prediction(
-            label=AgreementLabel.DISAGREEMENT if p > 0.5 else AgreementLabel.AGREEMENT,
-            p_disagreement=p,
-        )
-        for p in (votes / model.config.n_trees).tolist()
-    ]
+    return votes / model.config.n_trees
 
 
 def save_model(model: ForestModel, path: str | Path) -> None:
@@ -406,9 +397,10 @@ def load_model(path: str | Path) -> ForestModel:
     violation raises FormatVersionMismatch.
     """
     with open(path, "r", encoding="utf-8") as fh:
+        # ValueError includes JSONDecodeError and UnicodeDecodeError.
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatVersionMismatch(f"{path}: not a model file ({exc})") from exc
     try:
         if doc["format"] != MODEL_FORMAT or doc["version"] != MODEL_VERSION:

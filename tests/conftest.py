@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from crowd_consensus import Corpus, VisualQuestion
+from crowd_consensus import Corpus, VisualQuestion, normalize_answer
 
 
 def vq(qid, text, answers, answer_type=None, image_id=None):
@@ -36,3 +40,55 @@ def write_jsonl(path, records):
         for record in records:
             fh.write(json.dumps(record) + "\n")
     return path
+
+
+def reference_exact_capture(corpus, sizes):
+    """Expected captured diversity as a Fraction, from math.comb on each pool;
+    sizes maps question id -> answers drawn."""
+    a = corpus.answers_per_question
+    total = Fraction(0)
+    for q in corpus:
+        pool = [normalize_answer(ans) for ans in q.raw_answers]
+        n = sizes[q.question_id]
+        for ans in set(pool):
+            c = pool.count(ans)
+            if c >= 2:
+                total += 1 - Fraction(math.comb(a - c, n), math.comb(a, n))
+    return total
+
+
+def reference_truth_counts(corpus):
+    """Question id -> how many normalized answers its pool gives at least twice."""
+    counts = {}
+    for q in corpus:
+        pool = [normalize_answer(ans) for ans in q.raw_answers]
+        counts[q.question_id] = sum(pool.count(ans) >= 2 for ans in set(pool))
+    return counts
+
+
+def reference_mc(corpus, sizes, trials, seed):
+    """The documented MC stream: one generator per (seed, question id), both
+    taken mod 2**64; trial t draws that generator's t-th permutation(A).
+    sizes maps question id -> answers drawn."""
+    a = corpus.answers_per_question
+    total = 0
+    for q in corpus:
+        pool = [normalize_answer(ans) for ans in q.raw_answers]
+        truth = {ans for ans in pool if pool.count(ans) >= 2}
+        rng = np.random.default_rng([seed % 2**64, q.question_id % 2**64])
+        for _ in range(trials):
+            order = rng.permutation(a)
+            total += len({pool[i] for i in order[: sizes[q.question_id]]} & truth)
+    return total / trials
+
+
+def scattered_ids(corpus, seed=0):
+    """corpus with its questions renumbered: the question at row k gets id
+    5 + 12 k + j (0 <= j < 12) and ids are handed out in a shuffled order,
+    so no id equals its row and a row/id mix-up changes results."""
+    rng = np.random.default_rng(seed)
+    n = len(corpus)
+    ids = rng.permutation(n) * 12 + 5 + rng.integers(0, 12, size=n)
+    return Corpus.from_questions(
+        dataclasses.replace(q, question_id=int(qid)) for q, qid in zip(corpus, ids)
+    )

@@ -91,7 +91,7 @@ def test_criterion_3_hypergeometric_correctness():
         corpus = Corpus.from_questions(
             [VisualQuestion(1, 1, "is it day", tuple(["yes"] * 8 + ["no"] * 2))]
         )
-        plan = make_plan([1], budget=1, s=1, r=5)
+        plan = make_plan([0], budget=1, s=1, r=5)
         expected = 1 + (1 - math.comb(8, 5) / math.comb(10, 5))
         exact = simulate_collection(plan, corpus, mode="exact")
         assert abs(exact.diversity - expected) <= 1e-9
@@ -123,7 +123,7 @@ def test_criterion_4_end_to_end_planted_signal():
     with criterion("4 end-to-end planted signal", limit_seconds=60.0):
         corpus, test_split, vocab, model = _planted_pipeline()
         X_test = extract_matrix(test_split, vocab, mode=FeatureMode.Q)
-        scores = [p.p_disagreement for p in predict_many(model, X_test)]
+        scores = predict_many(model, X_test)
         labels = [agreement_label(q.raw_answers) for q in test_split]
         ap = average_precision(scores, labels)
         assert ap >= 0.95, f"held-out AP {ap:.4f}"
@@ -136,20 +136,15 @@ def test_criterion_4_end_to_end_planted_signal():
 def test_criterion_5_allocation_dominance():
     with criterion("5 allocation dominance on planted corpus", limit_seconds=30.0):
         corpus, _, vocab, model = _planted_pipeline()
-        ids = corpus.question_ids()
         X_all = extract_matrix(corpus, vocab, mode=FeatureMode.Q)
-        p_by_id = {
-            qid: pred.p_disagreement
-            for qid, pred in zip(ids, predict_many(model, X_all))
-        }
         n = len(corpus)
         budgets = [round(n * i / 10) for i in range(11)]
         rows = sweep(
             corpus,
             {
-                "ours": rank_by_disagreement(p_by_id, ids),
-                "status_quo": [status_quo_ranking(ids, [1000, k]) for k in range(10)],
-                "oracle": oracle_ranking(corpus),
+                "ours": [rank_by_disagreement(predict_many(model, X_all))],
+                "status_quo": [status_quo_ranking(n, [1000, k]) for k in range(10)],
+                "oracle": [oracle_ranking(corpus)],
             },
             budgets,
             mode="exact",
@@ -208,11 +203,10 @@ def test_criterion_7_budget_monotonicity_and_boundaries():
     with criterion("7 monotonicity and boundary equality on 50 random corpora"):
         for seed in range(50):
             corpus = make_random_corpus(4 + seed % 21, seed=seed)
-            ids = corpus.question_ids()
-            n = len(ids)
+            n = len(corpus)
             rankings = [
-                list(ids),
-                status_quo_ranking(ids, seed=seed),
+                list(range(n)),
+                status_quo_ranking(n, seed=seed),
                 oracle_ranking(corpus),
             ]
             for ranking in rankings:

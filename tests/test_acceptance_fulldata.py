@@ -100,18 +100,14 @@ def test_criterion_12_allocation_gain():
         X_train, y_train, ForestConfig(n_trees=25, seed=11),
         vocab=vocab, feature_mode=FeatureMode.Q,
     )
-    ids = val_split.question_ids()
     X_val = extract_matrix(val_split, vocab, mode=FeatureMode.Q)
-    p_by_id = {
-        qid: pred.p_disagreement for qid, pred in zip(ids, predict_many(model, X_val))
-    }
     n = len(val_split)
     budgets = [round(n * i / 20) for i in range(21)]
     rows = sweep(
         val_split,
         {
-            "ours": rank_by_disagreement(p_by_id, ids),
-            "status_quo": [status_quo_ranking(ids, [0, k]) for k in range(3)],
+            "ours": [rank_by_disagreement(predict_many(model, X_val))],
+            "status_quo": [status_quo_ranking(n, [0, k]) for k in range(3)],
         },
         budgets,
         mode="exact",

@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,47 +12,46 @@ from crowd_consensus import (
     expected_capture,
     make_plan,
     make_random_corpus,
-    normalize_answer,
     oracle_ranking,
     rank_by_disagreement,
     simulate_collection,
     status_quo_ranking,
     sweep,
 )
-from crowd_consensus.allocation import TRUTH_MIN_COUNT
-from crowd_consensus.errors import (
-    InvalidBudget,
-    InvalidCounts,
-    KeyMismatch,
-    MissingPrediction,
-)
+from crowd_consensus.allocation import _MC_TRIAL_CHUNK, TRUTH_MIN_COUNT
+from crowd_consensus.errors import InvalidBudget, InvalidCounts, KeyMismatch
 
-from conftest import vq
+from conftest import (
+    reference_exact_capture,
+    reference_mc,
+    reference_truth_counts,
+    scattered_ids,
+    vq,
+)
 
 
 def test_rank_by_disagreement():
-    assert rank_by_disagreement({1: 0.2, 2: 0.9, 3: 0.5}) == [2, 3, 1]
+    assert rank_by_disagreement([0.2, 0.9, 0.5]) == [1, 2, 0]
+    assert rank_by_disagreement(np.array([0.2, 0.9, 0.5])) == [1, 2, 0]
 
 
 def test_rank_ties_break_by_ascending_id():
-    assert rank_by_disagreement({3: 0.5, 1: 0.5, 2: 0.5}) == [1, 2, 3]
+    # Rows are in ascending id order, so the lower row is the lower id.
+    assert rank_by_disagreement([0.5, 0.5, 0.5]) == [0, 1, 2]
+    assert rank_by_disagreement([0.5, 0.9, 0.0, 0.5, 0.9]) == [1, 4, 0, 3, 2]
 
 
 def test_rank_singleton():
-    assert rank_by_disagreement({7: 0.1}) == [7]
-
-
-def test_rank_missing_prediction():
-    with pytest.raises(MissingPrediction):
-        rank_by_disagreement({1: 0.2}, question_ids=[1, 2])
+    assert rank_by_disagreement([0.1]) == [0]
 
 
 def test_status_quo_ranking_deterministic():
-    ids = list(range(50))
-    assert status_quo_ranking(ids, seed=4) == status_quo_ranking(ids, seed=4)
-    assert status_quo_ranking(ids, seed=4) != status_quo_ranking(ids, seed=5)
-    assert sorted(status_quo_ranking(ids, seed=4)) == ids
-    assert status_quo_ranking([42], seed=0) == [42]
+    rows = list(range(50))
+    assert status_quo_ranking(50, seed=4) == status_quo_ranking(50, seed=4)
+    assert status_quo_ranking(50, seed=4) != status_quo_ranking(50, seed=5)
+    assert sorted(status_quo_ranking(50, seed=4)) == rows
+    assert status_quo_ranking(1, seed=0) == [0]
+    assert all(type(row) is int for row in status_quo_ranking(50, seed=4))
 
 
 def _diversity_corpus():
@@ -66,14 +65,14 @@ def _diversity_corpus():
 
 
 def test_oracle_ranking_orders_by_truth_count():
-    assert oracle_ranking(_diversity_corpus()) == [2, 3, 1]
+    assert oracle_ranking(_diversity_corpus()) == [1, 2, 0]  # ids 2, 3, 1
 
 
 def test_oracle_ranking_tie_rule():
     corpus = Corpus.from_questions(
         [vq(i, "is it", ["yes"] * 10) for i in (3, 1, 2)]
     )
-    assert oracle_ranking(corpus) == [1, 2, 3]
+    assert oracle_ranking(corpus) == [0, 1, 2]
 
 
 def test_truth_threshold_is_two():
@@ -87,15 +86,15 @@ def test_truth_threshold_is_two():
 
 
 def test_make_plan_arithmetic():
-    plan = make_plan([4, 2, 3, 1], budget=2, s=1, r=5)
-    assert plan.assignments == {4: 5, 2: 5, 3: 1, 1: 1}
+    plan = make_plan([3, 1, 2, 0], budget=2, s=1, r=5)
+    assert plan.counts.tolist() == [1, 5, 1, 5]
     assert plan.answers_spent == 12
 
 
 def test_make_plan_boundaries():
-    ranking = [1, 2, 3]
-    assert set(make_plan(ranking, 0).assignments.values()) == {1}
-    assert set(make_plan(ranking, 3).assignments.values()) == {5}
+    ranking = [2, 0, 1]
+    assert make_plan(ranking, 0).counts.tolist() == [1, 1, 1]
+    assert make_plan(ranking, 3).counts.tolist() == [5, 5, 5]
 
 
 def test_make_plan_validation():
@@ -158,7 +157,7 @@ def _single_question_corpus():
 
 
 def test_simulate_exact_single_question():
-    report = simulate_collection(make_plan([1], 1, 1, 5), _single_question_corpus())
+    report = simulate_collection(make_plan([0], 1, 1, 5), _single_question_corpus())
     assert report.diversity == pytest.approx(1 + 196 / 252, abs=1e-12)
     assert report.max_diversity == 2
     assert report.answers_spent == 5
@@ -166,7 +165,7 @@ def test_simulate_exact_single_question():
 
 def test_simulate_monte_carlo_tracks_exact():
     corpus = _single_question_corpus()
-    plan = make_plan([1], 1, 1, 5)
+    plan = make_plan([0], 1, 1, 5)
     exact = simulate_collection(plan, corpus, mode="exact")
     mc = simulate_collection(plan, corpus, mode="mc", trials=20_000, seed=3)
     assert mc.diversity == pytest.approx(exact.diversity, abs=0.02)
@@ -184,7 +183,7 @@ def test_monte_carlo_consistency_on_small_corpus():
             vq(3, "is it new", ["no"] * 10),
         ]
     )
-    plan = make_plan([2, 1, 3], budget=1, s=1, r=5)
+    plan = make_plan([1, 0, 2], budget=1, s=1, r=5)  # ids 2, 1, 3
     exact = simulate_collection(plan, corpus, mode="exact")
     mc = simulate_collection(plan, corpus, mode="mc", trials=100_000, seed=1)
     assert mc.diversity == pytest.approx(exact.diversity, abs=0.005)
@@ -193,32 +192,34 @@ def test_monte_carlo_consistency_on_small_corpus():
 def test_simulate_validation():
     corpus = _single_question_corpus()
     with pytest.raises(KeyMismatch):
-        simulate_collection(make_plan([1, 2], 1), corpus)
+        simulate_collection(make_plan([0, 1], 1), corpus)
+    with pytest.raises(KeyMismatch):
+        simulate_collection(make_plan([1], 1), corpus)  # the question id, not its row
     small = Corpus.from_questions([vq(1, "is it", ["x", "x", "y"])])
     with pytest.raises(InvalidCounts):
-        simulate_collection(make_plan([1], 0, 1, 5), small)
+        simulate_collection(make_plan([0], 0, 1, 5), small)
     with pytest.raises(ValueError):
-        simulate_collection(make_plan([1], 0), corpus, mode="bogus")
+        simulate_collection(make_plan([0], 0), corpus, mode="bogus")
     with pytest.raises(ValueError):
-        simulate_collection(make_plan([1], 0), corpus, mode="mc", trials=0)
+        simulate_collection(make_plan([0], 0), corpus, mode="mc", trials=0)
 
 
 def test_budget_monotone_and_boundaries_on_random_corpora():
     for seed in range(8):
         corpus = make_random_corpus(12, seed=seed)
-        ids = corpus.question_ids()
+        n = len(corpus)
         rankings = [
-            list(ids),
-            status_quo_ranking(ids, seed=seed),
+            list(range(n)),
+            status_quo_ranking(n, seed=seed),
             oracle_ranking(corpus),
         ]
         for ranking in rankings:
             last = -1.0
-            for budget in range(len(ids) + 1):
+            for budget in range(n + 1):
                 report = simulate_collection(make_plan(ranking, budget), corpus)
                 assert report.diversity >= last
                 last = report.diversity
-        for budget in (0, len(ids)):
+        for budget in (0, n):
             values = {
                 simulate_collection(make_plan(rk, budget), corpus).diversity
                 for rk in rankings
@@ -228,13 +229,9 @@ def test_budget_monotone_and_boundaries_on_random_corpora():
 
 def test_sweep_rows_and_averaging():
     corpus = make_random_corpus(10, seed=2)
-    ids = corpus.question_ids()
+    order = list(range(10))
     budgets = [0, 5, 10]
-    rows = sweep(
-        corpus,
-        {"ours": list(ids), "status_quo": [list(ids), list(ids)]},
-        budgets,
-    )
+    rows = sweep(corpus, {"ours": [order], "status_quo": [order, order]}, budgets)
     assert [(r.ranking, r.budget) for r in rows] == [
         ("ours", 0), ("ours", 5), ("ours", 10),
         ("status_quo", 0), ("status_quo", 5), ("status_quo", 10),
@@ -248,46 +245,36 @@ def test_sweep_rows_and_averaging():
         assert 0.0 <= row.diversity_fraction <= 1.0
 
 
-def _exact_capture(corpus, sizes):
-    """Expected captured diversity as a Fraction, from math.comb on each pool."""
-    a = corpus.answers_per_question
-    total = Fraction(0)
-    for q in corpus:
-        pool = [normalize_answer(ans) for ans in q.raw_answers]
-        n = sizes[q.question_id]
-        for ans in set(pool):
-            c = pool.count(ans)
-            if c >= 2:
-                total += 1 - Fraction(math.comb(a - c, n), math.comb(a, n))
-    return total
+def _sizes(corpus, plan):
+    return dict(zip(corpus.question_ids(), plan.counts.tolist()))
 
 
 def test_exact_sweep_is_the_correctly_rounded_rational():
     for seed in range(6):
         corpus = make_random_corpus(15, seed=seed)
-        ids = corpus.question_ids()
-        orderings = [status_quo_ranking(ids, [seed, k]) for k in range(3)]
-        budgets = list(range(len(ids) + 1))
-        rows = sweep(corpus, {"ours": oracle_ranking(corpus), "sq": orderings},
+        n = len(corpus)
+        orderings = [status_quo_ranking(n, [seed, k]) for k in range(3)]
+        budgets = list(range(n + 1))
+        rows = sweep(corpus, {"ours": [oracle_ranking(corpus)], "sq": orderings},
                      budgets, s=2, r=6)
-        max_div = simulate_collection(make_plan(ids, 0), corpus).max_diversity
+        max_div = simulate_collection(make_plan(range(n), 0), corpus).max_diversity
         for row in rows:
             variants = [oracle_ranking(corpus)] if row.ranking == "ours" else orderings
             want = sum(
-                _exact_capture(corpus, make_plan(rk, row.budget, 2, 6).assignments)
+                reference_exact_capture(corpus, _sizes(corpus, make_plan(rk, row.budget, 2, 6)))
                 for rk in variants
             ) / len(variants)
             assert row.diversity == float(want)
             assert row.diversity_fraction == row.diversity / max_div
         plan = make_plan(orderings[0], 7, 2, 6)
         assert simulate_collection(plan, corpus).diversity == float(
-            _exact_capture(corpus, plan.assignments)
+            reference_exact_capture(corpus, _sizes(corpus, plan))
         )
 
 
 def test_exact_diversity_depends_only_on_the_top_b_set():
     corpus = make_random_corpus(40, seed=11)
-    ranking = status_quo_ranking(corpus.question_ids(), seed=3)
+    ranking = status_quo_ranking(len(corpus), seed=3)
     rnd = random.Random(5)
     for budget in (0, 1, 13, 27, 40):
         top, rest = ranking[:budget], ranking[budget:]
@@ -297,42 +284,35 @@ def test_exact_diversity_depends_only_on_the_top_b_set():
             rnd.shuffle(rest)
             reordered = top + rest
             values.add(simulate_collection(make_plan(reordered, budget), corpus).diversity)
-            values.add(sweep(corpus, {"x": reordered}, [budget])[0].diversity)
+            values.add(sweep(corpus, {"x": [reordered]}, [budget])[0].diversity)
         assert len(values) == 1, budget
 
 
 def test_sweep_validation():
     corpus = make_random_corpus(5, seed=1)
-    ids = list(corpus.question_ids())
+    rows = list(range(5))
     with pytest.raises(InvalidBudget):
-        sweep(corpus, {"x": ids}, [6])
+        sweep(corpus, {"x": [rows]}, [6])
     with pytest.raises(InvalidCounts):
-        sweep(corpus, {"x": ids}, [1], s=3, r=3)
+        sweep(corpus, {"x": [rows]}, [1], s=3, r=3)
     with pytest.raises(InvalidCounts):
-        sweep(corpus, {"x": ids}, [1], r=11)
-    with pytest.raises(KeyMismatch):
-        sweep(corpus, {"x": ids[:-1] + ids[:1]}, [1])
-    with pytest.raises(KeyMismatch):
-        sweep(corpus, {"x": [ids, ids[:-1]]}, [1])
+        sweep(corpus, {"x": [rows]}, [1], r=11)
+    bad = [
+        [rows[:-1] + rows[:1]],  # a repeated row
+        [rows, rows[:-1]],  # one ordering too short
+        [[1, 2, 3, 4, 5]],  # out of range
+        [[0, 1, 2, 3, 4.5]],  # not an integer
+        [["0", "1", "2", "3", "4"]],  # not numbers
+        rows,  # one ordering not wrapped in a list
+        [],  # no ordering
+    ]
+    for orderings in bad:
+        with pytest.raises(KeyMismatch):
+            sweep(corpus, {"x": orderings}, [1])
     with pytest.raises(ValueError):
-        sweep(corpus, {"x": ids}, [1], mode="bogus")
+        sweep(corpus, {"x": [rows]}, [1], mode="bogus")
     with pytest.raises(ValueError):
-        sweep(corpus, {"x": ids}, [1], mode="mc", trials=0)
-
-
-def _reference_mc(corpus, assignments, trials, seed):
-    """The documented MC stream: one generator per (seed, question id), both
-    taken mod 2**64; trial t draws that generator's t-th permutation(A)."""
-    a = corpus.answers_per_question
-    total = 0
-    for q in corpus:
-        pool = [normalize_answer(ans) for ans in q.raw_answers]
-        truth = {ans for ans in pool if pool.count(ans) >= 2}
-        rng = np.random.default_rng([seed % 2**64, q.question_id % 2**64])
-        for _ in range(trials):
-            order = rng.permutation(a)
-            total += len({pool[i] for i in order[: assignments[q.question_id]]} & truth)
-    return total / trials
+        sweep(corpus, {"x": [rows]}, [1], mode="mc", trials=0)
 
 
 def test_monte_carlo_follows_the_documented_stream():
@@ -342,18 +322,21 @@ def test_monte_carlo_follows_the_documented_stream():
     wrapped = Corpus.from_questions(
         [vq(qid, "what is it", pool) for qid, pool in zip((7, 2**64 + 3), pools)]
     )
+    # More trials than one chunk of draws: the chunks continue one stream.
+    chunked = 2 * _MC_TRIAL_CHUNK + 7
     cases = [
-        (random12, status_quo_ranking(random12.question_ids(), seed=2), [0, 5, 12], 8),
-        (wrapped, [2**64 + 3, 7], [0, 1, 2], -5),
+        (random12, status_quo_ranking(12, seed=2), [0, 5, 12], 8, 30),
+        (wrapped, [1, 0], [0, 1, 2], -5, 30),  # ids 2**64 + 3, then 7
+        (wrapped, [0, 1], [0, 1, 2], 3, chunked),
     ]
-    for corpus, ranking, budgets, seed in cases:
-        rows = sweep(corpus, {"x": ranking}, budgets, mode="mc", trials=30, seed=seed)
+    for corpus, ranking, budgets, seed, trials in cases:
+        rows = sweep(corpus, {"x": [ranking]}, budgets, mode="mc", trials=trials, seed=seed)
         for row in rows:
             plan = make_plan(ranking, row.budget)
-            want = _reference_mc(corpus, plan.assignments, trials=30, seed=seed)
+            want = reference_mc(corpus, _sizes(corpus, plan), trials=trials, seed=seed)
             assert row.diversity == want
             assert simulate_collection(
-                plan, corpus, mode="mc", trials=30, seed=seed
+                plan, corpus, mode="mc", trials=trials, seed=seed
             ).diversity == want
 
 
@@ -364,7 +347,7 @@ def test_monte_carlo_terms_do_not_depend_on_the_other_questions():
     trials = 200
 
     def boundary_hits(c):
-        rows = sweep(c, {"x": c.question_ids()}, [0, len(c)], mode="mc",
+        rows = sweep(c, {"x": [list(range(len(c)))]}, [0, len(c)], mode="mc",
                      trials=trials, seed=12)
         return [round(row.diversity * trials) for row in rows]
 
@@ -375,15 +358,74 @@ def test_monte_carlo_terms_do_not_depend_on_the_other_questions():
 
 def test_monte_carlo_sweep_keeps_one_question_in_memory():
     corpus = make_random_corpus(500, seed=9)
-    ids = corpus.question_ids()
     corpus.answer_table  # built once per corpus, outside the measurement
     tracemalloc.start()
     try:
-        sweep(corpus, {"x": ids}, [0, 250, 500], mode="mc", trials=1000, seed=1)
+        sweep(corpus, {"x": [list(range(500))]}, [0, 250, 500], mode="mc", trials=1000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # All draws at once, a (500, 1000, 10) int64 tensor, would take 40 MB.
     # One question's (1000, 10) block is 80 kB; 4 MB leaves room for a few
-    # such temporaries and the per-question lists, and is a tenth of 40 MB.
+    # such temporaries and the per-question terms, and is a tenth of 40 MB.
     assert peak < 4_000_000
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    corpus = make_random_corpus(3, seed=2)
+    corpus.answer_table  # built once per corpus, outside the measurement
+    tracemalloc.start()
+    try:
+        sweep(corpus, {"x": [[0, 1, 2]]}, [0, 3], mode="mc", trials=100_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Drawing all 10^5 trials of a question at once takes 17 MB (an int64
+    # (trials, 10) block plus a boolean block); one chunk of trials takes
+    # well under a megabyte.
+    assert peak < 2_000_000
+
+
+def test_rows_and_ids_agree_with_an_id_keyed_reference():
+    corpus = scattered_ids(make_random_corpus(30, seed=8), seed=1)
+    ids = corpus.question_ids()
+    n = len(ids)
+    assert all(qid != row for row, qid in enumerate(ids))
+    rng = np.random.default_rng(4)
+    p_by_id = {qid: int(rng.integers(0, 6)) / 5 for qid in ids}  # many ties
+
+    def by_id(ranking):
+        return [ids[row] for row in ranking]
+
+    ours = rank_by_disagreement([p_by_id[qid] for qid in ids])
+    assert by_id(ours) == sorted(ids, key=lambda qid: (-p_by_id[qid], qid))
+    truth = reference_truth_counts(corpus)
+    oracle = oracle_ranking(corpus)
+    assert by_id(oracle) == sorted(ids, key=lambda qid: (-truth[qid], qid))
+    sq = [status_quo_ranking(n, [9, k]) for k in range(2)]
+    orderings = {"ours": [ours], "oracle": [oracle], "sq": sq}
+
+    def sizes(ranking, budget, s=1, r=5):
+        return {qid: r if pos < budget else s for pos, qid in enumerate(by_id(ranking))}
+
+    budgets = [0, 7, 18, n]
+    exact = sweep(corpus, orderings, budgets)
+    mc = sweep(corpus, orderings, budgets, mode="mc", trials=20, seed=6)
+    for exact_row, mc_row in zip(exact, mc):
+        variants = orderings[exact_row.ranking]
+        want = [sizes(rk, exact_row.budget) for rk in variants]
+        assert exact_row.diversity == float(
+            sum(map(partial(reference_exact_capture, corpus), want)) / len(variants)
+        )
+        assert mc_row.diversity == pytest.approx(
+            sum(reference_mc(corpus, w, trials=20, seed=6) for w in want) / len(variants),
+            abs=1e-12,
+        )
+    plan = make_plan(ours, 11)
+    assert dict(zip(ids, plan.counts.tolist())) == sizes(ours, 11)
+    assert simulate_collection(plan, corpus).diversity == float(
+        reference_exact_capture(corpus, sizes(ours, 11))
+    )
+    assert simulate_collection(plan, corpus, mode="mc", trials=20, seed=6).diversity == (
+        reference_mc(corpus, sizes(ours, 11), trials=20, seed=6)
+    )

@@ -8,10 +8,18 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from crowd_consensus import make_planted_corpus, save_corpus_jsonl
 from crowd_consensus.cli import main
 
-from conftest import write_jsonl
+from conftest import (
+    reference_exact_capture,
+    reference_mc,
+    reference_truth_counts,
+    scattered_ids,
+    write_jsonl,
+)
 
 
 @pytest.fixture
@@ -121,6 +129,9 @@ def test_predict_and_allocate(planted_path, tmp_path):
     rows = read_csv(out / "predictions.csv")
     assert len(rows) == 300
     assert all(0.0 <= float(r["p_disagreement"]) <= 1.0 for r in rows)
+    assert {r["label"] for r in rows} == {"agreement", "disagreement"}
+    for r in rows:
+        assert (r["label"] == "disagreement") == (float(r["p_disagreement"]) > 0.5)
 
     assert main(["allocate", "--corpus", str(planted_path), "--model", str(model_path),
                  "--budget", "100", "--out-dir", str(out)]) == 0
@@ -184,6 +195,55 @@ def test_sweep_outputs_and_boundaries(planted_path, tmp_path):
     assert (out / "sweep.csv").read_bytes() == first
 
 
+def test_allocate_and_sweep_key_rows_by_question_id(tmp_path):
+    corpus = scattered_ids(make_planted_corpus(120, seed=5), seed=2)
+    ids = sorted(corpus.question_ids())
+    path = tmp_path / "scattered.jsonl"
+    save_corpus_jsonl(corpus, path)
+    out = tmp_path / "run"
+    model = str(train(path, out))
+    common = ["--corpus", str(path), "--model", model]
+    assert main(["predict", *common, "--out-dir", str(out)]) == 0
+    p = {int(r["question_id"]): float(r["p_disagreement"])
+         for r in read_csv(out / "predictions.csv")}
+    assert main(["allocate", *common, "--budget", "40", "--out-dir", str(out)]) == 0
+    plan = read_csv(out / "plan.csv")
+    assert [int(r["question_id"]) for r in plan] == ids
+    assert all(float(r["p_disagreement"]) == p[int(r["question_id"])] for r in plan)
+    ours = sorted(ids, key=lambda qid: (-p[qid], qid))
+    assert {int(r["question_id"]) for r in plan if r["answer_count"] == "5"} == set(ours[:40])
+
+    truth = reference_truth_counts(corpus)
+    rankings = {
+        "ours": [ours],
+        "oracle": [sorted(ids, key=lambda qid: (-truth[qid], qid))],
+        "status_quo": [
+            [ids[i] for i in np.random.default_rng([3, k]).permutation(len(ids))]
+            for k in range(2)
+        ],
+    }
+    for sim in ("exact", "mc"):
+        assert main(["sweep", *common, "--budgets", "0,40,120", "--status-quo-seeds", "2",
+                     "--seed", "3", "--sim", sim, "--trials", "20",
+                     "--out-dir", str(out / sim)]) == 0
+        rows = read_csv(out / sim / "sweep.csv")
+        assert len(rows) == 9
+        for row in rows:
+            budget = int(row["budget"])
+            want = []
+            for ranking in rankings[row["ranking"]]:
+                sizes = {qid: 5 if pos < budget else 1 for pos, qid in enumerate(ranking)}
+                if sim == "exact":
+                    want.append(reference_exact_capture(corpus, sizes))
+                else:
+                    want.append(reference_mc(corpus, sizes, trials=20, seed=3))
+            got = float(row["diversity"])
+            if sim == "exact":
+                assert got == float(sum(want) / len(want)), row
+            else:
+                assert got == pytest.approx(sum(want) / len(want), abs=1e-12), row
+
+
 def test_sweep_needs_a_status_quo_ordering(planted_path, tmp_path, capsys):
     model_path = train(planted_path, tmp_path / "run")
     assert main(["sweep", "--corpus", str(planted_path), "--model", str(model_path),
@@ -245,6 +305,31 @@ def test_seed_env_var_default(planted_path, tmp_path, monkeypatch):
             "--out-dir", str(out)]
     assert main(args) == 0
     assert json.loads((out / "run_config.json").read_text())["seed"] == 77
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("flags,env,source", [
+    (["--seed", "-3"], None, "--seed"),
+    (["--seed", str(2**64)], None, "--seed"),
+    ([], "abc", "$CROWD_CONSENSUS_SEED"),
+    ([], "-1", "$CROWD_CONSENSUS_SEED"),
+    ([], str(2**64), "$CROWD_CONSENSUS_SEED"),
+], ids=["flag-negative", "flag-too-large", "env-not-an-integer", "env-negative",
+        "env-too-large"])
+def test_seed_is_checked_before_loading(tmp_path, monkeypatch, capsys, command, flags,
+                                        env, source):
+    if env is None:
+        monkeypatch.delenv("CROWD_CONSENSUS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CROWD_CONSENSUS_SEED", env)
+    # Missing input files: only a check made before loading can name the seed.
+    missing = tmp_path / "missing"
+    argv = [command, "--corpus", str(missing / "c.jsonl"), "--out-dir", str(tmp_path / "run")]
+    if command == "sweep":
+        argv += ["--model", str(missing / "model.json")]
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert source in err and "missing" not in err, err
 
 
 def test_module_entry_point_reports_missing_corpus(tmp_path):

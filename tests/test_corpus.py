@@ -301,3 +301,45 @@ def test_vqa_top_level_types_rejected(tmp_path, mixed_corpus, which, doc):
         load_corpus(q_path, a_path, format="vqa_v1_json")
     assert main(["analyze", "--corpus", str(q_path), "--annotations", str(a_path),
                  "--format", "vqa_v1_json", "--out-dir", str(tmp_path)]) == 2
+
+
+#: Inputs the JSON parser rejects with something other than JSONDecodeError.
+UNPARSABLE = {
+    "nested": b"[" * 200_000,  # RecursionError
+    "not-utf8": b'{"question": "caf\xe9"}',  # UnicodeDecodeError
+    "long-int": b"1" * 5000,  # ValueError: too many digits for int()
+}
+
+
+@pytest.mark.parametrize("which", ["jsonl", "questions", "annotations"])
+@pytest.mark.parametrize("content", UNPARSABLE.values(), ids=UNPARSABLE.keys())
+def test_unparsable_corpus_is_a_parse_error(tmp_path, mixed_corpus, which, content):
+    if which == "jsonl":
+        path = tmp_path / "corpus.jsonl"
+        save_corpus_jsonl(mixed_corpus, path)
+        path.write_bytes(path.read_bytes() + content + b"\n")
+        args = ["--corpus", str(path)]
+    else:
+        q_path, a_path = _write_vqa_pair(tmp_path, mixed_corpus)
+        (q_path if which == "questions" else a_path).write_bytes(content)
+        args = ["--corpus", str(q_path), "--annotations", str(a_path),
+                "--format", "vqa_v1_json"]
+    with pytest.raises(ParseError):
+        load_corpus(args[1], args[3] if len(args) > 2 else None,
+                    format="jsonl" if which == "jsonl" else "vqa_v1_json")
+    assert main(["analyze", *args, "--out-dir", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("row", [
+    b"4,0.2,0.2,0.2,0.2,0.2\xff",
+    b'4,"' + b"0" * 200_000 + b'",0.2,0.2,0.2,0.2',  # over the csv module's field limit
+], ids=["not-utf8", "huge-field"])
+def test_unreadable_image_features_are_a_parse_error(tmp_path, mixed_corpus, row):
+    path = tmp_path / "features.csv"
+    path.write_bytes(b"image_id,p0,p1,p2,p3,p4\n3,0.2,0.2,0.2,0.2,0.2\n" + row + b"\n")
+    with pytest.raises(ParseError):
+        load_image_features(path)
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus_jsonl(mixed_corpus, corpus_path)
+    assert main(["train", "--corpus", str(corpus_path), "--image-features", str(path),
+                 "--out-dir", str(tmp_path)]) == 2

@@ -86,9 +86,9 @@ def test_encoding_matches_its_dense_matrix(
     every = extract_matrix(corpus, vocab, table, mode, layout)
     dense = np.asarray(every)
     assert every.shape == dense.shape == (n, feature_dimension(vocab, mode, layout))
-    batched = [p.p_disagreement for p in predict_many(model, every)]
+    batched = predict_many(model, every).tolist()
     assert batched == [reference_p_disagreement(model, row) for row in dense]
-    assert batched == [p.p_disagreement for p in predict_many(model, dense)]
+    assert batched == predict_many(model, dense).tolist()
 
 
 def test_feature_matrix_holds_codes_not_one_hot_columns():

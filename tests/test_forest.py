@@ -73,25 +73,22 @@ def test_separable_training_accuracy():
     X, y = separable_data()
     model = train_forest(X, y, ForestConfig(seed=1))
     for row, label in zip(X, y):
-        assert predict(model, row).label is label
+        assert (predict(model, row) > 0.5) == (label is D)
 
 
 def test_separable_held_out():
     X, y = separable_data()
     model = train_forest(X, y, ForestConfig(seed=1))
-    assert predict(model, [-0.5]).label is A
-    assert predict(model, [0.5]).label is D
-    assert predict(model, [-0.5]).p_disagreement <= 0.1
-    assert predict(model, [0.5]).p_disagreement >= 0.9
+    assert predict(model, [-0.5]) <= 0.1
+    assert predict(model, [0.5]) >= 0.9
 
 
 def test_single_class_training():
     X = np.arange(20, dtype=float).reshape(-1, 1)
     model = train_forest(X, [A] * 20, ForestConfig(seed=1))
     for row in X:
-        result = predict(model, row)
-        assert result.label is A
-        assert result.p_disagreement == 0.0
+        assert predict(model, row) == 0.0
+    assert predict_many(model, X).tolist() == [0.0] * 20
 
 
 def test_seed_determinism():
@@ -99,9 +96,7 @@ def test_seed_determinism():
     first = train_forest(X, y, ForestConfig(seed=42))
     second = train_forest(X, y, ForestConfig(seed=42))
     probe = np.random.default_rng(0).uniform(-1, 1, size=(50, 1))
-    assert [p.p_disagreement for p in predict_many(first, probe)] == [
-        p.p_disagreement for p in predict_many(second, probe)
-    ]
+    assert predict_many(first, probe).tolist() == predict_many(second, probe).tolist()
 
 
 def test_tree_depends_only_on_seed_and_index(tmp_path):
@@ -120,11 +115,14 @@ def test_vote_quantization_and_label_coherence():
     y = [D if row[0] + 0.3 * row[1] > 0 else A for row in X]
     model = train_forest(X, y, ForestConfig(seed=2))
     T = model.config.n_trees
-    for result in predict_many(model, rng.normal(size=(40, 3))):
-        votes = result.p_disagreement * T
+    probe = rng.normal(size=(40, 3))
+    scores = predict_many(model, probe)
+    assert scores.dtype == np.float64 and scores.shape == (40,)
+    for row, p in zip(probe, scores.tolist()):
+        votes = p * T
         assert votes == pytest.approx(round(votes), abs=1e-12)
-        assert 0.0 <= result.p_disagreement <= 1.0
-        assert (result.label is D) == (result.p_disagreement > 0.5)
+        assert 0.0 <= p <= 1.0
+        assert predict(model, row) == p and type(predict(model, row)) is float
 
 
 def test_each_tree_fits_its_own_bootstrap():
@@ -137,7 +135,7 @@ def test_each_tree_fits_its_own_bootstrap():
     n = len(X)
     for t, tree in enumerate(model.trees):
         boot = np.random.default_rng([31, t]).integers(0, n, size=n)
-        votes = [p.p_disagreement for p in predict_many(_one_tree_model(tree, 4), X[boot])]
+        votes = predict_many(_one_tree_model(tree, 4), X[boot]).tolist()
         assert votes == y01[boot].tolist()
 
 
@@ -162,19 +160,15 @@ def _one_tree_model(tree, n_features):
 
 
 def test_leaf_tie_votes_disagreement():
-    assert predict(_one_tree_model(_leaf_tree(1, 2), 1), [0.0]).p_disagreement == 1.0
+    assert predict(_one_tree_model(_leaf_tree(1, 2), 1), [0.0]) == 1.0
 
 
 def test_vote_share_arithmetic():
     model = _hand_model([_leaf_tree(1, 1)] * 20 + [_leaf_tree(0, 1)] * 5)
-    result = predict(model, [0.0])
-    assert result.p_disagreement == 0.8
-    assert result.label is D
+    assert predict(model, [0.0]) == 0.8
 
     model = _hand_model([_leaf_tree(0, 1)] * 25)
-    result = predict(model, [0.0])
-    assert result.p_disagreement == 0.0
-    assert result.label is A
+    assert predict(model, [0.0]) == 0.0
 
 
 def test_min_leaf_size_respected():
@@ -223,9 +217,7 @@ def test_save_load_round_trip(tmp_path):
     save_model(model, path)
     restored = load_model(path)
     probe = np.random.default_rng(17).uniform(-2, 2, size=(1000, 1))
-    assert [p.p_disagreement for p in predict_many(model, probe)] == [
-        p.p_disagreement for p in predict_many(restored, probe)
-    ]
+    assert predict_many(model, probe).tolist() == predict_many(restored, probe).tolist()
     assert restored.config == model.config
 
 
@@ -242,6 +234,18 @@ def test_load_rejects_corrupted_file(tmp_path):
     path.write_text(json.dumps({"format": "crowd-consensus-forest", "version": 99}))
     with pytest.raises(FormatVersionMismatch):
         load_model(path)
+
+
+def test_unparsable_model_file_exits_two(tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus_jsonl(make_planted_corpus(40, seed=3), corpus_path)
+    path = tmp_path / "model.json"
+    for content in (b"[" * 200_000, b'{"format": "\xff"}', b"1" * 5000):
+        path.write_bytes(content)
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+        assert main(["eval", "--corpus", str(corpus_path), "--model", str(path),
+                     "--out-dir", str(tmp_path)]) == 2
 
 
 def test_load_empty_path_is_io_error():
