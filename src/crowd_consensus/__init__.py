@@ -10,7 +10,6 @@ from .allocation import (
     AllocationPlan,
     DiversityReport,
     SweepRow,
-    diversity_score,
     expected_capture,
     make_plan,
     oracle_ranking,
@@ -22,12 +21,10 @@ from .allocation import (
 from .answers import (
     AgreementLabel,
     AgreementRates,
-    ValidAnswerSet,
     agreement_by_answer_type,
     agreement_label,
     diversity_histogram,
     normalize_answer,
-    valid_answers,
 )
 from .corpus import (
     Corpus,
@@ -49,11 +46,9 @@ from .features import (
     FeatureMode,
     Vocabularies,
     build_vocabularies,
-    extract_features,
     extract_matrix,
     feature_dimension,
     load_vocabularies,
-    save_feature_matrix_csv,
     save_vocabularies,
     tokenize_question,
 )
@@ -87,7 +82,6 @@ __all__ = [
     "ImageFeatureTable",
     "PrCurve",
     "SweepRow",
-    "ValidAnswerSet",
     "VisualQuestion",
     "Vocabularies",
     "agreement_by_answer_type",
@@ -95,9 +89,7 @@ __all__ = [
     "average_precision",
     "build_vocabularies",
     "diversity_histogram",
-    "diversity_score",
     "expected_capture",
-    "extract_features",
     "extract_matrix",
     "feature_dimension",
     "gini_impurity",
@@ -115,7 +107,6 @@ __all__ = [
     "predict_many",
     "rank_by_disagreement",
     "save_corpus_jsonl",
-    "save_feature_matrix_csv",
     "save_model",
     "save_vocabularies",
     "simulate_collection",
@@ -124,5 +115,4 @@ __all__ = [
     "sweep",
     "tokenize_question",
     "train_forest",
-    "valid_answers",
 ]

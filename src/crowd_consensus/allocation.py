@@ -91,16 +91,6 @@ def make_plan(ranking: Sequence[int], budget: int, s: int = 1, r: int = 5) -> Al
     return AllocationPlan(ranking=list(ranking), budget=budget, s=s, r=r)
 
 
-def diversity_score(
-    collected: Mapping[int, AbstractSet[str]],
-    truth: Mapping[int, AbstractSet[str]],
-) -> int:
-    """Total ground-truth answers hit: sum over questions of |collected & truth|."""
-    if collected.keys() != truth.keys():
-        raise KeyMismatch("collected and truth cover different question ids")
-    return sum(len(set(collected[qid]) & set(truth[qid])) for qid in truth)
-
-
 def _hit_ways(pool_size: int, sample_size: int) -> tuple[int, list[int]]:
     """C(A, n), and per count c = 0..A the n-of-A draws that hit an answer
     given c times: all but the C(A - c, n) that miss it."""

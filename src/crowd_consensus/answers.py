@@ -1,4 +1,9 @@
-"""Answer normalization, valid-answer sets, and crowd agreement statistics."""
+"""Answer normalization, agreement labels, and crowd agreement statistics.
+
+A label is one bool per question, True for disagreement. AgreementLabel
+names the two values for single pools and for the predictions.csv label
+column; it is an IntEnum, so a sequence of its members converts to 0/1.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ import enum
 import re
 import string
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,11 +41,11 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _DIGIT_COMMA = re.compile(r"(?<=\d),(?=\d)")
 
 
-class AgreementLabel(enum.Enum):
+class AgreementLabel(enum.IntEnum):
     """Whether a crowd converges on a single answer for a question."""
 
-    AGREEMENT = "agreement"
-    DISAGREEMENT = "disagreement"
+    AGREEMENT = 0
+    DISAGREEMENT = 1
 
 
 def _normalize_pass(text: str) -> str:
@@ -103,42 +108,29 @@ class AnswerTable:
         """Per pool: number of distinct normalized answers given at least m times."""
         return (self.counts >= m).sum(axis=1)
 
-    def labels(self) -> list[AgreementLabel]:
-        """Agreement iff the modal answer covers at least A - 1 of the A answers."""
+    def labels(self) -> np.ndarray:
+        """(n,) bool, True for disagreement: the modal answer covers fewer than A - 1 of A."""
         a = self.codes.shape[1]
         if a < 2:
             raise AnswerCountMismatch(f"need at least 2 answers, got {a}")
-        agree = self.counts.max(axis=1, initial=0) >= a - 1
-        return [AgreementLabel.AGREEMENT if x else AgreementLabel.DISAGREEMENT for x in agree]
+        return self.counts.max(axis=1, initial=0) < a - 1
 
 
-def is_disagreement(labels) -> np.ndarray:
-    """Boolean array: DISAGREEMENT labels (or truthy plain values) are True."""
-    return np.array([
-        x is AgreementLabel.DISAGREEMENT if isinstance(x, AgreementLabel) else bool(x)
-        for x in labels
-    ], dtype=bool)
+def disagreement_mask(labels) -> np.ndarray:
+    """Labels as an (n,) bool array, True for disagreement.
 
-
-@dataclass(frozen=True)
-class ValidAnswerSet:
-    """Normalized answers given by at least ``m`` people, with all tallies."""
-
-    answers: frozenset[str]
-    m: int
-    counts: Mapping[str, int]
-
-
-def valid_answers(raw_answers: Sequence[str], m: int) -> ValidAnswerSet:
-    """Normalize, tally, and keep answers observed at least ``m`` times."""
-    a = len(raw_answers)
-    if m < 1 or m > a:
-        raise InvalidThreshold(f"m must be in [1, {a}], got {m}")
-    table = AnswerTable.from_pools([raw_answers], a)
-    # One pool's first occurrences run through the vocabulary in order.
-    counts = dict(zip(table.vocabulary, table.counts[table.counts > 0].tolist()))
-    kept = frozenset(ans for ans, c in counts.items() if c >= m)
-    return ValidAnswerSet(answers=kept, m=m, counts=counts)
+    Accepts a bool array, 0/1 integers or AgreementLabel members; anything
+    else (strings, floats, plain objects) raises ValueError rather than
+    being read by truthiness.
+    """
+    y = np.asarray(labels)
+    if y.ndim != 1:
+        raise ValueError(f"labels must be one-dimensional, got shape {y.shape}")
+    if y.size == 0 or y.dtype == bool:
+        return y.astype(bool)
+    if y.dtype.kind not in "iu" or not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be bools, 0/1 integers or AgreementLabel members")
+    return y == 1
 
 
 def agreement_label(raw_answers: Sequence[str]) -> AgreementLabel:
@@ -147,7 +139,8 @@ def agreement_label(raw_answers: Sequence[str]) -> AgreementLabel:
     With A stored answers the rule is: modal normalized-answer count
     >= A - 1, which tolerates a single careless or spam response.
     """
-    return AnswerTable.from_pools([raw_answers], len(raw_answers)).labels()[0]
+    [disagrees] = AnswerTable.from_pools([raw_answers], len(raw_answers)).labels()
+    return AgreementLabel(bool(disagrees))
 
 
 def diversity_histogram(corpus: Corpus, m: int) -> dict[int, int]:

@@ -284,12 +284,11 @@ def _model_predictions(args):
 def cmd_predict(args) -> int:
     corpus, scores = _model_predictions(args)
     out = _out_dir(args)
-    agree, disagree = AgreementLabel.AGREEMENT.value, AgreementLabel.DISAGREEMENT.value
     _write_csv(
         out / "predictions.csv",
         ["question_id", "p_disagreement", "label"],
         [
-            [qid, _fmt(p), disagree if p > 0.5 else agree]
+            [qid, _fmt(p), AgreementLabel(p > 0.5).name.lower()]
             for qid, p in zip(corpus.question_ids(), scores.tolist())
         ],
     )
@@ -316,7 +315,7 @@ def cmd_eval(args) -> int:
         _write_curve(
             out / f"pr_{stratum.replace('/', '_')}.csv",
             scores[rows],
-            [labels[i] for i in rows],
+            labels[rows],
         )
     _write_run_config(out, args)
     return EXIT_OK

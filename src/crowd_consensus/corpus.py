@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     AnswerCountMismatch,
     InvalidProbability,
+    KeyMismatch,
     MissingAnnotation,
     ParseError,
 )
@@ -67,13 +68,6 @@ class Corpus:
     questions: tuple[VisualQuestion, ...]
     answers_per_question: int
     source_tag: str = field(default="", compare=False)
-    _index: dict[int, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
-        for pos, vq in enumerate(self.questions):
-            self._index[vq.question_id] = pos
 
     @classmethod
     def from_questions(
@@ -122,12 +116,6 @@ class Corpus:
     def __iter__(self) -> Iterator[VisualQuestion]:
         return iter(self.questions)
 
-    def get(self, question_id: int) -> VisualQuestion:
-        return self.questions[self._index[question_id]]
-
-    def __contains__(self, question_id: int) -> bool:
-        return question_id in self._index
-
     def question_ids(self) -> tuple[int, ...]:
         return tuple(vq.question_id for vq in self.questions)
 
@@ -139,9 +127,18 @@ class Corpus:
         return AnswerTable.from_pools([vq.raw_answers for vq in self], self.answers_per_question)
 
     def subset(self, question_ids: Iterable[int]) -> "Corpus":
-        """New corpus restricted to the given ids (re-sorted ascending)."""
-        picked = [self.get(qid) for qid in question_ids]
-        picked.sort(key=lambda vq: vq.question_id)
+        """New corpus of the given ids, re-sorted ascending.
+
+        Raises KeyMismatch if an id repeats or is not in this corpus.
+        """
+        ids = list(question_ids)
+        wanted = set(ids)
+        if len(wanted) != len(ids):
+            raise KeyMismatch("subset lists a question id more than once")
+        picked = sorted((vq for vq in self if vq.question_id in wanted),
+                        key=lambda vq: vq.question_id)
+        if len(picked) != len(wanted):
+            raise KeyMismatch(f"{len(wanted) - len(picked)} subset ids are not in the corpus")
         return Corpus(tuple(picked), self.answers_per_question, self.source_tag)
 
 

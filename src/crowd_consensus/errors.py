@@ -62,4 +62,4 @@ class InvalidCounts(CrowdConsensusError):
 
 
 class KeyMismatch(CrowdConsensusError):
-    """Two question-id maps, or an ordering and the corpus rows, cover different questions."""
+    """Question ids or an ordering of rows do not match the corpus they index."""

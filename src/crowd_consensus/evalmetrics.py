@@ -1,10 +1,11 @@
 """Precision-recall curves, average precision, and stratified reports.
 
-Disagreement is the positive class throughout: precision guards against
-wasting redundant answer collection, recall against missing questions
-that genuinely elicit diverse answers. Items sharing a score enter the
-ranking as one threshold group, which makes every metric independent of
-input order.
+Disagreement is the positive class throughout; labels are read by
+answers.disagreement_mask, so True or 1 is disagreement. Precision
+guards against wasting redundant answer collection, recall against
+missing questions that genuinely elicit diverse answers. Items sharing
+a score enter the ranking as one threshold group, which makes every
+metric independent of input order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .answers import is_disagreement
+from .answers import disagreement_mask
 from .corpus import rows_by_stratum
 from .errors import LengthMismatch, NoPositives
 
@@ -45,9 +46,9 @@ class EvalReport:
 
 def _grouped_counts(scores, labels):
     """Per threshold group (descending score): threshold, cum TP, cum predicted."""
-    if len(scores) != len(labels):
-        raise LengthMismatch(f"{len(scores)} scores vs {len(labels)} labels")
-    pos = is_disagreement(labels)
+    pos = disagreement_mask(labels)
+    if len(scores) != len(pos):
+        raise LengthMismatch(f"{len(scores)} scores vs {len(pos)} labels")
     n_pos = int(pos.sum())
     if n_pos == 0:
         raise NoPositives("no disagreement-labeled items to rank")
@@ -88,6 +89,8 @@ def stratified_eval(
     only the overall number is reported. Strata without a positive item
     are left out of ap_by_type rather than scored zero.
     """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = disagreement_mask(labels)
     if not (len(scores) == len(labels) == len(answer_types)):
         raise LengthMismatch(
             f"{len(scores)} scores vs {len(labels)} labels vs "
@@ -102,12 +105,8 @@ def stratified_eval(
     n_by_type: dict[str, int] = {}
     for stratum, rows in rows_by_type.items():
         n_by_type[stratum] = len(rows)
-        stratum_labels = [labels[i] for i in rows]
-        if not is_disagreement(stratum_labels).any():
-            continue
-        ap_by_type[stratum] = average_precision(
-            [scores[i] for i in rows], stratum_labels
-        )
+        if labels[rows].any():
+            ap_by_type[stratum] = average_precision(scores[rows], labels[rows])
     return EvalReport(
         ap_overall=overall,
         ap_by_type=ap_by_type,

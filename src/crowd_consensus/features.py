@@ -12,7 +12,7 @@ integer codes, plus a map from every descriptor column to its source, so
 a question costs at most 56 bytes (six floats, two int32 codes) however
 large the vocabularies are. The forest trains and predicts on this
 encoding directly; np.asarray(matrix) builds the dense descriptor matrix
-when one is needed (for export, or for code that expects a plain array).
+when one is needed (for code that expects a plain array).
 """
 
 from __future__ import annotations
@@ -226,36 +226,6 @@ def extract_matrix(
         codes=codes,
         source=np.array(source, dtype=np.int64),
     )
-
-
-def extract_features(
-    vq: VisualQuestion,
-    vocab: Vocabularies,
-    table: ImageFeatureTable | None = None,
-    mode: FeatureMode = FeatureMode.QI,
-    layout: str = "truncated",
-) -> np.ndarray:
-    """One question's dense descriptor: a one-row extract_matrix."""
-    return np.asarray(extract_matrix([vq], vocab, table, mode, layout))[0]
-
-
-def save_feature_matrix_csv(matrix, path: str | Path, question_ids=None) -> None:
-    """Dump a feature matrix as CSV, optionally keyed by question id."""
-    matrix = np.asarray(matrix)
-    columns = [f"f{i}" for i in range(matrix.shape[1])]
-    with open(path, "w", encoding="utf-8") as fh:
-        if question_ids is not None:
-            if len(question_ids) != len(matrix):
-                raise ValueError(
-                    f"{len(question_ids)} ids for {len(matrix)} feature rows"
-                )
-            fh.write(",".join(["question_id"] + columns) + "\n")
-            for qid, row in zip(question_ids, matrix):
-                fh.write(",".join([str(qid)] + [repr(v) for v in row.tolist()]) + "\n")
-        else:
-            fh.write(",".join(columns) + "\n")
-            for row in matrix:
-                fh.write(",".join(repr(v) for v in row.tolist()) + "\n")
 
 
 def save_vocabularies(vocab: Vocabularies, path: str | Path) -> None:

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .answers import is_disagreement
+from .answers import disagreement_mask
 from .errors import (
     DimensionMismatch,
     EmptyNode,
@@ -123,18 +123,18 @@ def train_forest(
 
     X is a FeatureMatrix from extract_matrix, or any (n, d) array (or
     sequence of d-vectors), whose columns are then all numeric; y holds
-    AgreementLabel values (or anything truthy for disagreement). Each tree
-    draws its own bootstrap sample of size n. Given identical data and
-    config the result is identical, and a FeatureMatrix grows the same
-    trees as its dense np.asarray form.
+    one label per row, read by answers.disagreement_mask (True or 1 is
+    disagreement). Each tree draws its own bootstrap sample of size n.
+    Given identical data and config the result is identical, and a
+    FeatureMatrix grows the same trees as its dense np.asarray form.
     """
     X = _encoded(X)
     n, d = X.shape
     if n < 2:
         raise EmptyTrainingSet(f"need at least 2 training examples, got {n}")
-    if len(y) != n:
-        raise DimensionMismatch(f"got {n} feature rows but {len(y)} labels")
-    y01 = is_disagreement(y).astype(np.uint8)
+    y01 = disagreement_mask(y).astype(np.uint8)
+    if len(y01) != n:
+        raise DimensionMismatch(f"got {n} feature rows but {len(y01)} labels")
     if config.features_per_split is not None and config.features_per_split > d:
         raise DimensionMismatch(
             f"features_per_split={config.features_per_split} exceeds {d} features"
@@ -391,10 +391,11 @@ def load_model(path: str | Path) -> ForestModel:
     """Read a model file; predictions round-trip bit-exactly.
 
     Besides format and version, the tree structure that prediction walks
-    is checked: child indices point forward inside their tree, features
-    index the model's columns, thresholds are finite, leaf vote counts
-    are consistent and vocabulary words are distinct strings. Any
-    violation raises FormatVersionMismatch.
+    is checked: config values are integers (or null where the default
+    is), child indices point forward inside their tree, features index
+    the model's columns, thresholds are finite, leaf vote counts are
+    consistent and vocabulary words are distinct strings. Any violation
+    raises FormatVersionMismatch.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # ValueError includes JSONDecodeError and UnicodeDecodeError.
@@ -420,6 +421,12 @@ def load_model(path: str | Path) -> ForestModel:
                 f"imply {feature_dimension(vocab, mode, layout)}"
             )
         config = ForestConfig(**doc["config"])
+        for f in fields(config):
+            value = getattr(config, f.name)
+            # A bool or float that compares like a valid int is still rejected;
+            # None is allowed exactly where it is the field's default.
+            if type(value) is not int and not (value is None and f.default is None):
+                raise ValueError(f"config {f.name} must be an integer, got {value!r}")
         trees = tuple(_tree_from_doc(t, n_features) for t in doc["trees"])
         if len(trees) != config.n_trees:
             raise ValueError(f"{len(trees)} trees but config.n_trees is {config.n_trees}")

@@ -8,7 +8,6 @@ import pytest
 
 from crowd_consensus import (
     Corpus,
-    diversity_score,
     expected_capture,
     make_plan,
     make_random_corpus,
@@ -106,18 +105,6 @@ def test_make_plan_validation():
         make_plan([1, 2], budget=1, s=0, r=5)
     with pytest.raises(InvalidCounts):
         make_plan([1, 2], budget=1, s=5, r=5)
-
-
-def test_diversity_score():
-    truth = {1: {"a", "b"}, 2: {"c"}}
-    assert diversity_score({1: {"a"}, 2: set()}, truth) == 1
-    assert diversity_score({1: {"a", "b", "x"}, 2: {"c"}}, truth) == 3
-    assert diversity_score({1: {"z"}, 2: {"y"}}, truth) == 0
-
-
-def test_diversity_score_key_mismatch():
-    with pytest.raises(KeyMismatch):
-        diversity_score({1: {"a"}}, {1: {"a"}, 2: {"b"}})
 
 
 def test_expected_capture_certain():

@@ -12,8 +12,8 @@ from crowd_consensus import (
     agreement_label,
     diversity_histogram,
     normalize_answer,
-    valid_answers,
 )
+from crowd_consensus.answers import AnswerTable
 from crowd_consensus.errors import AnswerCountMismatch, InvalidThreshold
 
 from conftest import vq
@@ -102,31 +102,41 @@ def test_normalization_idempotent_property(s):
     assert normalize_answer(once) == once
 
 
+def valid_answers(pool, m):
+    """The normalized answers one pool gives at least m times, read from its AnswerTable."""
+    table = AnswerTable.from_pools([pool], len(pool))
+    kept = table.counts[0] >= m
+    assert table.distinct_at_least(m)[0] == kept.sum()
+    return {table.vocabulary[c] for c in table.codes[0][kept]}
+
+
 def test_valid_answers_thresholds():
     pool = ["yes"] * 5 + ["no"] * 3 + ["maybe"] * 2
-    assert valid_answers(pool, m=2).answers == {"yes", "no", "maybe"}
-    assert valid_answers(pool, m=3).answers == {"yes", "no"}
-    assert valid_answers(pool, m=1).answers == {"yes", "no", "maybe"}
+    assert valid_answers(pool, m=2) == {"yes", "no", "maybe"}
+    assert valid_answers(pool, m=3) == {"yes", "no"}
+    assert valid_answers(pool, m=1) == {"yes", "no", "maybe"}
 
 
 def test_valid_answers_all_distinct_empty_at_two():
     pool = [f"word{i}" for i in range(10)]
-    assert valid_answers(pool, m=2).answers == frozenset()
+    assert valid_answers(pool, m=2) == set()
 
 
 def test_valid_answers_counts_cover_all_answers():
     pool = ["yes"] * 5 + ["no"] * 3 + ["maybe"] * 2
-    result = valid_answers(pool, m=3)
-    assert sum(result.counts.values()) == len(pool)
-    assert result.counts["maybe"] == 2  # invalid answers still tallied
+    table = AnswerTable.from_pools([pool], len(pool))
+    counts = dict(zip(table.vocabulary, table.counts[table.counts > 0].tolist()))
+    assert sum(counts.values()) == len(pool)
+    assert counts["maybe"] == 2  # answers below a threshold are still tallied
+    assert table.distinct_at_least(3).tolist() == [2]
 
 
 def test_valid_answers_threshold_validation():
-    pool = ["yes"] * 10
+    corpus = Corpus.from_questions([vq(1, "is it", ["yes"] * 10)])
     with pytest.raises(InvalidThreshold):
-        valid_answers(pool, m=0)
+        diversity_histogram(corpus, m=0)
     with pytest.raises(InvalidThreshold):
-        valid_answers(pool, m=11)
+        diversity_histogram(corpus, m=11)
 
 
 def test_agreement_label_rule():
@@ -153,7 +163,7 @@ def test_agreement_and_valid_answers_permutation_invariant(pool, rnd):
     shuffled = list(pool)
     rnd.shuffle(shuffled)
     assert agreement_label(shuffled) is agreement_label(pool)
-    assert valid_answers(shuffled, 2).answers == valid_answers(pool, 2).answers
+    assert valid_answers(shuffled, 2) == valid_answers(pool, 2)
 
 
 @given(st.lists(st.sampled_from(["a1", "b2", "c3", "d4"]), min_size=4, max_size=10))
@@ -161,7 +171,7 @@ def test_agreement_and_valid_answers_permutation_invariant(pool, rnd):
 def test_valid_answers_monotone_in_threshold(pool):
     previous = None
     for m in range(1, len(pool) + 1):
-        current = valid_answers(pool, m).answers
+        current = valid_answers(pool, m)
         if previous is not None:
             assert current <= previous
         previous = current
@@ -171,7 +181,7 @@ def test_valid_answers_monotone_in_threshold(pool):
 @settings(max_examples=100, deadline=None)
 def test_agreement_implies_single_valid_answer_at_two(pool):
     if agreement_label(pool) is AgreementLabel.AGREEMENT:
-        assert len(valid_answers(pool, 2).answers) == 1
+        assert len(valid_answers(pool, 2)) == 1
 
 
 def _three_question_corpus():
@@ -246,15 +256,16 @@ def test_answer_table_matches_single_pool_functions(corpus):
     table = corpus.answer_table
     a = corpus.answers_per_question
     labels = table.labels()
+    assert labels.dtype == bool and labels.shape == (len(corpus),)
     buckets = {m: table.distinct_at_least(m).tolist() for m in range(1, a + 1)}
     for row, q in enumerate(corpus):
-        assert labels[row] is agreement_label(q.raw_answers)
-        modal = max(Counter(normalize_answer(ans) for ans in q.raw_answers).values())
-        assert table.counts[row].max() == modal
+        assert AgreementLabel(labels[row]) is agreement_label(q.raw_answers)
+        tally = Counter(normalize_answer(ans) for ans in q.raw_answers).values()
+        assert table.counts[row].max() == max(tally)
         for m in range(1, a + 1):
-            assert buckets[m][row] == len(valid_answers(q.raw_answers, m).answers)
-        truth = valid_answers(q.raw_answers, 2).answers
-        assert table.distinct_at_least(2)[row] == len(truth)
+            assert buckets[m][row] == sum(c >= m for c in tally)
+        truth = sum(c >= 2 for c in tally)
+        assert table.distinct_at_least(2)[row] == truth
         assert {table.vocabulary[c] for c in table.codes[row]} == {
             normalize_answer(ans) for ans in q.raw_answers
         }

@@ -12,6 +12,7 @@ from crowd_consensus.corpus import UNIFORM_SALIENCY
 from crowd_consensus.errors import (
     AnswerCountMismatch,
     InvalidProbability,
+    KeyMismatch,
     MissingAnnotation,
     ParseError,
 )
@@ -38,7 +39,8 @@ def test_load_jsonl(tmp_path):
     corpus = load_corpus(path)
     assert len(corpus) == 3
     assert corpus.answers_per_question == 10
-    assert corpus.get(1).image_id == 101
+    assert corpus.questions[1].question_id == 1
+    assert corpus.questions[1].image_id == 101
 
 
 def test_load_jsonl_orders_by_question_id(tmp_path):
@@ -68,7 +70,7 @@ def test_answer_count_mismatch(tmp_path):
         load_corpus(path)
     corpus = load_corpus(path, skip_malformed=True)
     assert len(corpus) == 2
-    assert 2 not in corpus
+    assert 2 not in corpus.question_ids()
 
 
 def test_jsonl_parse_errors(tmp_path):
@@ -139,8 +141,10 @@ def test_load_vqa_v1_json(tmp_path, mixed_corpus):
     q_path, a_path = _write_vqa_pair(tmp_path, mixed_corpus)
     corpus = load_corpus(q_path, a_path, format="vqa_v1_json")
     assert len(corpus) == len(mixed_corpus)
-    assert corpus.get(3).raw_answers == mixed_corpus.get(3).raw_answers
-    assert corpus.get(3).answer_type == "number"
+    assert corpus.question_ids() == mixed_corpus.question_ids()
+    row = corpus.question_ids().index(3)
+    assert corpus.questions[row].raw_answers == mixed_corpus.questions[row].raw_answers
+    assert corpus.questions[row].answer_type == "number"
 
 
 def test_vqa_missing_annotation(tmp_path, mixed_corpus):
@@ -159,6 +163,10 @@ def test_corpus_subset(mixed_corpus):
     sub = mixed_corpus.subset([5, 2])
     assert sub.question_ids() == (2, 5)
     assert sub.answers_per_question == mixed_corpus.answers_per_question
+    with pytest.raises(KeyMismatch, match="more than once"):
+        mixed_corpus.subset([2, 5, 2])
+    with pytest.raises(KeyMismatch, match="not in the corpus"):
+        mixed_corpus.subset([2, 10**6])
 
 
 def test_duplicate_question_ids_rejected():

@@ -58,6 +58,29 @@ def test_pr_errors():
         pr_curve([0.5], [A, D])
     with pytest.raises(NoPositives):
         average_precision([], [])
+    with pytest.raises(NoPositives):
+        pr_curve([], np.array([], dtype=bool))
+    # Labels of another kind are refused, not read by truthiness.
+    for labels in (["agreement", "disagreement"], [0.0, 1.0], [0, 2], [[0, 1]]):
+        with pytest.raises(ValueError, match="labels"):
+            average_precision([0.9, 0.1], labels)
+        with pytest.raises(ValueError, match="labels"):
+            pr_curve([0.9, 0.1], labels)
+        with pytest.raises(ValueError, match="labels"):
+            stratified_eval([0.9, 0.1], labels, ["other", "other"])
+
+
+def test_label_forms_give_identical_metrics():
+    rng = np.random.default_rng(21)
+    scores = rng.choice([0.1, 0.4, 0.6, 0.9], size=60).tolist()
+    as_bool = rng.random(60) < 0.4
+    types = rng.choice(["yes/no", "number", "other"], size=60).tolist()
+    forms = ([D if v else A for v in as_bool], as_bool, as_bool.astype(int).tolist())
+    results = [
+        (average_precision(scores, y), pr_curve(scores, y), stratified_eval(scores, y, types))
+        for y in forms
+    ]
+    assert results[0] == results[1] == results[2]
 
 
 def test_average_precision_hand_computation():

@@ -8,7 +8,6 @@ from crowd_consensus import (
     FeatureMode,
     ImageFeatureTable,
     build_vocabularies,
-    extract_features,
     extract_matrix,
     feature_dimension,
     load_vocabularies,
@@ -28,6 +27,11 @@ def test_tokenize_question():
 def test_tokenize_empty_question():
     with pytest.raises(EmptyQuestion):
         tokenize_question("  ?? ")
+
+
+def extract_features(vq, vocab, table=None, mode=FeatureMode.QI, layout="truncated"):
+    """One question's dense descriptor: a one-row extract_matrix."""
+    return np.asarray(extract_matrix([vq], vocab, table, mode, layout))[0]
 
 
 @pytest.fixture
@@ -141,24 +145,6 @@ def test_bad_layout_rejected(small_corpus):
     vocab = build_vocabularies(small_corpus)
     with pytest.raises(ValueError):
         extract_features(vq(9, "what is x", ["a1"] * 10), vocab, layout="padded")
-
-
-def test_feature_matrix_csv_export(tmp_path, small_corpus):
-    from crowd_consensus import save_feature_matrix_csv
-
-    vocab = build_vocabularies(small_corpus)
-    X = extract_matrix(small_corpus, vocab, mode=FeatureMode.Q)
-    path = tmp_path / "features.csv"
-    save_feature_matrix_csv(X, path, question_ids=small_corpus.question_ids())
-    lines = path.read_text().splitlines()
-    assert lines[0].split(",")[:2] == ["question_id", "f0"]
-    assert len(lines) == 1 + len(small_corpus)
-    reloaded = np.array(
-        [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
-    )
-    np.testing.assert_array_equal(reloaded, X)
-    with pytest.raises(ValueError):
-        save_feature_matrix_csv(X, path, question_ids=[1])
 
 
 def test_vocabularies_json_round_trip(tmp_path, small_corpus):

@@ -185,15 +185,31 @@ def test_max_depth_zero_gives_stumps():
     assert all(tree.n_nodes() == 1 for tree in model.trees)
 
 
+def test_label_forms_grow_identical_trees(tmp_path):
+    X, y = separable_data(n=120, seed=11)
+    as_bool = np.array([label is D for label in y])
+    written = []
+    for labels in (y, as_bool, as_bool.astype(int).tolist()):
+        path = tmp_path / f"model{len(written)}.json"
+        save_model(train_forest(X, labels, ForestConfig(n_trees=5, seed=4)), path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
 def test_training_set_errors():
     with pytest.raises(EmptyTrainingSet):
         train_forest(np.empty((0, 2)), [], ForestConfig())
+    with pytest.raises(EmptyTrainingSet):
+        train_forest(np.empty((0, 2)), np.array([], dtype=bool), ForestConfig())
     with pytest.raises(EmptyTrainingSet):
         train_forest([[1.0]], [A], ForestConfig())
     with pytest.raises(DimensionMismatch):
         train_forest([[1.0], [2.0]], [A], ForestConfig())
     with pytest.raises(DimensionMismatch):
         train_forest([[1.0], [2.0]], [A, D], ForestConfig(features_per_split=3))
+    for labels in (["agreement", "disagreement"], [0.0, 1.0], [0, 2]):
+        with pytest.raises(ValueError, match="labels"):
+            train_forest([[1.0], [2.0]], labels, ForestConfig())
 
 
 def test_vocab_dimension_check():
@@ -316,6 +332,13 @@ def _set_leaf(key, value):
     pytest.param(lambda doc: doc["vocab"]["first"].__setitem__(1, doc["vocab"]["first"][0]),
                  id="vocab-word-repeated"),
     pytest.param(lambda doc: doc["vocab"]["second"].__setitem__(0, 7), id="vocab-word-not-string"),
+    pytest.param(lambda doc: doc["config"].update(n_trees=3.0), id="config-n-trees-float"),
+    pytest.param(lambda doc: doc["config"].update(seed=True), id="config-seed-bool"),
+    pytest.param(lambda doc: doc["config"].update(min_leaf_size=1.5),
+                 id="config-min-leaf-size-float"),
+    pytest.param(lambda doc: doc["config"].update(max_depth=2.0), id="config-max-depth-float"),
+    pytest.param(lambda doc: doc["config"].update(features_per_split=True),
+                 id="config-features-per-split-bool"),
 ])
 def test_load_rejects_inconsistent_model(tmp_path, model_doc, edit):
     with pytest.raises(FormatVersionMismatch):
