@@ -8,9 +8,7 @@ to decide how many answers to collect per question under a fixed budget.
 
 from .allocation import (
     AllocationPlan,
-    DiversityReport,
     SweepRow,
-    expected_capture,
     make_plan,
     oracle_ranking,
     rank_by_disagreement,
@@ -73,7 +71,6 @@ __all__ = [
     "AllocationPlan",
     "Corpus",
     "DecisionTree",
-    "DiversityReport",
     "EvalReport",
     "FeatureMatrix",
     "FeatureMode",
@@ -89,7 +86,6 @@ __all__ = [
     "average_precision",
     "build_vocabularies",
     "diversity_histogram",
-    "expected_capture",
     "extract_matrix",
     "feature_dimension",
     "gini_impurity",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -91,53 +91,14 @@ def make_plan(ranking: Sequence[int], budget: int, s: int = 1, r: int = 5) -> Al
     return AllocationPlan(ranking=list(ranking), budget=budget, s=s, r=r)
 
 
-def _hit_ways(pool_size: int, sample_size: int) -> tuple[int, list[int]]:
-    """C(A, n), and per count c = 0..A the n-of-A draws that hit an answer
-    given c times: all but the C(A - c, n) that miss it."""
-    ways = math.comb(pool_size, sample_size)
-    return ways, [ways - math.comb(pool_size - c, sample_size) for c in range(pool_size + 1)]
-
-
-def expected_capture(
-    answer_counts: Mapping[str, int],
-    truth: AbstractSet[str],
-    sample_size: int,
-    pool_size: int,
-) -> float:
-    """Expected truth answers hit by an n-of-A draw without replacement.
-
-    The expectation is summed exactly in integer arithmetic; dividing two
-    ints rounds once, correctly, so the result is precise for any pool size.
-    """
-    ways, hits = _hit_ways(pool_size, sample_size)
-    return sum(hits[answer_counts[ans]] for ans in truth) / ways
-
-
-@dataclass(frozen=True)
-class DiversityReport:
-    budget: int
-    diversity: float
-    max_diversity: int
-    answers_spent: int
-    mode: str
-    trials: int | None = None
-    seed: int | None = None
-
-    @property
-    def diversity_fraction(self) -> float:
-        if self.max_diversity == 0:
-            return 1.0
-        return self.diversity / self.max_diversity
-
-
 def simulate_collection(
     plan: AllocationPlan,
     corpus: Corpus,
     mode: str = "exact",
     trials: int = 1000,
     seed: int = 0,
-) -> DiversityReport:
-    """Score a plan against a corpus's stored answer pools.
+) -> SweepRow:
+    """Score a plan against a corpus's stored answer pools: sweep's row for it.
 
     "exact" computes the hypergeometric expectation of captured diversity
     and is deterministic. "mc" draws `trials` random collections from one
@@ -147,15 +108,7 @@ def simulate_collection(
     [row] = sweep(
         corpus, {"plan": [plan.ranking]}, [plan.budget], plan.s, plan.r, mode, trials, seed
     )
-    return DiversityReport(
-        budget=plan.budget,
-        diversity=row.diversity,
-        max_diversity=int(corpus.answer_table.distinct_at_least(TRUTH_MIN_COUNT).sum()),
-        answers_spent=row.answers_spent,
-        mode=mode,
-        trials=trials if mode == "mc" else None,
-        seed=seed if mode == "mc" else None,
-    )
+    return row
 
 
 @dataclass(frozen=True)
@@ -209,12 +162,17 @@ def sweep(
     # terms[k][row]: the row's capture under k answers, times D, as Python ints.
     table = corpus.answer_table
     if mode == "exact":
-        hit_ways = {k: _hit_ways(a, k) for k in (s, r)}
-        denominator = math.lcm(*(ways for ways, _ in hit_ways.values()))
+        ways = {k: math.comb(a, k) for k in (s, r)}
+        denominator = math.lcm(*ways.values())
         terms = {}
-        for k, (ways, hits) in hit_ways.items():
-            hits[:TRUTH_MIN_COUNT] = [0] * TRUTH_MIN_COUNT  # only truth answers count
-            scaled = np.array(hits, dtype=object) * (denominator // ways)
+        for k in (s, r):
+            # The k-of-A draws that hit an answer given c times: all but the
+            # C(A - c, k) that miss it; only truth answers (c >= 2) count.
+            hits = [
+                ways[k] - math.comb(a - c, k) if c >= TRUTH_MIN_COUNT else 0
+                for c in range(a + 1)
+            ]
+            scaled = np.array(hits, dtype=object) * (denominator // ways[k])
             terms[k] = scaled[table.counts].sum(axis=1)
     else:
         denominator, terms = trials, {k: np.zeros(n, dtype=object) for k in (s, r)}

@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_flags(p)
     p.add_argument("--image-features", help="saliency CSV (image_id,p0..p4)")
     p.add_argument("--mode", choices=[m.value for m in FeatureMode], default="qi")
-    p.add_argument("--layout", choices=["truncated", "zeroed"], default="truncated")
     p.add_argument("--trees", type=int, default=25)
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
@@ -252,15 +251,10 @@ def cmd_train(args) -> int:
     vocab = build_vocabularies(corpus)
     table = load_image_features(args.image_features) if args.image_features else None
     mode = FeatureMode(args.mode)
-    X = extract_matrix(corpus, vocab, table, mode, args.layout)
+    X = extract_matrix(corpus, vocab, table, mode)
     y = corpus.answer_table.labels()
     model = train_forest(
-        X,
-        y,
-        ForestConfig(n_trees=args.trees, seed=seed),
-        vocab=vocab,
-        feature_mode=mode,
-        layout=args.layout,
+        X, y, ForestConfig(n_trees=args.trees, seed=seed), vocab=vocab, feature_mode=mode
     )
     model_path = Path(args.model) if args.model else out / "model.json"
     _atomic_write(model_path, lambda tmp: save_model(model, tmp))
@@ -277,7 +271,7 @@ def _model_predictions(args):
         )
     corpus = _load(args)
     table = load_image_features(args.image_features) if args.image_features else None
-    X = extract_matrix(corpus, model.vocab, table, model.feature_mode, model.layout)
+    X = extract_matrix(corpus, model.vocab, table, model.feature_mode)
     return corpus, predict_many(model, X)
 
 

@@ -230,7 +230,10 @@ def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> list[VisualQue
 
     by_id: dict[int, dict] = {}
     for ann in annotations:
-        by_id[_field(ann, "question_id", str(annotations_path), int)] = ann
+        qid = _field(ann, "question_id", str(annotations_path), int)
+        if qid in by_id:
+            raise ParseError(f"{annotations_path}: duplicate annotation for question_id {qid}")
+        by_id[qid] = ann
 
     questions = []
     for q in records:

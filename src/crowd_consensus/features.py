@@ -3,8 +3,9 @@
 A question is described by its token count plus one-hot encodings of its
 first and second words against vocabularies learned from training data;
 an image contributes its five salient-object-count probabilities. The
-descriptor layout is [length | first-word one-hot | second-word one-hot |
-saliency probabilities].
+descriptor is [length | first-word one-hot | second-word one-hot |
+saliency probabilities], and a feature mode keeps only the blocks it
+reads: mode q the first three, mode i the last, mode qi all four.
 
 extract_matrix does not store the one-hot columns: a FeatureMatrix keeps
 the real-valued columns as floats and each question's two word ids as
@@ -32,10 +33,6 @@ from .errors import EmptyQuestion
 
 SALIENCY_DIM = 5
 
-#: Ablation layouts: "truncated" drops unused blocks from the vector,
-#: "zeroed" keeps the full dimension and zero-fills them.
-LAYOUTS = ("truncated", "zeroed")
-
 
 class FeatureMode(enum.Enum):
     """Which feature blocks a model consumes."""
@@ -51,6 +48,14 @@ def tokenize_question(question_text: str) -> list[str]:
     if not tokens:
         raise EmptyQuestion(f"question has no tokens: {question_text!r}")
     return tokens
+
+
+def _question_tokens(vq: VisualQuestion) -> list[str]:
+    """tokenize_question on a corpus question; EmptyQuestion names its id."""
+    try:
+        return tokenize_question(vq.question_text)
+    except EmptyQuestion as exc:
+        raise EmptyQuestion(f"question {vq.question_id}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,7 @@ def build_vocabularies(training_corpus: Corpus) -> Vocabularies:
     first: dict[str, None] = {}
     second: dict[str, None] = {}
     for vq in training_corpus:
-        try:
-            tokens = tokenize_question(vq.question_text)
-        except EmptyQuestion as exc:
-            raise EmptyQuestion(f"question {vq.question_id}: {exc}") from exc
+        tokens = _question_tokens(vq)
         first.setdefault(tokens[0])
         if len(tokens) > 1:
             second.setdefault(tokens[1])
@@ -113,25 +115,14 @@ def build_vocabularies(training_corpus: Corpus) -> Vocabularies:
     )
 
 
-def question_block_dim(vocab: Vocabularies) -> int:
-    return 1 + len(vocab.first_words) + len(vocab.second_words)
-
-
-def feature_dimension(vocab: Vocabularies, mode: FeatureMode, layout: str = "truncated") -> int:
-    """Width of the descriptor produced for the given mode and layout."""
-    _check_layout(layout)
-    if layout == "zeroed":
-        return question_block_dim(vocab) + SALIENCY_DIM
+def feature_dimension(vocab: Vocabularies, mode: FeatureMode) -> int:
+    """Width of the descriptor produced for the given mode."""
+    question = 1 + len(vocab.first_words) + len(vocab.second_words)
     if mode is FeatureMode.Q:
-        return question_block_dim(vocab)
+        return question
     if mode is FeatureMode.I:
         return SALIENCY_DIM
-    return question_block_dim(vocab) + SALIENCY_DIM
-
-
-def _check_layout(layout: str) -> None:
-    if layout not in LAYOUTS:
-        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
+    return question + SALIENCY_DIM
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,41 +174,37 @@ def extract_matrix(
     vocab: Vocabularies,
     table: ImageFeatureTable | None = None,
     mode: FeatureMode = FeatureMode.QI,
-    layout: str = "truncated",
 ) -> FeatureMatrix:
     """Encode descriptors for a whole corpus, rows in question-id order.
 
-    Out-of-vocabulary first/second words leave their one-hot block all
-    zero, as does a missing second word. Images absent from the table get
-    the uniform saliency fallback. In "zeroed" layout the unused mode's
-    blocks stay in place as zeros; in "truncated" layout they are omitted.
-    Question text is only tokenized when the mode reads it.
+    Only the mode's blocks are encoded (see the module docstring), and
+    question text is only tokenized when the mode reads it; EmptyQuestion
+    names the question. Out-of-vocabulary first/second words leave their
+    one-hot block all zero, as does a missing second word. Images absent
+    from the table get the uniform saliency fallback.
     """
-    _check_layout(layout)
     n = len(questions)
     numeric: list[np.ndarray] = []  # columns
     source: list[tuple[int, int]] = []
     codes = np.full((n, 2), -1, dtype=np.int32)
 
-    if mode is not FeatureMode.I or layout == "zeroed":
+    if mode is not FeatureMode.I:
         length = np.zeros(n)
-        if mode is not FeatureMode.I:
-            for row, vq in enumerate(questions):
-                tokens = tokenize_question(vq.question_text)
-                length[row] = len(tokens)
-                codes[row, 0] = vocab.first_index.get(tokens[0], -1)
-                if len(tokens) > 1:
-                    codes[row, 1] = vocab.second_index.get(tokens[1], -1)
+        for row, vq in enumerate(questions):
+            tokens = _question_tokens(vq)
+            length[row] = len(tokens)
+            codes[row, 0] = vocab.first_index.get(tokens[0], -1)
+            if len(tokens) > 1:
+                codes[row, 1] = vocab.second_index.get(tokens[1], -1)
         source.append((-1, len(numeric)))
         numeric.append(length)
         source += [(0, w) for w in range(len(vocab.first_words))]
         source += [(1, w) for w in range(len(vocab.second_words))]
 
-    if mode is not FeatureMode.Q or layout == "zeroed":
+    if mode is not FeatureMode.Q:
         probs = np.zeros((n, SALIENCY_DIM))
-        if mode is not FeatureMode.Q:
-            for row, vq in enumerate(questions):
-                probs[row] = table.get(vq.image_id) if table is not None else UNIFORM_SALIENCY
+        for row, vq in enumerate(questions):
+            probs[row] = table.get(vq.image_id) if table is not None else UNIFORM_SALIENCY
         source += [(-1, len(numeric) + k) for k in range(SALIENCY_DIM)]
         numeric.extend(probs.T)
 

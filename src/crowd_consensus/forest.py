@@ -35,16 +35,13 @@ from .errors import (
     EmptyTrainingSet,
     FormatVersionMismatch,
 )
-from .features import (
-    FeatureMatrix,
-    FeatureMode,
-    Vocabularies,
-    _check_layout,
-    feature_dimension,
-)
+from .features import FeatureMatrix, FeatureMode, Vocabularies, feature_dimension
 
 MODEL_FORMAT = "crowd-consensus-forest"
 MODEL_VERSION = 1
+
+#: The one descriptor layout model files record: each mode's unused blocks are left out.
+MODEL_LAYOUT = "truncated"
 
 
 def gini_impurity(class_counts: Sequence[int]) -> float:
@@ -106,7 +103,6 @@ class ForestModel:
     config: ForestConfig
     n_features: int
     feature_mode: FeatureMode = FeatureMode.QI
-    layout: str = "truncated"
     vocab: Vocabularies | None = None
 
 
@@ -117,7 +113,6 @@ def train_forest(
     *,
     vocab: Vocabularies | None = None,
     feature_mode: FeatureMode = FeatureMode.QI,
-    layout: str = "truncated",
 ) -> ForestModel:
     """Fit the ensemble.
 
@@ -140,7 +135,7 @@ def train_forest(
             f"features_per_split={config.features_per_split} exceeds {d} features"
         )
     if vocab is not None:
-        expected = feature_dimension(vocab, feature_mode, layout)
+        expected = feature_dimension(vocab, feature_mode)
         if expected != d:
             raise DimensionMismatch(
                 f"vocabularies imply {expected} features but X has {d}"
@@ -156,7 +151,6 @@ def train_forest(
         config=config,
         n_features=d,
         feature_mode=feature_mode,
-        layout=layout,
         vocab=vocab,
     )
 
@@ -368,7 +362,7 @@ def save_model(model: ForestModel, path: str | Path) -> None:
         "config": asdict(model.config),
         "n_features": model.n_features,
         "feature_mode": model.feature_mode.value,
-        "layout": model.layout,
+        "layout": MODEL_LAYOUT,
         "vocab": None if model.vocab is None else model.vocab.to_doc(),
         "trees": [
             {
@@ -392,10 +386,10 @@ def load_model(path: str | Path) -> ForestModel:
 
     Besides format and version, the tree structure that prediction walks
     is checked: config values are integers (or null where the default
-    is), child indices point forward inside their tree, features index
-    the model's columns, thresholds are finite, leaf vote counts are
-    consistent and vocabulary words are distinct strings. Any violation
-    raises FormatVersionMismatch.
+    is), the layout is MODEL_LAYOUT, child indices point forward inside
+    their tree, features index the model's columns, thresholds are
+    finite, leaf vote counts are consistent and vocabulary words are
+    distinct strings. Any violation raises FormatVersionMismatch.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # ValueError includes JSONDecodeError and UnicodeDecodeError.
@@ -410,15 +404,16 @@ def load_model(path: str | Path) -> ForestModel:
                 f"expected {MODEL_FORMAT!r} v{MODEL_VERSION}"
             )
         vocab = None if doc["vocab"] is None else Vocabularies.from_doc(doc["vocab"])
-        mode, layout = FeatureMode(doc["feature_mode"]), doc["layout"]
+        mode = FeatureMode(doc["feature_mode"])
+        if doc["layout"] != MODEL_LAYOUT:
+            raise ValueError(f"layout must be {MODEL_LAYOUT!r}, got {doc['layout']!r}")
         n_features = doc["n_features"]
         if type(n_features) is not int or not 1 <= n_features < 2**31:
             raise ValueError(f"n_features must be an integer in [1, 2**31), got {n_features!r}")
-        _check_layout(layout)
-        if vocab is not None and n_features != feature_dimension(vocab, mode, layout):
+        if vocab is not None and n_features != feature_dimension(vocab, mode):
             raise ValueError(
-                f"n_features is {n_features} but the vocabularies, mode and layout "
-                f"imply {feature_dimension(vocab, mode, layout)}"
+                f"n_features is {n_features} but the vocabularies and mode "
+                f"imply {feature_dimension(vocab, mode)}"
             )
         config = ForestConfig(**doc["config"])
         for f in fields(config):
@@ -435,7 +430,6 @@ def load_model(path: str | Path) -> ForestModel:
             config=config,
             n_features=n_features,
             feature_mode=mode,
-            layout=layout,
             vocab=vocab,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

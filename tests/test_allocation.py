@@ -8,7 +8,6 @@ import pytest
 
 from crowd_consensus import (
     Corpus,
-    expected_capture,
     make_plan,
     make_random_corpus,
     oracle_ranking,
@@ -107,47 +106,26 @@ def test_make_plan_validation():
         make_plan([1, 2], budget=1, s=5, r=5)
 
 
-def test_expected_capture_certain():
-    assert expected_capture({"yes": 10}, {"yes"}, sample_size=1, pool_size=10) == 1.0
-    assert expected_capture({"yes": 10}, {"yes"}, sample_size=5, pool_size=10) == 1.0
-
-
-def test_expected_capture_hand_computation():
-    # One certain answer plus one with 2 of 10 copies, sampling 5.
-    value = expected_capture({"yes": 8, "no": 2}, {"yes", "no"}, 5, 10)
-    assert value == pytest.approx(1 + (1 - math.comb(8, 5) / math.comb(10, 5)), abs=1e-12)
-
-
-def test_expected_capture_full_pool_is_exact():
-    counts = {"a": 4, "b": 3, "c": 2, "d": 1}
-    truth = {"a", "b", "c"}
-    assert expected_capture(counts, truth, 10, 10) == pytest.approx(len(truth))
-
-
-def test_expected_capture_bounds():
-    import numpy as np
-
-    rng = np.random.default_rng(6)
-    for _ in range(300):
-        a = int(rng.integers(2, 15))
-        pool = [f"w{rng.integers(4)}" for _ in range(a)]
-        counts = {w: pool.count(w) for w in set(pool)}
-        truth = {w for w, c in counts.items() if c >= 2}
-        n = int(rng.integers(1, a + 1))
-        value = expected_capture(counts, truth, n, a)
-        assert -1e-12 <= value <= len(truth) + 1e-12
-        assert expected_capture(counts, truth, a, a) == pytest.approx(len(truth))
-
-
 def _single_question_corpus():
     return Corpus.from_questions([vq(1, "is it day", ["yes"] * 8 + ["no"] * 2)])
 
 
 def test_simulate_exact_single_question():
-    report = simulate_collection(make_plan([0], 1, 1, 5), _single_question_corpus())
-    assert report.diversity == pytest.approx(1 + 196 / 252, abs=1e-12)
-    assert report.max_diversity == 2
-    assert report.answers_spent == 5
+    corpus = _single_question_corpus()
+    row = simulate_collection(make_plan([0], 1, 1, 5), corpus)
+    # One certain answer plus one with 2 of 10 copies, drawing 5.
+    assert row.diversity == pytest.approx(
+        1 + (1 - math.comb(8, 5) / math.comb(10, 5)), abs=1e-12
+    )
+    assert sum(reference_truth_counts(corpus).values()) == 2
+    assert row.diversity_fraction == row.diversity / 2
+    assert row.answers_spent == 5
+    unanimous = Corpus.from_questions([vq(1, "is it day", ["yes"] * 10)])
+    for budget in (0, 1):  # one answer, then five
+        assert simulate_collection(make_plan([0], budget, 1, 5), unanimous).diversity == 1.0
+    # Drawing the whole pool (R = A) captures every truth answer.
+    full = Corpus.from_questions([vq(1, "what", ["a"] * 4 + ["b"] * 3 + ["c"] * 2 + ["d"])])
+    assert simulate_collection(make_plan([0], 1, 1, 10), full).diversity == 3
 
 
 def test_simulate_monte_carlo_tracks_exact():
@@ -244,7 +222,7 @@ def test_exact_sweep_is_the_correctly_rounded_rational():
         budgets = list(range(n + 1))
         rows = sweep(corpus, {"ours": [oracle_ranking(corpus)], "sq": orderings},
                      budgets, s=2, r=6)
-        max_div = simulate_collection(make_plan(range(n), 0), corpus).max_diversity
+        max_div = sum(reference_truth_counts(corpus).values())
         for row in rows:
             variants = [oracle_ranking(corpus)] if row.ranking == "ours" else orderings
             want = sum(

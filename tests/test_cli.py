@@ -104,6 +104,11 @@ def test_train_writes_model_and_config(planted_path, tmp_path):
     config = json.loads((out / "run_config.json").read_text())
     assert config["seed"] == 11
     assert config["command"] == "train"
+    assert "layout" not in config
+    with pytest.raises(SystemExit) as exc:  # the layout option is gone
+        main(["train", "--corpus", str(planted_path), "--layout", "zeroed",
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
 
 
 def test_train_rerun_is_byte_identical(planted_path, tmp_path):
@@ -119,6 +124,17 @@ def test_train_empty_corpus(tmp_path, capsys):
     empty = write_jsonl(tmp_path / "empty.jsonl", [])
     assert main(["train", "--corpus", str(empty), "--out-dir", str(tmp_path)]) == 2
     assert "no questions" in capsys.readouterr().err
+
+
+def test_question_without_tokens_is_named(planted_path, tmp_path, capsys):
+    model = train(planted_path, tmp_path / "run")
+    records = [{"question_id": qid, "image_id": qid, "question": text, "answers": ["a"] * 10}
+               for qid, text in ((4, "what is it"), (5, "?!"))]
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", records)
+    for argv in (["train"], ["eval", "--model", str(model)]):
+        capsys.readouterr()
+        assert main([*argv, "--corpus", str(corpus), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "question 5: question has no tokens: '?!'" in capsys.readouterr().err
 
 
 def test_predict_and_allocate(planted_path, tmp_path):

@@ -153,6 +153,23 @@ def test_vqa_missing_annotation(tmp_path, mixed_corpus):
         load_corpus(q_path, a_path, format="vqa_v1_json")
 
 
+def test_vqa_duplicate_annotation_rejected(tmp_path, mixed_corpus, capsys):
+    q_path, a_path = _write_vqa_pair(tmp_path, mixed_corpus)
+    annotations = json.loads(a_path.read_text())
+    # Question 1's unanimous pool, then a second record giving ten distinct answers.
+    first = annotations["annotations"][0]
+    assert first["question_id"] == 1
+    annotations["annotations"].append(
+        dict(first, answers=[{"answer": f"answer {i}"} for i in range(10)])
+    )
+    a_path.write_text(json.dumps(annotations))
+    with pytest.raises(ParseError, match="question_id 1"):
+        load_corpus(q_path, a_path, format="vqa_v1_json")
+    assert main(["analyze", "--corpus", str(q_path), "--annotations", str(a_path),
+                 "--format", "vqa_v1_json", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "duplicate annotation for question_id 1" in capsys.readouterr().err
+
+
 def test_vqa_requires_annotations_file(tmp_path, mixed_corpus):
     q_path, _ = _write_vqa_pair(tmp_path, mixed_corpus)
     with pytest.raises(MissingAnnotation):

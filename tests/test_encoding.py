@@ -24,7 +24,7 @@ from crowd_consensus import (
     train_forest,
 )
 from crowd_consensus.cli import main
-from crowd_consensus.features import LAYOUTS, FeatureMatrix, feature_dimension
+from crowd_consensus.features import FeatureMatrix, feature_dimension
 
 
 def reference_p_disagreement(model, x) -> float:
@@ -55,19 +55,18 @@ def _saliency_table(corpus, seed):
     corpus_seed=st.integers(0, 2**32 - 1),
     forest_seed=st.integers(0, 2**32 - 1),
     mode=st.sampled_from(list(FeatureMode)),
-    layout=st.sampled_from(LAYOUTS),
     min_leaf_size=st.sampled_from([1, 3]),
     max_depth=st.sampled_from([None, 2]),
 )
 def test_encoding_matches_its_dense_matrix(
-    tmp_path_factory, n, corpus_seed, forest_seed, mode, layout, min_leaf_size, max_depth
+    tmp_path_factory, n, corpus_seed, forest_seed, mode, min_leaf_size, max_depth
 ):
     corpus = make_random_corpus(n, seed=corpus_seed)
     # Vocabularies from the first half, so later rows carry unseen words (code -1).
     train_split = corpus.subset(corpus.question_ids()[: max(2, n // 2)])
     vocab = build_vocabularies(train_split)
     table = _saliency_table(corpus, corpus_seed)
-    X = extract_matrix(train_split, vocab, table, mode, layout)
+    X = extract_matrix(train_split, vocab, table, mode)
     # Random labels: the random corpus's own pools almost never agree, which
     # would leave every tree a single pure leaf.
     y = (np.random.default_rng(corpus_seed).random(len(train_split)) < 0.5).tolist()
@@ -75,7 +74,7 @@ def test_encoding_matches_its_dense_matrix(
         n_trees=3, min_leaf_size=min_leaf_size, max_depth=max_depth, seed=forest_seed
     )
     model, from_dense = (
-        train_forest(features, y, config, vocab=vocab, feature_mode=mode, layout=layout)
+        train_forest(features, y, config, vocab=vocab, feature_mode=mode)
         for features in (X, np.asarray(X))
     )
     out = tmp_path_factory.mktemp("models")
@@ -83,9 +82,9 @@ def test_encoding_matches_its_dense_matrix(
     save_model(from_dense, out / "dense.json")
     assert (out / "encoded.json").read_bytes() == (out / "dense.json").read_bytes()
 
-    every = extract_matrix(corpus, vocab, table, mode, layout)
+    every = extract_matrix(corpus, vocab, table, mode)
     dense = np.asarray(every)
-    assert every.shape == dense.shape == (n, feature_dimension(vocab, mode, layout))
+    assert every.shape == dense.shape == (n, feature_dimension(vocab, mode))
     batched = predict_many(model, every).tolist()
     assert batched == [reference_p_disagreement(model, row) for row in dense]
     assert batched == predict_many(model, dense).tolist()

@@ -29,9 +29,9 @@ def test_tokenize_empty_question():
         tokenize_question("  ?? ")
 
 
-def extract_features(vq, vocab, table=None, mode=FeatureMode.QI, layout="truncated"):
+def extract_features(vq, vocab, table=None, mode=FeatureMode.QI):
     """One question's dense descriptor: a one-row extract_matrix."""
-    return np.asarray(extract_matrix([vq], vocab, table, mode, layout))[0]
+    return np.asarray(extract_matrix([vq], vocab, table, mode))[0]
 
 
 @pytest.fixture
@@ -106,17 +106,6 @@ def test_extract_image_mode_uses_table(small_corpus):
     np.testing.assert_allclose(x, [0.5, 0.2, 0.1, 0.1, 0.1])
 
 
-def test_zeroed_layout_keeps_dimension(small_corpus):
-    vocab = build_vocabularies(small_corpus)
-    question = vq(9, "what is x", ["a1"] * 10)
-    q = extract_features(question, vocab, mode=FeatureMode.Q, layout="zeroed")
-    i = extract_features(question, vocab, mode=FeatureMode.I, layout="zeroed")
-    full = extract_features(question, vocab, mode=FeatureMode.QI, layout="zeroed")
-    assert len(q) == len(i) == len(full) == feature_dimension(vocab, FeatureMode.QI)
-    assert list(q[-5:]) == [0] * 5
-    assert list(i[:6]) == [0] * 6
-
-
 def test_truncated_layout_drops_blocks(small_corpus):
     vocab = build_vocabularies(small_corpus)
     assert feature_dimension(vocab, FeatureMode.Q) == 6
@@ -139,12 +128,6 @@ def test_matrix_dimension_constancy(small_corpus):
     vocab = build_vocabularies(small_corpus)
     X = extract_matrix(small_corpus, vocab, mode=FeatureMode.QI)
     assert X.shape == (3, feature_dimension(vocab, FeatureMode.QI))
-
-
-def test_bad_layout_rejected(small_corpus):
-    vocab = build_vocabularies(small_corpus)
-    with pytest.raises(ValueError):
-        extract_features(vq(9, "what is x", ["a1"] * 10), vocab, layout="padded")
 
 
 def test_vocabularies_json_round_trip(tmp_path, small_corpus):

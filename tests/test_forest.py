@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ def test_save_load_round_trip(tmp_path):
     assert restored.config == model.config
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def test_golden_model_file_round_trips_and_predicts(tmp_path):
+    # Written by `train --mode q --trees 3` (seed 0) on make_planted_corpus(40, seed=1),
+    # then `predict`; the files pin the model format and prediction byte for byte.
+    path = tmp_path / "model.json"
+    save_model(load_model(GOLDEN / "model.json"), path)
+    assert path.read_bytes() == (GOLDEN / "model.json").read_bytes()
+    assert main(["predict", "--corpus", str(GOLDEN / "corpus.jsonl"),
+                 "--model", str(GOLDEN / "model.json"), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "predictions.csv").read_bytes() == (
+        GOLDEN / "predictions.csv"
+    ).read_bytes()
+
+
 def test_load_rejects_corrupted_file(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -339,6 +356,8 @@ def _set_leaf(key, value):
     pytest.param(lambda doc: doc["config"].update(max_depth=2.0), id="config-max-depth-float"),
     pytest.param(lambda doc: doc["config"].update(features_per_split=True),
                  id="config-features-per-split-bool"),
+    pytest.param(lambda doc: doc.update(layout="zeroed"), id="layout-zeroed"),
+    pytest.param(lambda doc: doc.update(layout="padded"), id="layout-padded"),
 ])
 def test_load_rejects_inconsistent_model(tmp_path, model_doc, edit):
     with pytest.raises(FormatVersionMismatch):
@@ -352,7 +371,8 @@ def _leaf_total(doc):
 
 @pytest.mark.parametrize("edit", [
     _set("left", 0), _set("feature", 10**6), _set("threshold", float("nan")),
-], ids=["child-loop", "feature-too-large", "threshold-nan"])
+    lambda doc: doc.update(layout="zeroed"), lambda doc: doc.update(layout="padded"),
+], ids=["child-loop", "feature-too-large", "threshold-nan", "layout-zeroed", "layout-padded"])
 def test_cli_rejects_inconsistent_model(tmp_path, model_doc, edit, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus_jsonl(make_planted_corpus(40, seed=3), corpus_path)
