@@ -54,9 +54,7 @@ from .forest import (
     DecisionTree,
     ForestConfig,
     ForestModel,
-    gini_impurity,
     load_model,
-    predict,
     predict_many,
     save_model,
     train_forest,
@@ -88,7 +86,6 @@ __all__ = [
     "diversity_histogram",
     "extract_matrix",
     "feature_dimension",
-    "gini_impurity",
     "load_corpus",
     "load_image_features",
     "load_model",
@@ -99,7 +96,6 @@ __all__ = [
     "normalize_answer",
     "oracle_ranking",
     "pr_curve",
-    "predict",
     "predict_many",
     "rank_by_disagreement",
     "save_corpus_jsonl",

@@ -207,8 +207,9 @@ def cmd_analyze(args) -> int:
     corpus = _load(args)
     out = _out_dir(args)
     thresholds = [args.m] if args.m is not None else [1, 2, 3]
-    for m in thresholds:
-        hist = diversity_histogram(corpus, m)
+    # Every threshold is checked before any file is written.
+    hists = {m: diversity_histogram(corpus, m) for m in thresholds}
+    for m, hist in hists.items():
         _write_csv(
             out / f"histogram_m{m}.csv",
             ["m", "k", "count"],

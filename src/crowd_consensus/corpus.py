@@ -255,6 +255,12 @@ def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> list[VisualQue
                 answer_type=ann.get("answer_type"),
             )
         )
+    orphans = by_id.keys() - {vq.question_id for vq in questions}
+    if orphans:
+        raise ParseError(
+            f"{annotations_path}: {len(orphans)} annotation record(s) match no question, "
+            f"the smallest question_id being {min(orphans)}"
+        )
     return questions
 
 

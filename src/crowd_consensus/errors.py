@@ -29,10 +29,6 @@ class EmptyQuestion(CrowdConsensusError):
     """Question text contains no tokens after cleanup."""
 
 
-class EmptyNode(CrowdConsensusError):
-    """Impurity requested for a node with no samples."""
-
-
 class EmptyTrainingSet(CrowdConsensusError):
     """Too few training examples to fit a model."""
 

@@ -1,11 +1,12 @@
 """Random-forest binary classifier for crowd answer disagreement.
 
 Trees are grown CART-style on bootstrap samples: greedy binary splits
-minimize weighted Gini impurity over a random feature subset per node,
-with candidate thresholds at midpoints between consecutive distinct
-values. Each tree's randomness comes from its own generator seeded by
-(master seed, tree index), so a tree depends only on the data, the
-config and its own index, not on how many trees are grown.
+minimize weighted Gini impurity over ceil(sqrt(d)) randomly drawn
+features per node, with candidate thresholds at midpoints between
+consecutive distinct values, until every leaf is pure or no split
+reduces impurity. Each tree's randomness comes from its own generator
+seeded by (master seed, tree index), so a tree depends only on the data
+and its own index, not on how many trees are grown.
 
 Training reads a FeatureMatrix (see features.py) without densifying it:
 numeric columns are sorted per node, and a one-hot column, whose only cut
@@ -24,14 +25,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .answers import disagreement_mask
 from .errors import (
     DimensionMismatch,
-    EmptyNode,
     EmptyTrainingSet,
     FormatVersionMismatch,
 )
@@ -43,39 +42,21 @@ MODEL_VERSION = 1
 #: The one descriptor layout model files record: each mode's unused blocks are left out.
 MODEL_LAYOUT = "truncated"
 
-
-def gini_impurity(class_counts: Sequence[int]) -> float:
-    """1 - sum(p_i^2) over the two classes of a count pair."""
-    n0, n1 = class_counts
-    if n0 < 0 or n1 < 0:
-        raise ValueError(f"class counts must be non-negative, got {class_counts}")
-    total = n0 + n1
-    if total == 0:
-        raise EmptyNode("impurity is undefined for an empty node")
-    p0 = n0 / total
-    p1 = n1 / total
-    return 1.0 - (p0 * p0 + p1 * p1)
+#: The one way trees are grown, as model files record it in "config":
+#: ceil(sqrt(d)) features drawn per node, leaves of any size, no depth limit.
+MODEL_GROWTH = {"features_per_split": None, "max_depth": None, "min_leaf_size": 1}
 
 
 @dataclass(frozen=True)
 class ForestConfig:
-    """Training knobs; n_trees stays odd so majority votes cannot tie."""
+    """Training settings; n_trees stays odd so majority votes cannot tie."""
 
     n_trees: int = 25
-    features_per_split: int | None = None  # None -> ceil(sqrt(d)) at fit time
-    min_leaf_size: int = 1
-    max_depth: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1 or self.n_trees % 2 == 0:
             raise ValueError(f"n_trees must be odd and >= 1, got {self.n_trees}")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be >= 1")
-        if self.min_leaf_size < 1:
-            raise ValueError("min_leaf_size must be >= 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a non-negative 64-bit integer")
 
@@ -90,9 +71,6 @@ class DecisionTree:
     right: np.ndarray  # int32
     votes_disagreement: np.ndarray  # int64, leaf-only
     votes_total: np.ndarray  # int64, leaf-only
-
-    def n_nodes(self) -> int:
-        return len(self.feature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +97,11 @@ def train_forest(
     X is a FeatureMatrix from extract_matrix, or any (n, d) array (or
     sequence of d-vectors), whose columns are then all numeric; y holds
     one label per row, read by answers.disagreement_mask (True or 1 is
-    disagreement). Each tree draws its own bootstrap sample of size n.
-    Given identical data and config the result is identical, and a
-    FeatureMatrix grows the same trees as its dense np.asarray form.
+    disagreement). Each tree draws its own bootstrap sample of size n and
+    grows until its leaves are pure or no split of the ceil(sqrt(d))
+    features drawn at a node reduces impurity. Given identical data and
+    config the result is identical, and a FeatureMatrix grows the same
+    trees as its dense np.asarray form.
     """
     X = _encoded(X)
     n, d = X.shape
@@ -130,20 +110,16 @@ def train_forest(
     y01 = disagreement_mask(y).astype(np.uint8)
     if len(y01) != n:
         raise DimensionMismatch(f"got {n} feature rows but {len(y01)} labels")
-    if config.features_per_split is not None and config.features_per_split > d:
-        raise DimensionMismatch(
-            f"features_per_split={config.features_per_split} exceeds {d} features"
-        )
     if vocab is not None:
         expected = feature_dimension(vocab, feature_mode)
         if expected != d:
             raise DimensionMismatch(
                 f"vocabularies imply {expected} features but X has {d}"
             )
-    k = config.features_per_split or max(1, math.ceil(math.sqrt(d)))
+    k = max(1, math.ceil(math.sqrt(d)))
 
     trees = tuple(
-        _grow_tree(X, y01, config, np.random.default_rng([config.seed, t]), k)
+        _grow_tree(X, y01, np.random.default_rng([config.seed, t]), k)
         for t in range(config.n_trees)
     )
     return ForestModel(
@@ -168,9 +144,8 @@ def _encoded(X) -> FeatureMatrix:
 def _grow_tree(
     X: FeatureMatrix,
     y: np.ndarray,
-    config: ForestConfig,
     rng: np.random.Generator,
-    features_per_split: int,
+    k: int,
 ) -> DecisionTree:
     n, d = X.shape
     # The bootstrap draw is the generator's first use, so a tree's sample
@@ -195,18 +170,15 @@ def _grow_tree(
 
     root = new_node()
     # Depth-first, left child first, so rng draws happen in a fixed order.
-    stack: list[tuple[int, np.ndarray, int]] = [(root, bootstrap, 0)]
+    stack: list[tuple[int, np.ndarray]] = [(root, bootstrap)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx = stack.pop()
         ysub = y[idx]
         n_pos = int(ysub.sum())
-        pure = n_pos == 0 or n_pos == len(idx)
-        at_depth = config.max_depth is not None and depth >= config.max_depth
-        too_small = len(idx) < 2 * config.min_leaf_size
         split = None
-        if not (pure or at_depth or too_small):
-            feat_ids = rng.choice(d, size=features_per_split, replace=False)
-            split = _best_split(X, ysub, idx, feat_ids, config.min_leaf_size)
+        if 0 < n_pos < len(idx):  # impure, so at least 2 rows
+            feat_ids = rng.choice(d, size=k, replace=False)
+            split = _best_split(X, ysub, idx, feat_ids)
         if split is None:
             votes_d[node] = n_pos
             votes_n[node] = len(idx)
@@ -218,8 +190,8 @@ def _grow_tree(
         right_id = new_node()
         left[node] = left_id
         right[node] = right_id
-        stack.append((right_id, idx[~goes_left], depth + 1))
-        stack.append((left_id, idx[goes_left], depth + 1))
+        stack.append((right_id, idx[~goes_left]))
+        stack.append((left_id, idx[goes_left]))
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -236,7 +208,6 @@ def _best_split(
     ysub: np.ndarray,
     idx: np.ndarray,
     feat_ids: np.ndarray,
-    min_leaf: int,
 ) -> tuple[int, float, np.ndarray] | None:
     """Strictly impurity-reducing (feature, threshold, rows going left), or None.
 
@@ -249,7 +220,6 @@ def _best_split(
     """
     m = len(ysub)
     total1 = int(ysub.sum())
-    parent = gini_impurity((m - total1, total1))
     block, j = X.source[feat_ids].T
     # Candidate c is cut key[c] % m of feat_ids[key[c] // m]; a smaller key wins ties.
     keys, nls, l1s = [], [], []
@@ -259,8 +229,6 @@ def _best_split(
         order = np.argsort(values, kind="stable")
         sv = values[order]
         cut = np.nonzero(sv[:-1] != sv[1:])[0]  # split between cut and cut+1
-        if min_leaf > 1:
-            cut = cut[(cut + 1 >= min_leaf) & (m - cut - 1 >= min_leaf)]
         if cut.size:
             keys.append(i * m + cut)
             nls.append(cut + 1)
@@ -275,7 +243,7 @@ def _best_split(
         size = int(j[at].max()) + 2
         nr = np.bincount(codes, minlength=size)[j[at] + 1]
         r1 = np.bincount(codes[positive], minlength=size)[j[at] + 1]
-        ok = (m - nr >= min_leaf) & (nr >= min_leaf)
+        ok = (0 < nr) & (nr < m)
         keys.append(at[ok] * m)
         nls.append(m - nr[ok])
         l1s.append(total1 - r1[ok])
@@ -283,7 +251,7 @@ def _best_split(
         return None
     nl = np.concatenate(nls)
     l1 = np.concatenate(l1s)
-    gain = _gain(parent, m, nl, l1, m - nl, total1 - l1)
+    gain = _gain(m, total1, nl, l1)
     best = gain.max(initial=0.0)
     if best <= 0.0:
         return None
@@ -299,11 +267,17 @@ def _best_split(
     return f, float(thr), X.numeric[idx, j[i]] <= thr
 
 
-def _gain(parent: float, m: int, nl, l1, nr, r1) -> np.ndarray:
-    """Gini decrease of each candidate cut with nl/nr rows, l1/r1 positive, per side."""
-    gini_l = 1.0 - (((nl - l1) / nl) ** 2 + (l1 / nl) ** 2)
-    gini_r = 1.0 - (((nr - r1) / nr) ** 2 + (r1 / nr) ** 2)
-    return parent - (nl * gini_l + nr * gini_r) / m
+def _gini(n, n1):
+    """Gini impurity 1 - (p0^2 + p1^2) of n rows, n1 of them positive (scalars or arrays)."""
+    p0, p1 = (n - n1) / n, n1 / n
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
+def _gain(m: int, m1: int, nl, l1) -> np.ndarray:
+    """Gini decrease of each cut of a node with m rows, m1 positive, that sends
+    nl rows, l1 of them positive, left."""
+    nr, r1 = m - nl, m1 - l1
+    return _gini(m, m1) - (nl * _gini(nl, l1) + nr * _gini(nr, r1)) / m
 
 
 def _leaves(tree: DecisionTree, X: FeatureMatrix, table: np.ndarray) -> np.ndarray:
@@ -325,16 +299,6 @@ def _leaves(tree: DecisionTree, X: FeatureMatrix, table: np.ndarray) -> np.ndarr
         value = np.where(w >= 0, value == w, value)
         node[rows] = np.where(value <= tree.threshold[at], tree.left[at], tree.right[at])
     return node
-
-
-def predict(model: ForestModel, x) -> float:
-    """The share of the ensemble's trees that vote disagreement for one row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) != model.n_features:
-        raise DimensionMismatch(
-            f"model expects {model.n_features} features, got shape {x.shape}"
-        )
-    return float(predict_many(model, x[None, :])[0])
 
 
 def predict_many(model: ForestModel, X) -> np.ndarray:
@@ -359,7 +323,7 @@ def save_model(model: ForestModel, path: str | Path) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "config": asdict(model.config),
+        "config": {**asdict(model.config), **MODEL_GROWTH},
         "n_features": model.n_features,
         "feature_mode": model.feature_mode.value,
         "layout": MODEL_LAYOUT,
@@ -385,11 +349,13 @@ def load_model(path: str | Path) -> ForestModel:
     """Read a model file; predictions round-trip bit-exactly.
 
     Besides format and version, the tree structure that prediction walks
-    is checked: config values are integers (or null where the default
-    is), the layout is MODEL_LAYOUT, child indices point forward inside
-    their tree, features index the model's columns, thresholds are
-    finite, leaf vote counts are consistent and vocabulary words are
-    distinct strings. Any violation raises FormatVersionMismatch.
+    is checked: config n_trees and seed are integers, its other keys
+    hold exactly the MODEL_GROWTH values, the layout is MODEL_LAYOUT,
+    child indices point forward inside their tree, features index the
+    model's columns, thresholds are finite, leaf vote counts are
+    consistent and vocabulary words are distinct strings. Any violation
+    raises FormatVersionMismatch, so a file recording any other way of
+    growing trees does not load.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # ValueError includes JSONDecodeError and UnicodeDecodeError.
@@ -415,12 +381,18 @@ def load_model(path: str | Path) -> ForestModel:
                 f"n_features is {n_features} but the vocabularies and mode "
                 f"imply {feature_dimension(vocab, mode)}"
             )
-        config = ForestConfig(**doc["config"])
+        settings = {**doc["config"]}
+        for key, value in MODEL_GROWTH.items():
+            if key not in settings:
+                raise ValueError(f"config has no {key}")
+            # A bool or float that compares equal to the value is still rejected.
+            found = settings.pop(key)
+            if type(found) is not type(value) or found != value:
+                raise ValueError(f"config {key} must be {json.dumps(value)}, got {found!r}")
+        config = ForestConfig(**settings)
         for f in fields(config):
             value = getattr(config, f.name)
-            # A bool or float that compares like a valid int is still rejected;
-            # None is allowed exactly where it is the field's default.
-            if type(value) is not int and not (value is None and f.default is None):
+            if type(value) is not int:
                 raise ValueError(f"config {f.name} must be an integer, got {value!r}")
         trees = tuple(_tree_from_doc(t, n_features) for t in doc["trees"])
         if len(trees) != config.n_trees:

@@ -71,6 +71,18 @@ def test_analyze_single_threshold(toy_corpus_path, tmp_path):
     assert not (out / "histogram_m1.csv").exists()
 
 
+def test_analyze_bad_threshold_writes_no_histogram(tmp_path, capsys):
+    # With two answers per question the default threshold m = 3 is out of range.
+    path = write_jsonl(tmp_path / "two.jsonl", [
+        {"question_id": i, "image_id": i, "question": f"what is {i}", "answers": ["a", "b"]}
+        for i in range(3)
+    ])
+    out = tmp_path / "out"
+    assert main(["analyze", "--corpus", str(path), "--out-dir", str(out)]) == 2
+    assert "m must be in [1, 2], got 3" in capsys.readouterr().err
+    assert list(out.glob("histogram_m*.csv")) == []
+
+
 def test_missing_corpus_is_input_error(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     assert main(["analyze", "--corpus", str(missing), "--out-dir", str(tmp_path)]) == 2

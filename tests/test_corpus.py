@@ -170,6 +170,23 @@ def test_vqa_duplicate_annotation_rejected(tmp_path, mixed_corpus, capsys):
     assert "duplicate annotation for question_id 1" in capsys.readouterr().err
 
 
+def test_vqa_orphan_annotation_rejected(tmp_path, capsys):
+    # One question (id 1) paired with annotations for ids 1 and 2.
+    q_path, a_path = tmp_path / "questions.json", tmp_path / "annotations.json"
+    q_path.write_text(json.dumps(
+        {"questions": [{"question_id": 1, "image_id": 10, "question": "what is it"}]}
+    ))
+    a_path.write_text(json.dumps({"annotations": [
+        {"question_id": qid, "answer_type": "other", "answers": [{"answer": "yes"}] * 10}
+        for qid in (2, 1)
+    ]}))
+    with pytest.raises(ParseError, match="1 annotation record.*question_id being 2"):
+        load_corpus(q_path, a_path, format="vqa_v1_json")
+    assert main(["analyze", "--corpus", str(q_path), "--annotations", str(a_path),
+                 "--format", "vqa_v1_json", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "match no question" in capsys.readouterr().err
+
+
 def test_vqa_requires_annotations_file(tmp_path, mixed_corpus):
     q_path, _ = _write_vqa_pair(tmp_path, mixed_corpus)
     with pytest.raises(MissingAnnotation):

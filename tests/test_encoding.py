@@ -55,12 +55,8 @@ def _saliency_table(corpus, seed):
     corpus_seed=st.integers(0, 2**32 - 1),
     forest_seed=st.integers(0, 2**32 - 1),
     mode=st.sampled_from(list(FeatureMode)),
-    min_leaf_size=st.sampled_from([1, 3]),
-    max_depth=st.sampled_from([None, 2]),
 )
-def test_encoding_matches_its_dense_matrix(
-    tmp_path_factory, n, corpus_seed, forest_seed, mode, min_leaf_size, max_depth
-):
+def test_encoding_matches_its_dense_matrix(tmp_path_factory, n, corpus_seed, forest_seed, mode):
     corpus = make_random_corpus(n, seed=corpus_seed)
     # Vocabularies from the first half, so later rows carry unseen words (code -1).
     train_split = corpus.subset(corpus.question_ids()[: max(2, n // 2)])
@@ -70,9 +66,7 @@ def test_encoding_matches_its_dense_matrix(
     # Random labels: the random corpus's own pools almost never agree, which
     # would leave every tree a single pure leaf.
     y = (np.random.default_rng(corpus_seed).random(len(train_split)) < 0.5).tolist()
-    config = ForestConfig(
-        n_trees=3, min_leaf_size=min_leaf_size, max_depth=max_depth, seed=forest_seed
-    )
+    config = ForestConfig(n_trees=3, seed=forest_seed)
     model, from_dense = (
         train_forest(features, y, config, vocab=vocab, feature_mode=mode)
         for features in (X, np.asarray(X))

@@ -14,10 +14,8 @@ from crowd_consensus import (
     Vocabularies,
     build_vocabularies,
     extract_matrix,
-    gini_impurity,
     load_model,
     make_planted_corpus,
-    predict,
     predict_many,
     save_corpus_jsonl,
     save_model,
@@ -26,7 +24,6 @@ from crowd_consensus import (
 from crowd_consensus.cli import main
 from crowd_consensus.errors import (
     DimensionMismatch,
-    EmptyNode,
     EmptyTrainingSet,
     FormatVersionMismatch,
 )
@@ -36,29 +33,16 @@ from crowd_consensus.forest import _best_split
 A, D = AgreementLabel.AGREEMENT, AgreementLabel.DISAGREEMENT
 
 
-def test_gini_impurity_values():
-    assert gini_impurity((5, 5)) == 0.5
-    assert gini_impurity((10, 0)) == 0.0
-    assert gini_impurity((3, 1)) == 0.375  # 1 - (0.75^2 + 0.25^2)
-
-
-def test_gini_impurity_errors():
-    with pytest.raises(EmptyNode):
-        gini_impurity((0, 0))
-    with pytest.raises(ValueError):
-        gini_impurity((-1, 2))
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ForestConfig(n_trees=24)  # even votes could tie
     with pytest.raises(ValueError):
         ForestConfig(n_trees=0)
     with pytest.raises(ValueError):
-        ForestConfig(min_leaf_size=0)
-    with pytest.raises(ValueError):
         ForestConfig(seed=-1)
-    ForestConfig(n_trees=25, max_depth=None)  # defaults are valid
+    with pytest.raises(TypeError):
+        ForestConfig(max_depth=None)  # trees always grow until pure
+    ForestConfig(n_trees=25, seed=0)  # defaults are valid
 
 
 def separable_data(n=100, seed=3):
@@ -73,22 +57,20 @@ def separable_data(n=100, seed=3):
 def test_separable_training_accuracy():
     X, y = separable_data()
     model = train_forest(X, y, ForestConfig(seed=1))
-    for row, label in zip(X, y):
-        assert (predict(model, row) > 0.5) == (label is D)
+    scores = predict_many(model, X)
+    assert ((scores > 0.5) == [label is D for label in y]).all()
 
 
 def test_separable_held_out():
     X, y = separable_data()
     model = train_forest(X, y, ForestConfig(seed=1))
-    assert predict(model, [-0.5]) <= 0.1
-    assert predict(model, [0.5]) >= 0.9
+    low, high = predict_many(model, [[-0.5], [0.5]])
+    assert low <= 0.1 and high >= 0.9
 
 
 def test_single_class_training():
     X = np.arange(20, dtype=float).reshape(-1, 1)
     model = train_forest(X, [A] * 20, ForestConfig(seed=1))
-    for row in X:
-        assert predict(model, row) == 0.0
     assert predict_many(model, X).tolist() == [0.0] * 20
 
 
@@ -123,7 +105,7 @@ def test_vote_quantization_and_label_coherence():
         votes = p * T
         assert votes == pytest.approx(round(votes), abs=1e-12)
         assert 0.0 <= p <= 1.0
-        assert predict(model, row) == p and type(predict(model, row)) is float
+        assert predict_many(model, row[None, :]).tolist() == [p]
 
 
 def test_each_tree_fits_its_own_bootstrap():
@@ -161,29 +143,15 @@ def _one_tree_model(tree, n_features):
 
 
 def test_leaf_tie_votes_disagreement():
-    assert predict(_one_tree_model(_leaf_tree(1, 2), 1), [0.0]) == 1.0
+    assert predict_many(_one_tree_model(_leaf_tree(1, 2), 1), [[0.0]]).tolist() == [1.0]
 
 
 def test_vote_share_arithmetic():
     model = _hand_model([_leaf_tree(1, 1)] * 20 + [_leaf_tree(0, 1)] * 5)
-    assert predict(model, [0.0]) == 0.8
+    assert predict_many(model, [[0.0]]).tolist() == [0.8]
 
     model = _hand_model([_leaf_tree(0, 1)] * 25)
-    assert predict(model, [0.0]) == 0.0
-
-
-def test_min_leaf_size_respected():
-    X, y = separable_data(n=200, seed=4)
-    model = train_forest(X, y, ForestConfig(n_trees=5, min_leaf_size=10, seed=1))
-    for tree in model.trees:
-        leaves = tree.feature == -1
-        assert (tree.votes_total[leaves] >= 10).all()
-
-
-def test_max_depth_zero_gives_stumps():
-    X, y = separable_data(seed=6)
-    model = train_forest(X, y, ForestConfig(n_trees=3, max_depth=0, seed=1))
-    assert all(tree.n_nodes() == 1 for tree in model.trees)
+    assert predict_many(model, [[0.0]]).tolist() == [0.0]
 
 
 def test_label_forms_grow_identical_trees(tmp_path):
@@ -206,8 +174,6 @@ def test_training_set_errors():
         train_forest([[1.0]], [A], ForestConfig())
     with pytest.raises(DimensionMismatch):
         train_forest([[1.0], [2.0]], [A], ForestConfig())
-    with pytest.raises(DimensionMismatch):
-        train_forest([[1.0], [2.0]], [A, D], ForestConfig(features_per_split=3))
     for labels in (["agreement", "disagreement"], [0.0, 1.0], [0, 2]):
         with pytest.raises(ValueError, match="labels"):
             train_forest([[1.0], [2.0]], labels, ForestConfig())
@@ -224,7 +190,9 @@ def test_predict_dimension_check():
     X, y = separable_data()
     model = train_forest(X, y, ForestConfig(seed=1))
     with pytest.raises(DimensionMismatch):
-        predict(model, [1.0, 2.0])
+        predict_many(model, [[1.0, 2.0]])
+    with pytest.raises(DimensionMismatch):
+        predict_many(model, [1.0])  # one row must still be 2-dimensional
 
 
 def test_save_load_round_trip(tmp_path):
@@ -356,6 +324,11 @@ def _set_leaf(key, value):
     pytest.param(lambda doc: doc["config"].update(max_depth=2.0), id="config-max-depth-float"),
     pytest.param(lambda doc: doc["config"].update(features_per_split=True),
                  id="config-features-per-split-bool"),
+    pytest.param(lambda doc: doc["config"].update(min_leaf_size=3), id="config-min-leaf-size-3"),
+    pytest.param(lambda doc: doc["config"].update(max_depth=5), id="config-max-depth-5"),
+    pytest.param(lambda doc: doc["config"].update(features_per_split=4),
+                 id="config-features-per-split-4"),
+    pytest.param(lambda doc: doc["config"].pop("max_depth"), id="config-max-depth-missing"),
     pytest.param(lambda doc: doc.update(layout="zeroed"), id="layout-zeroed"),
     pytest.param(lambda doc: doc.update(layout="padded"), id="layout-padded"),
 ])
@@ -395,9 +368,9 @@ def test_split_ties_go_to_the_earliest_sampled_feature_and_lowest_cut():
     rows = np.arange(4)
     # The numeric column gains less than any one-hot column, so it never wins.
     for feat_ids, expected in (([3, 1, 2, 4], 3), ([2, 4, 1, 3], 2), ([0, 4, 1], 4)):
-        f, threshold, goes_left = _best_split(X, y, rows, np.array(feat_ids), 1)
+        f, threshold, goes_left = _best_split(X, y, rows, np.array(feat_ids))
         assert (f, threshold) == (expected, 0.5)
         assert goes_left.tolist() == (np.asarray(X)[:, f] <= 0.5).tolist()
     # On the numeric column the cuts at 1.5 and 3.5 gain the same: the lower wins.
-    f, threshold, goes_left = _best_split(X, y, rows, np.array([0]), 1)
+    f, threshold, goes_left = _best_split(X, y, rows, np.array([0]))
     assert (f, threshold, goes_left.tolist()) == (0, 1.5, [True, False, False, False])
