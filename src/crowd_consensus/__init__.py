@@ -46,8 +46,6 @@ from .features import (
     build_vocabularies,
     extract_matrix,
     feature_dimension,
-    load_vocabularies,
-    save_vocabularies,
     tokenize_question,
 )
 from .forest import (
@@ -89,7 +87,6 @@ __all__ = [
     "load_corpus",
     "load_image_features",
     "load_model",
-    "load_vocabularies",
     "make_plan",
     "make_planted_corpus",
     "make_random_corpus",
@@ -100,7 +97,6 @@ __all__ = [
     "rank_by_disagreement",
     "save_corpus_jsonl",
     "save_model",
-    "save_vocabularies",
     "simulate_collection",
     "status_quo_ranking",
     "stratified_eval",

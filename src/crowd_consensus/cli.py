@@ -1,4 +1,4 @@
-"""Command-line pipeline: analyze, vocab, train, predict, eval, allocate, sweep.
+"""Command-line pipeline: analyze, train, predict, eval, allocate, sweep.
 
 Every command writes its resolved run configuration (run_config.json)
 next to its outputs, so a finished run can be reproduced exactly. Exit
@@ -25,15 +25,8 @@ from .answers import AgreementLabel, agreement_by_answer_type, diversity_histogr
 from .corpus import load_corpus, load_image_features
 from .errors import CrowdConsensusError, DimensionMismatch, EmptyTrainingSet
 from .evalmetrics import pr_curve, stratified_eval
-from .features import (
-    FeatureMode,
-    build_vocabularies,
-    extract_matrix,
-    save_vocabularies,
-)
+from .features import FeatureMode, build_vocabularies, extract_matrix
 from .forest import ForestConfig, load_model, predict_many, save_model, train_forest
-
-SEED_ENV_VAR = "CROWD_CONSENSUS_SEED"
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -70,16 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None,
                    help="single agreement threshold (default: histograms for m=1,2,3)")
 
-    p = _command(sub, "vocab", cmd_vocab, "Build first/second-word vocabularies")
-    _corpus_flags(p)
-
     p = _command(sub, "train", cmd_train, "Train the disagreement classifier")
     _corpus_flags(p)
     p.add_argument("--image-features", help="saliency CSV (image_id,p0..p4)")
     p.add_argument("--mode", choices=[m.value for m in FeatureMode], default="qi")
     p.add_argument("--trees", type=int, default=25)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
     p.add_argument("--model", help="output model path (default: OUT_DIR/model.json)")
 
     p = _command(sub, "predict", cmd_predict, "Per-question disagreement probabilities")
@@ -112,9 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--status-quo-seeds", type=int, default=1,
                    help="random orderings averaged into the status-quo rows")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--plot-data", action="store_true",
-                   help="also write plot_data.json with x/y series per ranking")
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -130,28 +117,16 @@ def _corpus_flags(p) -> None:
     p.add_argument("--corpus", required=True, help="questions file")
     p.add_argument("--annotations", help="annotations file (vqa_v1_json only)")
     p.add_argument("--format", choices=["jsonl", "vqa_v1_json"], default="jsonl")
-    p.add_argument("--skip-malformed", action="store_true",
-                   help="drop questions with the wrong answer count instead of failing")
 
 
 def _load(args):
-    return load_corpus(
-        args.corpus,
-        annotations_source=args.annotations,
-        format=args.format,
-        skip_malformed=args.skip_malformed,
-    )
+    return load_corpus(args.corpus, annotations_source=args.annotations, format=args.format)
 
 
-def _resolve_seed(args) -> int:
-    """--seed, else $CROWD_CONSENSUS_SEED, else 0; in [0, 2**64) like ForestConfig.seed."""
-    if args.seed is not None:
-        source, raw = "--seed", str(args.seed)
-    else:
-        source, raw = f"${SEED_ENV_VAR}", os.environ.get(SEED_ENV_VAR, "0")
-    if not raw.strip().isdecimal() or int(raw) >= 2**64:
-        raise ValueError(f"{source} must be an integer in [0, 2**64), got {raw!r}")
-    return int(raw)
+def _check_seed(args) -> None:
+    """--seed must lie in [0, 2**64), like ForestConfig.seed."""
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
 
 
 def _out_dir(args) -> Path:
@@ -234,17 +209,12 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_vocab(args) -> int:
-    corpus = _load(args)
-    out = _out_dir(args)
-    vocab = build_vocabularies(corpus)
-    _atomic_write(out / "vocabularies.json", lambda tmp: save_vocabularies(vocab, tmp))
-    _write_run_config(out, args)
-    return EXIT_OK
-
-
 def cmd_train(args) -> int:
-    seed = _resolve_seed(args)
+    _check_seed(args)
+    try:
+        config = ForestConfig(n_trees=args.trees, seed=args.seed)
+    except ValueError as exc:
+        raise ValueError(f"bad --trees value {args.trees}: {exc}") from exc
     corpus = _load(args)
     if len(corpus) == 0:
         raise EmptyTrainingSet(f"no questions in {args.corpus}")
@@ -254,12 +224,10 @@ def cmd_train(args) -> int:
     mode = FeatureMode(args.mode)
     X = extract_matrix(corpus, vocab, table, mode)
     y = corpus.answer_table.labels()
-    model = train_forest(
-        X, y, ForestConfig(n_trees=args.trees, seed=seed), vocab=vocab, feature_mode=mode
-    )
+    model = train_forest(X, y, config, vocab=vocab, feature_mode=mode)
     model_path = Path(args.model) if args.model else out / "model.json"
     _atomic_write(model_path, lambda tmp: save_model(model, tmp))
-    _write_run_config(out, args, seed=seed, model=str(model_path))
+    _write_run_config(out, args, model=str(model_path))
     return EXIT_OK
 
 
@@ -346,17 +314,19 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--status-quo-seeds must be >= 1, got {args.status_quo_seeds}")
     if args.sim == "mc" and args.trials < 1:
         raise ValueError(f"--trials must be >= 1 with --sim mc, got {args.trials}")
-    seed = _resolve_seed(args)
+    _check_seed(args)
+    budgets = None if args.budgets is None else _parse_budgets(args.budgets)
     corpus, scores = _model_predictions(args)
+    if budgets is None:  # 11 even steps
+        budgets = sorted({round(len(corpus) * i / 10) for i in range(11)})
     out = _out_dir(args)
     rankings = {
         "ours": [rank_by_disagreement(scores)],
         "status_quo": [
-            status_quo_ranking(len(corpus), [seed, k]) for k in range(args.status_quo_seeds)
+            status_quo_ranking(len(corpus), [args.seed, k]) for k in range(args.status_quo_seeds)
         ],
         "oracle": [oracle_ranking(corpus)],
     }
-    budgets = _parse_budgets(args.budgets, len(corpus))
     rows = sweep(
         corpus,
         rankings,
@@ -365,7 +335,7 @@ def cmd_sweep(args) -> int:
         r=args.r,
         mode=args.sim,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
     )
     _write_csv(
         out / "sweep.csv",
@@ -377,27 +347,11 @@ def cmd_sweep(args) -> int:
             for row in rows
         ],
     )
-    if args.plot_data:
-        series = {}
-        for row in rows:
-            entry = series.setdefault(row.ranking, {"name": row.ranking, "x": [], "y": []})
-            entry["x"].append(row.answers_spent)
-            entry["y"].append(row.diversity_fraction)
-        _write_json(
-            out / "plot_data.json",
-            {
-                "x_label": "answers_spent",
-                "y_label": "diversity_fraction",
-                "series": list(series.values()),
-            },
-        )
-    _write_run_config(out, args, seed=seed, budgets=budgets)
+    _write_run_config(out, args, budgets=budgets)
     return EXIT_OK
 
 
-def _parse_budgets(raw: str | None, n: int) -> list[int]:
-    if raw is None:
-        return sorted({round(n * i / 10) for i in range(11)})
+def _parse_budgets(raw: str) -> list[int]:
     try:
         budgets = [int(b) for b in raw.split(",") if b.strip()]
     except ValueError as exc:

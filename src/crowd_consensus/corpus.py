@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,8 +24,6 @@ from .errors import (
     MissingAnnotation,
     ParseError,
 )
-
-log = logging.getLogger(__name__)
 
 ANSWER_TYPES = ("yes/no", "number", "other")
 CORPUS_FORMATS = ("jsonl", "vqa_v1_json")
@@ -74,20 +71,16 @@ class Corpus:
         cls,
         questions: Iterable[VisualQuestion],
         source_tag: str = "",
-        skip_malformed: bool = False,
     ) -> "Corpus":
         """Validate, sort by question id, and freeze a corpus.
 
         The answer count A is taken from the first question; later questions
-        with a different count raise AnswerCountMismatch, or are dropped and
-        counted when skip_malformed is set. Duplicate question ids and
-        unknown answer types raise ParseError.
+        with a different count raise AnswerCountMismatch. Duplicate question
+        ids and unknown answer types raise ParseError.
         """
         ordered = sorted(questions, key=lambda vq: vq.question_id)
         a = len(ordered[0].raw_answers) if ordered else DEFAULT_ANSWERS_PER_QUESTION
-        kept: list[VisualQuestion] = []
         seen: set[int] = set()
-        dropped = 0
         for vq in ordered:
             if vq.question_id in seen:
                 raise ParseError(f"duplicate question_id {vq.question_id}")
@@ -98,17 +91,11 @@ class Corpus:
                     f"{vq.answer_type!r} (expected one of {ANSWER_TYPES})"
                 )
             if len(vq.raw_answers) != a:
-                if skip_malformed:
-                    dropped += 1
-                    continue
                 raise AnswerCountMismatch(
                     f"question {vq.question_id} has {len(vq.raw_answers)} answers, "
                     f"expected {a}"
                 )
-            kept.append(vq)
-        if dropped:
-            log.warning("dropped %d questions with != %d answers", dropped, a)
-        return cls(tuple(kept), a, source_tag)
+        return cls(tuple(ordered), a, source_tag)
 
     def __len__(self) -> int:
         return len(self.questions)
@@ -147,7 +134,6 @@ def load_corpus(
     annotations_source: str | Path | None = None,
     format: str = "jsonl",
     *,
-    skip_malformed: bool = False,
     source_tag: str = "",
 ) -> Corpus:
     """Load a corpus from disk.
@@ -159,7 +145,7 @@ def load_corpus(
 
     Raises ParseError for malformed input, MissingAnnotation when a
     question has no answer record, and AnswerCountMismatch for uneven
-    answer lists (dropped instead when skip_malformed is set).
+    answer lists.
     """
     if format not in CORPUS_FORMATS:
         raise ParseError(f"unknown corpus format {format!r} (expected {CORPUS_FORMATS})")
@@ -171,9 +157,7 @@ def load_corpus(
                 "vqa_v1_json needs both a questions file and an annotations file"
             )
         questions = _read_vqa_v1(Path(questions_source), Path(annotations_source))
-    return Corpus.from_questions(
-        questions, source_tag=source_tag, skip_malformed=skip_malformed
-    )
+    return Corpus.from_questions(questions, source_tag=source_tag)
 
 
 def _field(record, key: str, where: str, kind: type):
@@ -311,8 +295,11 @@ class ImageFeatureTable:
 def load_image_features(path: str | Path) -> ImageFeatureTable:
     """Read the saliency CSV (header image_id,p0,p1,p2,p3,p4).
 
-    Rows whose components are finite, non-negative and sum to 1 within 1e-3
-    are renormalized to sum exactly 1; anything else raises InvalidProbability.
+    Every cell is a plain ASCII number: a cell holding "_" or any
+    non-ASCII character raises ParseError, though int() and float() would
+    read "1_0" as 10 and Arabic-Indic digits as ASCII ones. Rows whose
+    components are finite, non-negative and sum to 1 within 1e-3 are
+    renormalized to sum exactly 1; anything else raises InvalidProbability.
     """
     table: dict[int, tuple[float, ...]] = {}
     reader = _read_text(path, csv.reader)
@@ -327,6 +314,8 @@ def load_image_features(path: str | Path) -> ImageFeatureTable:
         where = f"{path}:{lineno}"
         if len(row) != 6:
             raise ParseError(f"{where}: expected 6 columns, got {len(row)}")
+        if any("_" in cell or not cell.isascii() for cell in row):
+            raise ParseError(f"{where}: cells must be plain ASCII numbers, got {row}")
         try:
             image_id = int(row[0])
             probs = [float(cell) for cell in row[1:]]

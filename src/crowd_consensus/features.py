@@ -19,10 +19,8 @@ when one is needed (for code that expects a plain array).
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +65,7 @@ class Vocabularies:
     built_from: str = ""
 
     def to_doc(self) -> dict:
-        """JSON form, as stored in vocabularies.json and in model files."""
+        """JSON form, as stored in model files."""
         return {
             "first": list(self.first_words),
             "second": list(self.second_words),
@@ -76,12 +74,19 @@ class Vocabularies:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Vocabularies":
-        """Inverse of to_doc; each word list must hold distinct strings."""
-        words = tuple(doc["first"]), tuple(doc["second"])
-        for block in words:
-            if not all(type(w) is str for w in block) or len(set(block)) != len(block):
-                raise ValueError("vocabulary words must be distinct strings")
-        return cls(*words, built_from=doc.get("built_from", ""))
+        """Inverse of to_doc; each word list must be a list of distinct strings
+        and built_from a string, or ValueError is raised."""
+        first, second, built_from = doc["first"], doc["second"], doc["built_from"]
+        for block in (first, second):
+            if (
+                type(block) is not list
+                or not all(type(w) is str for w in block)
+                or len(set(block)) != len(block)
+            ):
+                raise ValueError("vocabularies must be lists of distinct strings")
+        if type(built_from) is not str:
+            raise ValueError(f"built_from must be a string, got {type(built_from).__name__}")
+        return cls(tuple(first), tuple(second), built_from)
 
     @cached_property
     def first_index(self) -> dict[str, int]:
@@ -214,13 +219,3 @@ def extract_matrix(
         source=np.array(source, dtype=np.int64),
     )
 
-
-def save_vocabularies(vocab: Vocabularies, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vocab.to_doc(), fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_vocabularies(path: str | Path) -> Vocabularies:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Vocabularies.from_doc(json.load(fh))

@@ -353,9 +353,9 @@ def load_model(path: str | Path) -> ForestModel:
     hold exactly the MODEL_GROWTH values, the layout is MODEL_LAYOUT,
     child indices point forward inside their tree, features index the
     model's columns, thresholds are finite, leaf vote counts are
-    consistent and vocabulary words are distinct strings. Any violation
-    raises FormatVersionMismatch, so a file recording any other way of
-    growing trees does not load.
+    consistent, vocabularies are lists of distinct strings and built_from
+    is a string. Any violation raises FormatVersionMismatch, so a file
+    recording any other way of growing trees does not load.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # ValueError includes JSONDecodeError and UnicodeDecodeError.

@@ -101,11 +101,19 @@ def test_internal_errors_exit_three(toy_corpus_path, tmp_path, monkeypatch, caps
     assert "internal error" in capsys.readouterr().err
 
 
-def test_vocab_command(toy_corpus_path, tmp_path):
+def test_deleted_command_and_flags_exit_two(toy_corpus_path, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["vocab", "--corpus", str(toy_corpus_path), "--out-dir", str(out)]) == 0
-    doc = json.loads((out / "vocabularies.json").read_text())
-    assert "is" in doc["first"]
+    corpus = ["--corpus", str(toy_corpus_path), "--out-dir", str(out)]
+    for argv, name in [
+        (["vocab", *corpus], "vocab"),
+        (["analyze", *corpus, "--skip-malformed"], "--skip-malformed"),
+        (["sweep", *corpus, "--model", "model.json", "--plot-data"], "--plot-data"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_writes_model_and_config(planted_path, tmp_path):
@@ -206,20 +214,18 @@ def test_sweep_outputs_and_boundaries(planted_path, tmp_path):
     model_path = train(planted_path, out)
     assert main(["sweep", "--corpus", str(planted_path), "--model", str(model_path),
                  "--budgets", "0,150,300", "--status-quo-seeds", "3",
-                 "--plot-data", "--out-dir", str(out)]) == 0
+                 "--out-dir", str(out)]) == 0
     rows = read_csv(out / "sweep.csv")
     assert {r["ranking"] for r in rows} == {"ours", "status_quo", "oracle"}
     assert len(rows) == 9
     for boundary in ("0", "300"):
         values = {r["diversity"] for r in rows if r["budget"] == boundary}
         assert len(values) == 1
-    plot = json.loads((out / "plot_data.json").read_text())
-    assert {s["name"] for s in plot["series"]} == {"ours", "status_quo", "oracle"}
 
     first = (out / "sweep.csv").read_bytes()
     assert main(["sweep", "--corpus", str(planted_path), "--model", str(model_path),
                  "--budgets", "0,150,300", "--status-quo-seeds", "3",
-                 "--plot-data", "--out-dir", str(out)]) == 0
+                 "--out-dir", str(out)]) == 0
     assert (out / "sweep.csv").read_bytes() == first
 
 
@@ -327,37 +333,50 @@ def test_model_without_vocab_is_input_error(planted_path, tmp_path, capsys):
 
 
 def test_seed_env_var_default(planted_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("CROWD_CONSENSUS_SEED", "77")
-    out = tmp_path / "run"
-    args = ["train", "--corpus", str(planted_path), "--mode", "q",
-            "--out-dir", str(out)]
-    assert main(args) == 0
-    assert json.loads((out / "run_config.json").read_text())["seed"] == 77
+    """The seed defaults to 0 whatever $CROWD_CONSENSUS_SEED says."""
+    argv = ["train", "--corpus", str(planted_path), "--mode", "q", "--trees", "3"]
+    outputs = []
+    for env in (None, "77"):
+        if env is None:
+            monkeypatch.delenv("CROWD_CONSENSUS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CROWD_CONSENSUS_SEED", env)
+        out = tmp_path / f"env-{env}"
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        assert json.loads((out / "run_config.json").read_text())["seed"] == 0
+        outputs.append((out / "model.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
-@pytest.mark.parametrize("flags,env,source", [
-    (["--seed", "-3"], None, "--seed"),
-    (["--seed", str(2**64)], None, "--seed"),
-    ([], "abc", "$CROWD_CONSENSUS_SEED"),
-    ([], "-1", "$CROWD_CONSENSUS_SEED"),
-    ([], str(2**64), "$CROWD_CONSENSUS_SEED"),
-], ids=["flag-negative", "flag-too-large", "env-not-an-integer", "env-negative",
-        "env-too-large"])
-def test_seed_is_checked_before_loading(tmp_path, monkeypatch, capsys, command, flags,
-                                        env, source):
+@pytest.mark.parametrize("flags,env", [
+    (["--seed", "-3"], None),
+    (["--seed", str(2**64)], None),
+    ({"train": ["--trees", "4"], "sweep": ["--budgets", "x"]}, None),
+    ([], "abc"),
+    ([], "-1"),
+    ([], str(2**64)),
+], ids=["flag-negative", "flag-too-large", "trees-or-budgets", "env-not-an-integer",
+        "env-negative", "env-too-large"])
+def test_seed_is_checked_before_loading(tmp_path, monkeypatch, capsys, command, flags, env):
+    if isinstance(flags, dict):
+        flags = flags[command]
     if env is None:
         monkeypatch.delenv("CROWD_CONSENSUS_SEED", raising=False)
     else:
         monkeypatch.setenv("CROWD_CONSENSUS_SEED", env)
-    # Missing input files: only a check made before loading can name the seed.
     missing = tmp_path / "missing"
     argv = [command, "--corpus", str(missing / "c.jsonl"), "--out-dir", str(tmp_path / "run")]
     if command == "sweep":
         argv += ["--model", str(missing / "model.json")]
     assert main(argv + flags) == 2
     err = capsys.readouterr().err
-    assert source in err and "missing" not in err, err
+    if flags:
+        # Missing input files: only a check made before loading can name the flag.
+        assert flags[0] in err and "missing" not in err, err
+    else:
+        # The variable is ignored, so a bad value lets the run go on to the missing files.
+        assert "missing" in err and "SEED" not in err, err
 
 
 def test_module_entry_point_reports_missing_corpus(tmp_path):

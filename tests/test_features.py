@@ -7,11 +7,10 @@ from crowd_consensus import (
     Corpus,
     FeatureMode,
     ImageFeatureTable,
+    Vocabularies,
     build_vocabularies,
     extract_matrix,
     feature_dimension,
-    load_vocabularies,
-    save_vocabularies,
     tokenize_question,
 )
 from crowd_consensus.errors import EmptyQuestion
@@ -130,16 +129,6 @@ def test_matrix_dimension_constancy(small_corpus):
     assert X.shape == (3, feature_dimension(vocab, FeatureMode.QI))
 
 
-def test_vocabularies_json_round_trip(tmp_path, small_corpus):
+def test_vocabularies_json_round_trip(small_corpus):
     vocab = build_vocabularies(small_corpus)
-    path = tmp_path / "vocab.json"
-    save_vocabularies(vocab, path)
-    assert load_vocabularies(path) == vocab
-
-
-@pytest.mark.parametrize("first", [["what", "what"], ["what", 7]])
-def test_load_vocabularies_rejects_bad_words(tmp_path, first):
-    path = tmp_path / "vocab.json"
-    path.write_text(json.dumps({"first": first, "second": [], "built_from": ""}))
-    with pytest.raises(ValueError):
-        load_vocabularies(path)
+    assert Vocabularies.from_doc(json.loads(json.dumps(vocab.to_doc()))) == vocab

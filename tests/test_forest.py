@@ -222,6 +222,12 @@ def test_golden_model_file_round_trips_and_predicts(tmp_path):
     ).read_bytes()
 
 
+def test_golden_model_is_retrained_byte_for_byte(tmp_path):
+    assert main(["train", "--corpus", str(GOLDEN / "corpus.jsonl"), "--mode", "q",
+                 "--trees", "3", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "model.json").read_bytes() == (GOLDEN / "model.json").read_bytes()
+
+
 def test_load_rejects_corrupted_file(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -287,6 +293,11 @@ def _set(key, value, node=0):
     return edit
 
 
+def _as_string(words):
+    """A string of len(words) distinct characters: only its type is wrong."""
+    return "".join(chr(0x4E00 + i) for i in range(len(words)))
+
+
 def _set_leaf(key, value):
     def edit(doc):
         tree = doc["trees"][0]
@@ -317,6 +328,13 @@ def _set_leaf(key, value):
     pytest.param(lambda doc: doc["vocab"]["first"].__setitem__(1, doc["vocab"]["first"][0]),
                  id="vocab-word-repeated"),
     pytest.param(lambda doc: doc["vocab"]["second"].__setitem__(0, 7), id="vocab-word-not-string"),
+    pytest.param(lambda doc: doc["vocab"].update(first=["what", "what"]),
+                 id="vocab-first-repeated"),
+    pytest.param(lambda doc: doc["vocab"].update(first=["what", 7]), id="vocab-first-not-string"),
+    pytest.param(lambda doc: doc["vocab"].update(first=_as_string(doc["vocab"]["first"])),
+                 id="vocab-first-is-string"),
+    pytest.param(lambda doc: doc["vocab"].update(built_from={"corpus": "x"}),
+                 id="vocab-built-from-object"),
     pytest.param(lambda doc: doc["config"].update(n_trees=3.0), id="config-n-trees-float"),
     pytest.param(lambda doc: doc["config"].update(seed=True), id="config-seed-bool"),
     pytest.param(lambda doc: doc["config"].update(min_leaf_size=1.5),
