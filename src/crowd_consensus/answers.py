@@ -100,9 +100,12 @@ class AnswerTable:
         }
         flat = [code_of_raw[raw] for raw in raws]
         codes = np.array(flat, dtype=np.int32).reshape(len(pools), a)
-        same = codes[:, :, None] == codes[:, None, :]
-        first = ~np.tril(same, -1).any(axis=2)
-        return cls(tuple(code_of_answer), codes, np.where(first, same.sum(axis=2), 0))
+        # One (n, A) comparison per slot keeps the peak at O(n * A).
+        counts = np.zeros(codes.shape, dtype=np.int64)
+        for j in range(a):
+            same = codes == codes[:, j, None]
+            counts[:, j] = np.where(same[:, :j].any(axis=1), 0, same.sum(axis=1))
+        return cls(tuple(code_of_answer), codes, counts)
 
     def distinct_at_least(self, m: int) -> np.ndarray:
         """Per pool: number of distinct normalized answers given at least m times."""

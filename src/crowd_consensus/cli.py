@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -60,15 +61,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "analyze", cmd_analyze, "Diversity histograms and agreement-by-type rates")
     _corpus_flags(p)
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=integer, default=None,
                    help="single agreement threshold (default: histograms for m=1,2,3)")
 
     p = _command(sub, "train", cmd_train, "Train the disagreement classifier")
     _corpus_flags(p)
     p.add_argument("--image-features", help="saliency CSV (image_id,p0..p4)")
     p.add_argument("--mode", choices=[m.value for m in FeatureMode], default="qi")
-    p.add_argument("--trees", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
+    p.add_argument("--trees", type=integer, default=25)
+    p.add_argument("--seed", type=integer, default=0, help="master seed (default: 0)")
     p.add_argument("--model", help="output model path (default: OUT_DIR/model.json)")
 
     p = _command(sub, "predict", cmd_predict, "Per-question disagreement probabilities")
@@ -85,25 +86,39 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_flags(p)
     p.add_argument("--image-features")
     p.add_argument("--model", required=True)
-    p.add_argument("--budget", type=int, required=True,
+    p.add_argument("--budget", type=integer, required=True,
                    help="number of questions granted R answers")
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--r", type=int, default=5)
+    p.add_argument("--s", type=integer, default=1)
+    p.add_argument("--r", type=integer, default=5)
 
     p = _command(sub, "sweep", cmd_sweep, "Diversity vs budget for ours/status-quo/oracle")
     _corpus_flags(p)
     p.add_argument("--image-features")
     p.add_argument("--model", required=True)
     p.add_argument("--budgets", help="comma-separated budgets (default: 11 even steps)")
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--r", type=int, default=5)
+    p.add_argument("--s", type=integer, default=1)
+    p.add_argument("--r", type=integer, default=5)
     p.add_argument("--sim", choices=["exact", "mc"], default="exact")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--status-quo-seeds", type=int, default=1,
+    p.add_argument("--trials", type=integer, default=1000)
+    p.add_argument("--status-quo-seeds", type=integer, default=1,
                    help="random orderings averaged into the status-quo rows")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
 
     return parser
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """An optional "-" then ASCII digits, read as an int.
+
+    int() also reads surrounding whitespace, "_" digit separators and
+    non-ASCII digits; every integer flag refuses them.
+    """
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _command(sub, name, func, help_text):
@@ -353,12 +368,9 @@ def cmd_sweep(args) -> int:
 
 def _parse_budgets(raw: str) -> list[int]:
     try:
-        budgets = [int(b) for b in raw.split(",") if b.strip()]
+        return [integer(b) for b in raw.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad --budgets value {raw!r}: {exc}") from exc
-    if not budgets:
-        raise ValueError("--budgets is empty")
-    return budgets
 
 
 if __name__ == "__main__":

