@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class SweepRow:
 
 def sweep(
     corpus: Corpus,
-    rankings: Mapping[str, Sequence[Sequence[int]]],
+    rankings: Mapping[str, Iterable[Sequence[int]]],
     budgets: Sequence[int],
     s: int = 1,
     r: int = 5,
@@ -134,10 +134,12 @@ def sweep(
 ) -> list[SweepRow]:
     """One row per (ranking, budget).
 
-    Each ranking name maps to a list of orderings of the corpus rows (one,
-    or several random priority orders); their diversities are averaged per
-    budget. Each question's capture under S and under R answers is an
-    integer over a common denominator D. Exact mode: D = lcm(C(A, S),
+    Each ranking name maps to an iterable of orderings of the corpus rows
+    (one, or several random priority orders); their diversities are
+    averaged per budget. Orderings are read, checked and added up one at a
+    time, so a generator of them costs O(n) memory however many it yields.
+    Each question's capture under S and under R answers is an integer over
+    a common denominator D. Exact mode: D = lcm(C(A, S),
     C(A, R)) and the terms are expectations. MC mode: D is the trial count;
     each question draws from one generator seeded by (seed, question id);
     trial t is its t-th permutation of the A pool slots, and S and R read
@@ -148,9 +150,6 @@ def sweep(
     n = len(corpus)
     for budget in (0, *budgets):
         _check_plan(n, budget, s, r)
-    orders = {name: [_permutation(name, rk, n) for rk in rks] for name, rks in rankings.items()}
-    if not all(orders.values()):
-        raise KeyMismatch("every ranking needs at least one ordering")
     a = corpus.answers_per_question
     if r > a:
         raise InvalidCounts(f"R={r} exceeds the {a} stored answers")
@@ -194,13 +193,17 @@ def sweep(
     gain = terms[r] - terms[s]
     max_diversity = int(table.distinct_at_least(TRUTH_MIN_COUNT).sum())
     rows = []
-    for name, orderings in orders.items():
+    for name, orderings in rankings.items():
         # prefix[b]: the gain of the first b rows, summed over the orderings.
         prefix = np.zeros(n + 1, dtype=object)
+        count = 0
         for ordering in orderings:
-            prefix[1:] += np.cumsum(gain[ordering])
+            prefix[1:] += np.cumsum(gain[_permutation(name, ordering, n)])
+            count += 1
+        if count == 0:
+            raise KeyMismatch(f"ranking {name!r} has no ordering")
         for budget in budgets:
-            diversity = (base * len(orderings) + prefix[budget]) / (denominator * len(orderings))
+            diversity = (base * count + prefix[budget]) / (denominator * count)
             spent = _answers_spent(n, budget, s, r)
             rows.append(
                 SweepRow(

@@ -8,6 +8,7 @@ column; it is an IntEnum, so a sequence of its members converts to 0/1.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 import string
 from dataclasses import dataclass
@@ -91,15 +92,21 @@ class AnswerTable:
 
     @classmethod
     def from_pools(cls, pools: Sequence[Sequence[str]], a: int) -> "AnswerTable":
-        """Code pools of `a` raw answers each, normalizing each distinct string once."""
-        raws = [raw for pool in pools for raw in pool]
+        """Code pools of `a` raw answers each, normalizing each distinct string once.
+
+        Pools that do not hold len(pools) * a answers in all raise ValueError.
+        """
         code_of_answer: dict[str, int] = {}
         code_of_raw = {
             raw: code_of_answer.setdefault(normalize_answer(raw), len(code_of_answer))
-            for raw in dict.fromkeys(raws)
+            for raw in dict.fromkeys(itertools.chain.from_iterable(pools))
         }
-        flat = [code_of_raw[raw] for raw in raws]
-        codes = np.array(flat, dtype=np.int32).reshape(len(pools), a)
+        size = len(pools) * a
+        coded = map(code_of_raw.__getitem__, itertools.chain.from_iterable(pools))
+        # fromiter raises on fewer than `size` answers but stops quietly at `size`.
+        codes = np.fromiter(coded, dtype=np.int32, count=size).reshape(len(pools), a)
+        if next(coded, None) is not None:
+            raise ValueError(f"more than {len(pools)} * {a} answers in {len(pools)} pools")
         # One (n, A) comparison per slot keeps the peak at O(n * A).
         counts = np.zeros(codes.shape, dtype=np.int64)
         for j in range(a):

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from .allocation import (
@@ -337,9 +338,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     rankings = {
         "ours": [rank_by_disagreement(scores)],
-        "status_quo": [
-            status_quo_ranking(len(corpus), [args.seed, k]) for k in range(args.status_quo_seeds)
-        ],
+        "status_quo": _StatusQuoOrderings(len(corpus), args.seed, args.status_quo_seeds),
         "oracle": [oracle_ranking(corpus)],
     }
     rows = sweep(
@@ -364,6 +363,26 @@ def cmd_sweep(args) -> int:
     )
     _write_run_config(out, args, budgets=budgets)
     return EXIT_OK
+
+
+class _StatusQuoOrderings(Sequence):
+    """The k-th of `count` status-quo orderings of n rows is seeded by [seed, k].
+
+    Each is drawn when it is read, and sweep reads them one at a time, so
+    memory does not grow with --status-quo-seeds; unlike a generator, the
+    orderings can still be counted and indexed.
+    """
+
+    def __init__(self, n: int, seed: int, count: int) -> None:
+        self.n, self.seed, self.count = n, seed, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, k: int) -> list[int]:
+        if not 0 <= k < self.count:
+            raise IndexError(k)
+        return status_quo_ranking(self.n, [self.seed, k])
 
 
 def _parse_budgets(raw: str) -> list[int]:

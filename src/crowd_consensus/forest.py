@@ -6,11 +6,16 @@ features per node, with candidate thresholds at midpoints between
 consecutive distinct values, until every leaf is pure or no split
 reduces impurity. Each tree's randomness comes from its own generator
 seeded by (master seed, tree index), so a tree depends only on the data
-and its own index, not on how many trees are grown.
+and its own index, not on how many trees are grown or by which process.
 
-Training reads a FeatureMatrix (see features.py) without densifying it:
-numeric columns are sorted per node, and a one-hot column, whose only cut
-is "word != w", is scored from per-node bincounts of the word codes.
+Training forks one worker process per CPU in the affinity mask (at most
+one per tree, no fork on one CPU); worker r grows trees r, r + w, ...,
+the calling process being worker 0, and the others send their trees back
+pickled over pipes. It reads a FeatureMatrix (see features.py) without
+densifying it, with each numeric column and each word-code block laid out
+contiguously once per forest: numeric columns are sorted per node, and a
+one-hot column, whose only cut is "word != w", is scored from per-node
+bincounts of the word codes.
 Prediction sends all rows down each tree together, one numpy step per
 tree level, and returns one float64 array: each row's share of trees
 voting disagreement. Turning a share into a label is left to the caller
@@ -21,10 +26,15 @@ same trees and predictions as its encoded form.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -91,6 +101,7 @@ def train_forest(
     *,
     vocab: Vocabularies | None = None,
     feature_mode: FeatureMode = FeatureMode.QI,
+    _workers: int | None = None,
 ) -> ForestModel:
     """Fit the ensemble.
 
@@ -117,11 +128,8 @@ def train_forest(
                 f"vocabularies imply {expected} features but X has {d}"
             )
     k = max(1, math.ceil(math.sqrt(d)))
-
-    trees = tuple(
-        _grow_tree(X, y01, np.random.default_rng([config.seed, t]), k)
-        for t in range(config.n_trees)
-    )
+    workers = min(_workers or _available_cpus(), config.n_trees)
+    trees = _grow_forest(X, y01, k, config.seed, config.n_trees, workers)
     return ForestModel(
         trees=trees,
         config=config,
@@ -141,13 +149,132 @@ def _encoded(X) -> FeatureMatrix:
     return FeatureMatrix.from_dense(X)
 
 
+class WorkerFailed(RuntimeError):
+    """A tree-growing worker process raised or was killed."""
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """A FeatureMatrix laid out for split search, built once per forest.
+
+    numeric[j] is numeric column j and codes[b] is code block b plus one
+    (0 is "no word"), each contiguous; block and word are source's columns.
+    width is the largest word of any block plus two, so the first width
+    bins of a bincount of codes[b] count every word a one-hot column reads.
+    """
+
+    numeric: np.ndarray  # (p, n) float64
+    codes: np.ndarray  # (B, n) int32
+    block: np.ndarray  # (d,) int64
+    word: np.ndarray  # (d,) int64
+    width: int
+
+    @classmethod
+    def of(cls, X: FeatureMatrix) -> "_Columns":
+        block, word = X.source.T
+        return cls(
+            numeric=np.ascontiguousarray(X.numeric.T),
+            codes=np.ascontiguousarray(X.codes.T) + 1,
+            block=np.ascontiguousarray(block),
+            word=np.ascontiguousarray(word),
+            width=int(word[block >= 0].max(initial=-1)) + 2,
+        )
+
+
+def _grow_forest(
+    X: FeatureMatrix, y: np.ndarray, k: int, seed: int, n_trees: int, workers: int
+) -> tuple[DecisionTree, ...]:
+    """Trees 0..n_trees-1, grown by `workers` processes.
+
+    Worker r grows the trees t with t % workers == r; this process is
+    worker 0 and forks the others, which share X and y copy-on-write and
+    send their trees back pickled over a pipe. Tree t is a function of
+    (seed, t) alone, so the result does not depend on the worker count.
+    A worker that fails or dies raises WorkerFailed here, after every
+    worker has been killed and reaped.
+    """
+    cols = _Columns.of(X)
+
+    def grow(r: int) -> list[DecisionTree]:
+        return [
+            _grow_tree(cols, y, np.random.default_rng([seed, t]), k)
+            for t in range(r, n_trees, workers)
+        ]
+
+    if workers == 1:
+        return tuple(grow(0))
+    shares: list[list[DecisionTree]] = [[] for _ in range(workers)]
+    children: dict[int, tuple[int, BinaryIO]] = {}  # worker -> (pid, pipe)
+    # Frozen objects are never touched by a garbage collection, so a
+    # worker's collections do not copy the pages it shares with this process.
+    gc.freeze()
+    try:
+        for r in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                for _, pipe in children.values():
+                    pipe.close()
+                _work(grow, r, write)
+            os.close(write)
+            children[r] = (pid, open(read, "rb"))
+        shares[0] = grow(0)
+        for r in range(1, workers):
+            pid, pipe = children[r]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[r]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise WorkerFailed(f"tree worker {r} (pid {pid}) {how}")
+            shares[r] = pickle.loads(data)
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+        gc.unfreeze()
+    return tuple(shares[t % workers][t // workers] for t in range(n_trees))
+
+
+def _work(grow, r: int, write: int) -> NoReturn:
+    """Body of forked worker r: pickle grow(r) into the pipe, then _exit.
+
+    It never returns into the caller and flushes no inherited buffer; a
+    failure is one line on stderr and exit status 1.
+    """
+    code = 1
+    try:
+        with open(write, "wb") as pipe:
+            pickle.dump(grow(r), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except BaseException as exc:
+        os.write(2, f"tree worker {r}: {type(exc).__name__}: {exc}\n".encode())
+    finally:
+        os._exit(code)
+
+
 def _grow_tree(
-    X: FeatureMatrix,
+    cols: _Columns,
     y: np.ndarray,
     rng: np.random.Generator,
     k: int,
 ) -> DecisionTree:
-    n, d = X.shape
+    n = y.size
+    d = cols.block.size
     # The bootstrap draw is the generator's first use, so a tree's sample
     # is reproducible from (seed, tree index) alone.
     bootstrap = rng.integers(0, n, size=n)
@@ -174,14 +301,14 @@ def _grow_tree(
     while stack:
         node, idx = stack.pop()
         ysub = y[idx]
-        n_pos = int(ysub.sum())
+        n_pos = int(np.count_nonzero(ysub))
         split = None
-        if 0 < n_pos < len(idx):  # impure, so at least 2 rows
+        if 0 < n_pos < idx.size:  # impure, so at least 2 rows
             feat_ids = rng.choice(d, size=k, replace=False)
-            split = _best_split(X, ysub, idx, feat_ids)
+            split = _best_split(cols, ysub, n_pos, idx, feat_ids)
         if split is None:
             votes_d[node] = n_pos
-            votes_n[node] = len(idx)
+            votes_n[node] = idx.size
             continue
         f, thr, goes_left = split
         feature[node] = f
@@ -204,67 +331,73 @@ def _grow_tree(
 
 
 def _best_split(
-    X: FeatureMatrix,
+    cols: _Columns,
     ysub: np.ndarray,
+    total1: int,
     idx: np.ndarray,
     feat_ids: np.ndarray,
 ) -> tuple[int, float, np.ndarray] | None:
     """Strictly impurity-reducing (feature, threshold, rows going left), or None.
 
-    Ties are broken toward the earliest feature in feat_ids and, within a
-    feature, the lowest threshold. A numeric column is sorted and every
-    cut between distinct values is a candidate; a one-hot column has the
-    single cut "code != w" (left) at threshold 0.5, and one bincount of
-    totals and one of positives per code block count every sampled word at
-    once. All candidates of the node are scored together.
+    ysub = y[idx] holds total1 positives. Ties are broken toward the
+    earliest feature in feat_ids and, within a feature, the lowest
+    threshold. A numeric column is sorted and every cut between distinct
+    values is a candidate; a one-hot column has the single cut
+    "code != w" (left) at threshold 0.5, and one bincount of totals and
+    one of positives per code block count every sampled word at once. All
+    candidates of the node are scored together.
     """
-    m = len(ysub)
-    total1 = int(ysub.sum())
-    block, j = X.source[feat_ids].T
+    m = ysub.size
+    block, word = cols.block[feat_ids], cols.word[feat_ids]
     # Candidate c is cut key[c] % m of feat_ids[key[c] // m]; a smaller key wins ties.
     keys, nls, l1s = [], [], []
-    sorted_values = {}
-    for i in np.flatnonzero(block < 0):
-        values = X.numeric[idx, j[i]]
+    values_at = {}  # numeric feature position -> (values at idx, sorted)
+    coded = {}  # code block -> codes at idx, plus one
+    for i in (block < 0).nonzero()[0].tolist():
+        values = cols.numeric[word[i]][idx]
         order = np.argsort(values, kind="stable")
         sv = values[order]
-        cut = np.nonzero(sv[:-1] != sv[1:])[0]  # split between cut and cut+1
+        cut = (sv[:-1] != sv[1:]).nonzero()[0]  # split between cut and cut+1
         if cut.size:
             keys.append(i * m + cut)
             nls.append(cut + 1)
             l1s.append(np.cumsum(ysub[order])[cut])
-            sorted_values[i] = sv
-    positive = ysub.astype(bool)
-    for b in range(X.codes.shape[1]):
-        at = np.flatnonzero(block == b)
-        if at.size == 0:
-            continue
-        codes = X.codes[idx, b] + 1  # 0 is "no word"
-        size = int(j[at].max()) + 2
-        nr = np.bincount(codes, minlength=size)[j[at] + 1]
-        r1 = np.bincount(codes[positive], minlength=size)[j[at] + 1]
+            values_at[i] = values, sv
+    at = (block >= 0).nonzero()[0]
+    if at.size:
+        blocks = block[at]
+        positive = ysub.view(bool)
+        # counts[0, b, w + 1] and counts[1, b, w + 1]: rows and positive rows with word w in block b.
+        counts = np.zeros((2, len(cols.codes), cols.width), dtype=np.intp)
+        for b in set(blocks.tolist()):
+            codes = coded[b] = cols.codes[b][idx]
+            counts[0, b] = np.bincount(codes, minlength=cols.width)[: cols.width]
+            counts[1, b] = np.bincount(codes[positive], minlength=cols.width)[: cols.width]
+        nr, r1 = counts[:, blocks, word[at] + 1]
         ok = (0 < nr) & (nr < m)
         keys.append(at[ok] * m)
         nls.append(m - nr[ok])
         l1s.append(total1 - r1[ok])
     if not keys:
         return None
-    nl = np.concatenate(nls)
-    l1 = np.concatenate(l1s)
+    if len(keys) == 1:
+        [key], [nl], [l1] = keys, nls, l1s
+    else:
+        key, nl, l1 = np.concatenate(keys), np.concatenate(nls), np.concatenate(l1s)
     gain = _gain(m, total1, nl, l1)
     best = gain.max(initial=0.0)
     if best <= 0.0:
         return None
-    i, cut = divmod(int(np.concatenate(keys)[gain == best].min()), m)
+    i, cut = divmod(int(key[gain == best].min()), m)
     f = int(feat_ids[i])
     if block[i] >= 0:
-        return f, 0.5, X.codes[idx, block[i]] != j[i]
-    sv = sorted_values[i]
+        return f, 0.5, coded[int(block[i])] != word[i] + 1
+    values, sv = values_at[i]
     lo, hi = sv[cut], sv[cut + 1]
     thr = lo + (hi - lo) / 2.0
     if thr >= hi:  # midpoint rounded up between adjacent floats
         thr = lo
-    return f, float(thr), X.numeric[idx, j[i]] <= thr
+    return f, float(thr), values <= thr
 
 
 def _gini(n, n1):

@@ -336,6 +336,24 @@ def test_monte_carlo_sweep_keeps_one_question_in_memory():
     assert peak < 4_000_000
 
 
+def test_sweep_memory_does_not_grow_with_status_quo_orderings():
+    corpus = make_random_corpus(5000, seed=6)
+    corpus.answer_table  # built once per corpus, outside the measurement
+    n = len(corpus)
+    peaks, rows = {}, {}
+    for seeds in (1, 20):
+        orderings = (status_quo_ranking(n, [3, k]) for k in range(seeds))
+        tracemalloc.start()
+        try:
+            rows[seeds] = sweep(corpus, {"status_quo": orderings}, [0, n // 2, n])
+            _, peaks[seeds] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # Holding all 20 orderings as index arrays adds 20 * 8n bytes, 0.8 MB here.
+    assert peaks[20] < 1.1 * peaks[1], peaks
+    assert rows[20][1].diversity != rows[1][1].diversity  # the 20 orderings were all read
+
+
 def test_monte_carlo_memory_does_not_grow_with_trials():
     corpus = make_random_corpus(3, seed=2)
     corpus.answer_table  # built once per corpus, outside the measurement

@@ -295,6 +295,27 @@ def test_answer_table_memory_is_linear_in_pool_size():
     assert peak < 8_000_000, peak
 
 
+def test_answer_table_codes_pools_without_per_answer_lists():
+    # 50k pools of 10: Python lists of all n * A answers and codes peaked at
+    # 15.7 MB; the (n, A) codes and counts arrays themselves take 6 MB.
+    pools = [[f"answer {(7 * i + j) % 300}" for j in range(10)] for i in range(50_000)]
+    tracemalloc.start()
+    try:
+        table = AnswerTable.from_pools(pools, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.codes[1].tolist() == [7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
+    assert peak < 10_000_000, peak
+
+
+@pytest.mark.parametrize("pools", [[["a", "b"], ["c"]], [["a", "b"], ["c", "d", "e"]]],
+                         ids=["too-few", "too-many"])
+def test_answer_table_rejects_pools_that_do_not_fill_the_table(pools):
+    with pytest.raises(ValueError):
+        AnswerTable.from_pools(pools, 2)
+
+
 def test_answer_table_is_built_once_per_corpus(mixed_corpus):
     assert mixed_corpus.answer_table is mixed_corpus.answer_table
     assert mixed_corpus.answer_table.codes.shape == (len(mixed_corpus), 10)

@@ -1,5 +1,9 @@
+import contextlib
 import copy
 import json
+import math
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +31,9 @@ from crowd_consensus.errors import (
     EmptyTrainingSet,
     FormatVersionMismatch,
 )
+from crowd_consensus import forest
 from crowd_consensus.features import FeatureMatrix
-from crowd_consensus.forest import _best_split
+from crowd_consensus.forest import WorkerFailed, _best_split, _Columns, _grow_forest
 
 A, D = AgreementLabel.AGREEMENT, AgreementLabel.DISAGREEMENT
 
@@ -386,9 +391,107 @@ def test_split_ties_go_to_the_earliest_sampled_feature_and_lowest_cut():
     rows = np.arange(4)
     # The numeric column gains less than any one-hot column, so it never wins.
     for feat_ids, expected in (([3, 1, 2, 4], 3), ([2, 4, 1, 3], 2), ([0, 4, 1], 4)):
-        f, threshold, goes_left = _best_split(X, y, rows, np.array(feat_ids))
+        f, threshold, goes_left = _best_split(_Columns.of(X), y, 2, rows, np.array(feat_ids))
         assert (f, threshold) == (expected, 0.5)
         assert goes_left.tolist() == (np.asarray(X)[:, f] <= 0.5).tolist()
     # On the numeric column the cuts at 1.5 and 3.5 gain the same: the lower wins.
-    f, threshold, goes_left = _best_split(X, y, rows, np.array([0]))
+    f, threshold, goes_left = _best_split(_Columns.of(X), y, 2, rows, np.array([0]))
     assert (f, threshold, goes_left.tolist()) == (0, 1.5, [True, False, False, False])
+
+
+def _tree_arrays(trees):
+    return [[getattr(t, name).tolist() for name in forest._TREE_ARRAYS] for t in trees]
+
+
+@pytest.fixture(scope="module")
+def training_sets():
+    """A dense matrix and a FeatureMatrix with numeric columns and both code blocks."""
+    corpus = make_planted_corpus(300, seed=5)
+    X = extract_matrix(corpus, build_vocabularies(corpus), mode=FeatureMode.QI)
+    assert (X.codes >= 0).any(axis=0).all() and X.numeric.shape[1] == 6
+    y = corpus.answer_table.labels().astype(np.uint8)
+    dense = np.random.default_rng(4).normal(size=(120, 5))
+    return {
+        "dense": (FeatureMatrix.from_dense(dense), (dense[:, 0] + dense[:, 1] > 0).astype(np.uint8)),
+        "encoded": (X, y),
+    }
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", ["dense", "encoded"])
+@pytest.mark.parametrize("n_trees", [1, 2, 3, 5])
+def test_trees_do_not_depend_on_the_worker_count(training_sets, kind, n_trees):
+    X, y = training_sets[kind]
+    k = math.ceil(math.sqrt(X.shape[1]))
+    one = _tree_arrays(_grow_forest(X, y, k, 11, n_trees, 1))
+    assert len(one) == n_trees
+    for workers in (2, 3):  # 3 workers for 1 or 2 trees leaves a worker without trees
+        assert _tree_arrays(_grow_forest(X, y, k, 11, n_trees, workers)) == one
+    if n_trees % 2:
+        for workers in (1, 2, 3):
+            model = train_forest(X, y, ForestConfig(n_trees=n_trees, seed=11), _workers=workers)
+            assert _tree_arrays(model.trees) == one
+
+
+def _in_workers(monkeypatch, action):
+    """Make every tree grown outside this process call action() first."""
+    parent, grow = os.getpid(), forest._grow_tree
+
+    def grow_or_fail(*args):
+        if os.getpid() != parent:
+            action()
+        return grow(*args)
+
+    monkeypatch.setattr(forest, "_grow_tree", grow_or_fail)
+
+
+def _raise():
+    raise RuntimeError("worker fault")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_fork
+@pytest.mark.parametrize("action, message", [
+    (_raise, r"tree worker 1 \(pid \d+\) exited with status 1"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     rf"tree worker 1 \(pid \d+\) was killed by signal {signal.SIGKILL.value}"),
+], ids=["raises", "killed"])
+def test_failed_worker_is_an_error_and_leaves_no_process(training_sets, monkeypatch,
+                                                          action, message):
+    X, y = training_sets["encoded"]
+    _in_workers(monkeypatch, action)
+    with _deadline(30), pytest.raises(WorkerFailed, match=message):
+        train_forest(X, y, ForestConfig(n_trees=5, seed=1), _workers=3)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_train_command_exits_three_when_a_worker_fails(tmp_path, monkeypatch, capsys):
+    _in_workers(monkeypatch, _raise)
+    monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+    with _deadline(30):
+        code = main(["train", "--corpus", str(GOLDEN / "corpus.jsonl"), "--mode", "q",
+                     "--trees", "3", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "WorkerFailed: tree worker 1" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
