@@ -14,6 +14,7 @@ probability 1 - C(A-c, n) / C(A, n).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -197,8 +198,9 @@ def sweep(
         # prefix[b]: the gain of the first b rows, summed over the orderings.
         prefix = np.zeros(n + 1, dtype=object)
         count = 0
-        for ordering in orderings:
-            prefix[1:] += np.cumsum(gain[_permutation(name, ordering, n)])
+        # map drops each ordering once it is checked, before the object sums.
+        for order in map(functools.partial(_permutation, name, n=n), orderings):
+            prefix[1:] += np.cumsum(gain[order])
             count += 1
         if count == 0:
             raise KeyMismatch(f"ranking {name!r} has no ordering")
@@ -220,8 +222,14 @@ def sweep(
 
 
 def _permutation(name: str, ordering: Sequence[int], n: int) -> np.ndarray:
-    """ordering as an index array, if it is a permutation of the rows 0..n-1."""
+    """ordering as an index array, if it is an integer permutation of the rows 0..n-1."""
     rows = np.asarray(ordering)
-    if rows.shape != (n,) or not np.array_equal(np.sort(rows), np.arange(n)):
-        raise KeyMismatch(f"ranking {name!r} is not a permutation of the corpus rows")
-    return rows.astype(np.intp)
+    if rows.size == 0:
+        rows = rows.astype(np.intp)  # [] reads as float64
+    if rows.shape == (n,) and rows.dtype.kind in "iu" and (n == 0 or 0 <= rows.min() and rows.max() < n):
+        # n rows in range are a permutation when they hit every row.
+        hit = np.zeros(n, dtype=bool)
+        hit[rows] = True
+        if hit.all():
+            return rows.astype(np.intp, copy=False)
+    raise KeyMismatch(f"ranking {name!r} is not a permutation of the corpus rows")

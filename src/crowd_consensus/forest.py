@@ -9,9 +9,10 @@ seeded by (master seed, tree index), so a tree depends only on the data
 and its own index, not on how many trees are grown or by which process.
 
 Training forks one worker process per CPU in the affinity mask (at most
-one per tree, no fork on one CPU); worker r grows trees r, r + w, ...,
-the calling process being worker 0, and the others send their trees back
-pickled over pipes. It reads a FeatureMatrix (see features.py) without
+one per tree); worker r grows trees r, r + w, ..., the calling process
+being worker 0, and the others send their trees back pickled over pipes.
+It does not fork on one CPU, for a small forest, or while another Python
+thread runs. It reads a FeatureMatrix (see features.py) without
 densifying it, with each numeric column and each word-code block laid out
 contiguously once per forest: numeric columns are sorted per node, and a
 one-hot column, whose only cut is "word != w", is scored from per-node
@@ -32,6 +33,7 @@ import math
 import os
 import pickle
 import signal
+import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, NoReturn
@@ -101,7 +103,6 @@ def train_forest(
     *,
     vocab: Vocabularies | None = None,
     feature_mode: FeatureMode = FeatureMode.QI,
-    _workers: int | None = None,
 ) -> ForestModel:
     """Fit the ensemble.
 
@@ -128,7 +129,7 @@ def train_forest(
                 f"vocabularies imply {expected} features but X has {d}"
             )
     k = max(1, math.ceil(math.sqrt(d)))
-    workers = min(_workers or _available_cpus(), config.n_trees)
+    workers = _worker_count(n * k * config.n_trees, config.n_trees)
     trees = _grow_forest(X, y01, k, config.seed, config.n_trees, workers)
     return ForestModel(
         trees=trees,
@@ -151,6 +152,27 @@ def _encoded(X) -> FeatureMatrix:
 
 class WorkerFailed(RuntimeError):
     """A tree-growing worker process raised or was killed."""
+
+
+#: Rows times features drawn per node times trees below which a forest is
+#: grown in one process. A fork round trip costs 5-17 ms, more than half of
+#: a small forest saves: planted-mc's 700 rows x 4 x 25 trees grow in 19 ms
+#: alone and 23 ms with two workers, planted-exact's 3000 x 5 x 25 in 292 ms
+#: alone and 196 ms with two. Sizes do not tell how deep the trees grow, so
+#: a forest just over the bar may still lose a fork's cost.
+_FORK_MIN_WORK = 150_000
+
+
+def _worker_count(work: int, n_trees: int) -> int:
+    """Processes to grow n_trees trees in: one per CPU, at most one per tree.
+
+    One for a forest under _FORK_MIN_WORK, and one while another Python
+    thread runs, since a forked child could then inherit a lock that
+    thread holds and never get it.
+    """
+    if work < _FORK_MIN_WORK or threading.active_count() > 1:
+        return 1
+    return min(_available_cpus(), n_trees)
 
 
 def _available_cpus() -> int:
@@ -214,6 +236,8 @@ def _grow_forest(
     children: dict[int, tuple[int, BinaryIO]] = {}  # worker -> (pid, pipe)
     # Frozen objects are never touched by a garbage collection, so a
     # worker's collections do not copy the pages it shares with this process.
+    # A caller's own freeze stays in force, now holding these objects too.
+    caller_froze = gc.get_freeze_count() > 0
     gc.freeze()
     try:
         for r in range(1, workers):
@@ -246,7 +270,8 @@ def _grow_forest(
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
-        gc.unfreeze()
+        if not caller_froze:
+            gc.unfreeze()
     return tuple(shares[t % workers][t // workers] for t in range(n_trees))
 
 

@@ -267,12 +267,16 @@ def test_sweep_validation():
         [rows, rows[:-1]],  # one ordering too short
         [[1, 2, 3, 4, 5]],  # out of range
         [[0, 1, 2, 3, 4.5]],  # not an integer
+        [[0.0, 1.0, 2.0, 3.0, 4.0]],  # floats, even integral ones
         [["0", "1", "2", "3", "4"]],  # not numbers
         rows,  # one ordering not wrapped in a list
-        [],  # no ordering
     ]
     for orderings in bad:
-        with pytest.raises(KeyMismatch):
+        for mode in ("exact", "mc"):
+            with pytest.raises(KeyMismatch, match="ranking 'x' is not a permutation"):
+                sweep(corpus, {"x": orderings}, [1], mode=mode, trials=5)
+    for orderings in ([], iter(())):  # no ordering, as a list or an exhausted iterator
+        with pytest.raises(KeyMismatch, match="ranking 'x' has no ordering"):
             sweep(corpus, {"x": orderings}, [1])
     with pytest.raises(ValueError):
         sweep(corpus, {"x": [rows]}, [1], mode="bogus")

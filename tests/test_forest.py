@@ -1,9 +1,11 @@
 import contextlib
 import copy
+import gc
 import json
 import math
 import os
 import signal
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -420,10 +422,16 @@ def training_sets():
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 
 
+def _on_cpus(monkeypatch, cpus):
+    """Make train_forest fork for any forest, with this many CPUs."""
+    monkeypatch.setattr(forest, "_FORK_MIN_WORK", 0)
+    monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
+
+
 @needs_fork
 @pytest.mark.parametrize("kind", ["dense", "encoded"])
 @pytest.mark.parametrize("n_trees", [1, 2, 3, 5])
-def test_trees_do_not_depend_on_the_worker_count(training_sets, kind, n_trees):
+def test_trees_do_not_depend_on_the_worker_count(training_sets, monkeypatch, kind, n_trees):
     X, y = training_sets[kind]
     k = math.ceil(math.sqrt(X.shape[1]))
     one = _tree_arrays(_grow_forest(X, y, k, 11, n_trees, 1))
@@ -431,9 +439,42 @@ def test_trees_do_not_depend_on_the_worker_count(training_sets, kind, n_trees):
     for workers in (2, 3):  # 3 workers for 1 or 2 trees leaves a worker without trees
         assert _tree_arrays(_grow_forest(X, y, k, 11, n_trees, workers)) == one
     if n_trees % 2:
-        for workers in (1, 2, 3):
-            model = train_forest(X, y, ForestConfig(n_trees=n_trees, seed=11), _workers=workers)
+        for cpus in (1, 2, 3):
+            _on_cpus(monkeypatch, cpus)
+            model = train_forest(X, y, ForestConfig(n_trees=n_trees, seed=11))
             assert _tree_arrays(model.trees) == one
+
+
+def test_small_forests_and_threaded_callers_grow_in_one_process(monkeypatch):
+    monkeypatch.setattr(forest, "_available_cpus", lambda: 4)
+    big = forest._FORK_MIN_WORK
+    assert forest._worker_count(big, 25) == 4
+    assert forest._worker_count(big, 3) == 3  # at most one worker per tree
+    assert forest._worker_count(big - 1, 25) == 1
+    # The bench's planted-mc forest (700 rows, 4 of 14 features, 25 trees)
+    # is below the bar; planted-exact's (3000 rows, 5 of 19, 25) is above.
+    assert 700 * 4 * 25 < big < 3000 * 5 * 25
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert forest._worker_count(big, 25) == 1
+    finally:
+        release.set()
+        thread.join()
+
+
+@needs_fork
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_forking_leaves_the_callers_gc_freeze_as_it_was(training_sets, caller_froze):
+    X, y = training_sets["dense"]
+    if caller_froze:
+        gc.freeze()
+    try:
+        _grow_forest(X, y, 3, 11, 3, 2)
+        assert (gc.get_freeze_count() > 0) == caller_froze
+    finally:
+        gc.unfreeze()
 
 
 def _in_workers(monkeypatch, action):
@@ -477,8 +518,9 @@ def test_failed_worker_is_an_error_and_leaves_no_process(training_sets, monkeypa
                                                           action, message):
     X, y = training_sets["encoded"]
     _in_workers(monkeypatch, action)
+    _on_cpus(monkeypatch, 3)
     with _deadline(30), pytest.raises(WorkerFailed, match=message):
-        train_forest(X, y, ForestConfig(n_trees=5, seed=1), _workers=3)
+        train_forest(X, y, ForestConfig(n_trees=5, seed=1))
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -486,7 +528,7 @@ def test_failed_worker_is_an_error_and_leaves_no_process(training_sets, monkeypa
 @needs_fork
 def test_train_command_exits_three_when_a_worker_fails(tmp_path, monkeypatch, capsys):
     _in_workers(monkeypatch, _raise)
-    monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+    _on_cpus(monkeypatch, 2)
     with _deadline(30):
         code = main(["train", "--corpus", str(GOLDEN / "corpus.jsonl"), "--mode", "q",
                      "--trees", "3", "--out-dir", str(tmp_path)])
