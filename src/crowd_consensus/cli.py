@@ -26,7 +26,7 @@ from .allocation import (
 from .answers import AgreementLabel, agreement_by_answer_type, diversity_histogram
 from .corpus import load_corpus, load_image_features
 from .errors import CrowdConsensusError, DimensionMismatch, EmptyTrainingSet
-from .evalmetrics import pr_curve, stratified_eval
+from .evalmetrics import stratified_eval
 from .features import FeatureMode, build_vocabularies, extract_matrix
 from .forest import ForestConfig, load_model, predict_many, save_model, train_forest
 
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "analyze", cmd_analyze, "Diversity histograms and agreement-by-type rates")
     _corpus_flags(p)
     p.add_argument("--m", type=integer, default=None,
-                   help="single agreement threshold (default: histograms for m=1,2,3)")
+                   help="single agreement threshold (default: histograms for m=1,2,3 up to A)")
 
     p = _command(sub, "train", cmd_train, "Train the disagreement classifier")
     _corpus_flags(p)
@@ -197,7 +197,9 @@ def _fmt(x: float) -> str:
 def cmd_analyze(args) -> int:
     corpus = _load(args)
     out = _out_dir(args)
-    thresholds = [args.m] if args.m is not None else [1, 2, 3]
+    # By default m = 1, 2, 3 up to A; a corpus without answers still fails m = 1.
+    default = [1, 2, 3][: max(corpus.answers_per_question, 1)]
+    thresholds = [args.m] if args.m is not None else default
     # Every threshold is checked before any file is written.
     hists = {m: diversity_histogram(corpus, m) for m in thresholds}
     for m, hist in hists.items():
@@ -288,20 +290,14 @@ def cmd_eval(args) -> int:
             "n_by_type": dict(report.n_by_type),
         },
     )
-    _write_curve(out / "pr_overall.csv", scores, labels)
-    for stratum in report.ap_by_type:
-        rows = report.rows_by_type[stratum]
-        _write_curve(
-            out / f"pr_{stratum.replace('/', '_')}.csv",
-            scores[rows],
-            labels[rows],
-        )
+    _write_curve(out / "pr_overall.csv", report.curve_overall)
+    for stratum, curve in report.curve_by_type.items():
+        _write_curve(out / f"pr_{stratum.replace('/', '_')}.csv", curve)
     _write_run_config(out, args)
     return EXIT_OK
 
 
-def _write_curve(path: Path, scores, labels) -> None:
-    curve = pr_curve(scores, labels)
+def _write_curve(path: Path, curve) -> None:
     _write_csv(
         path,
         ["threshold", "recall", "precision"],

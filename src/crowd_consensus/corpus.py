@@ -139,17 +139,19 @@ def load_corpus(
     """Load a corpus from disk.
 
     format "jsonl" reads one record per line with keys question_id,
-    image_id, question, answers and optional answer_type. format
-    "vqa_v1_json" reads the paired questions/annotations JSON files and
-    requires annotations_source.
+    image_id, question, answers and optional answer_type, and takes no
+    annotations_source. format "vqa_v1_json" reads the paired
+    questions/annotations JSON files and requires annotations_source.
 
-    Raises ParseError for malformed input, MissingAnnotation when a
-    question has no answer record, and AnswerCountMismatch for uneven
-    answer lists.
+    Raises ParseError for malformed input or an annotations_source given
+    with "jsonl", MissingAnnotation when a question has no answer record,
+    and AnswerCountMismatch for uneven answer lists.
     """
     if format not in CORPUS_FORMATS:
         raise ParseError(f"unknown corpus format {format!r} (expected {CORPUS_FORMATS})")
     if format == "jsonl":
+        if annotations_source is not None:
+            raise ParseError(f"{annotations_source}: an annotations file needs format vqa_v1_json")
         questions = _read_jsonl(Path(questions_source))
     else:
         if annotations_source is None:

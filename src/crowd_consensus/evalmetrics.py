@@ -10,7 +10,7 @@ metric independent of input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -38,10 +38,9 @@ class EvalReport:
     ap_overall: float
     ap_by_type: Mapping[str, float]
     n_by_type: Mapping[str, int]
-    #: Input row indices of each stratum; depends on input order, so not compared.
-    rows_by_type: Mapping[str, Sequence[int]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    curve_overall: PrCurve
+    #: The PR curve of each stratum in ap_by_type.
+    curve_by_type: Mapping[str, PrCurve]
 
 
 def _grouped_counts(scores, labels):
@@ -61,21 +60,30 @@ def _grouped_counts(scores, labels):
     return sorted_scores[last], cum_tp[last], last + 1, n_pos
 
 
-def pr_curve(scores: Sequence[float], labels) -> PrCurve:
-    """Precision/recall at every distinct score threshold, descending."""
-    thresholds, tp, predicted, n_pos = _grouped_counts(scores, labels)
+def _curve(thresholds, tp, predicted, n_pos) -> PrCurve:
+    """The PR curve of _grouped_counts' groups; the last group ends at the last item."""
     points = tuple(
         PrPoint(recall=t / n_pos, precision=t / p, threshold=float(thr))
         for thr, t, p in zip(thresholds, tp, predicted)
     )
-    return PrCurve(points=points, n_positive=n_pos, n_total=len(scores))
+    return PrCurve(points=points, n_positive=n_pos, n_total=int(predicted[-1]))
+
+
+def _average_precision(tp, predicted, n_pos) -> float:
+    """average_precision from _grouped_counts' cumulative counts."""
+    pos_in_group = np.diff(tp, prepend=0)
+    return float(np.sum((tp / predicted) * pos_in_group) / n_pos)
+
+
+def pr_curve(scores: Sequence[float], labels) -> PrCurve:
+    """Precision/recall at every distinct score threshold, descending."""
+    return _curve(*_grouped_counts(scores, labels))
 
 
 def average_precision(scores: Sequence[float], labels) -> float:
     """Mean precision over positives, each taken at its tie group (non-interpolated)."""
     _, tp, predicted, n_pos = _grouped_counts(scores, labels)
-    pos_in_group = np.diff(tp, prepend=0)
-    return float(np.sum((tp / predicted) * pos_in_group) / n_pos)
+    return _average_precision(tp, predicted, n_pos)
 
 
 def stratified_eval(
@@ -83,11 +91,12 @@ def stratified_eval(
     labels,
     answer_types: Sequence[str | None],
 ) -> EvalReport:
-    """Overall and per-answer-type average precision.
+    """Overall and per-answer-type average precision and PR curves.
 
     Untyped items form an "unknown" stratum; when nothing is typed at all
-    only the overall number is reported. Strata without a positive item
-    are left out of ap_by_type rather than scored zero.
+    only the overall numbers are reported. Strata without a positive item
+    are left out of ap_by_type and curve_by_type rather than scored zero.
+    Each curve and its AP come from one sort of the stratum's scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = disagreement_mask(labels)
@@ -96,20 +105,18 @@ def stratified_eval(
             f"{len(scores)} scores vs {len(labels)} labels vs "
             f"{len(answer_types)} answer types"
         )
-    overall = average_precision(scores, labels)
-    if all(t is None for t in answer_types):
-        return EvalReport(ap_overall=overall, ap_by_type={}, n_by_type={})
 
-    rows_by_type = rows_by_stratum(answer_types)
+    def evaluate(rows) -> tuple[float, PrCurve]:
+        thresholds, tp, predicted, n_pos = _grouped_counts(scores[rows], labels[rows])
+        return _average_precision(tp, predicted, n_pos), _curve(thresholds, tp, predicted, n_pos)
+
+    ap_overall, curve_overall = evaluate(slice(None))
     ap_by_type: dict[str, float] = {}
     n_by_type: dict[str, int] = {}
-    for stratum, rows in rows_by_type.items():
-        n_by_type[stratum] = len(rows)
-        if labels[rows].any():
-            ap_by_type[stratum] = average_precision(scores[rows], labels[rows])
-    return EvalReport(
-        ap_overall=overall,
-        ap_by_type=ap_by_type,
-        n_by_type=n_by_type,
-        rows_by_type=rows_by_type,
-    )
+    curve_by_type: dict[str, PrCurve] = {}
+    if any(t is not None for t in answer_types):
+        for stratum, rows in rows_by_stratum(answer_types).items():
+            n_by_type[stratum] = len(rows)
+            if labels[rows].any():
+                ap_by_type[stratum], curve_by_type[stratum] = evaluate(rows)
+    return EvalReport(ap_overall, ap_by_type, n_by_type, curve_overall, curve_by_type)

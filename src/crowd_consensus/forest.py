@@ -8,15 +8,16 @@ reduces impurity. Each tree's randomness comes from its own generator
 seeded by (master seed, tree index), so a tree depends only on the data
 and its own index, not on how many trees are grown or by which process.
 
-Training forks one worker process per CPU in the affinity mask (at most
-one per tree); worker r grows trees r, r + w, ..., the calling process
-being worker 0, and the others send their trees back pickled over pipes.
-It does not fork on one CPU, for a small forest, or while another Python
-thread runs. It reads a FeatureMatrix (see features.py) without
-densifying it, with each numeric column and each word-code block laid out
-contiguously once per forest: numeric columns are sorted per node, and a
-one-hot column, whose only cut is "word != w", is scored from per-node
-bincounts of the word codes.
+Training grows tree 0 in the calling process and times it. If at least
+two CPUs are in the affinity mask, no other Python thread runs, and the
+trees other processes would take would, at tree 0's pace, outlast a fork
+round trip, it then forks one worker per CPU (at most one per tree):
+worker r grows trees r, r + w, ..., the calling process being worker 0,
+and the others send their trees back pickled over pipes. It reads a
+FeatureMatrix (see features.py) without densifying it, with each numeric
+column and each word-code block laid out contiguously once per forest:
+numeric columns are sorted per node, and a one-hot column, whose only cut
+is "word != w", is scored from per-node bincounts of the word codes.
 Prediction sends all rows down each tree together, one numpy step per
 tree level, and returns one float64 array: each row's share of trees
 voting disagreement. Turning a share into a label is left to the caller
@@ -34,6 +35,7 @@ import os
 import pickle
 import signal
 import threading
+import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, NoReturn
@@ -129,8 +131,7 @@ def train_forest(
                 f"vocabularies imply {expected} features but X has {d}"
             )
     k = max(1, math.ceil(math.sqrt(d)))
-    workers = _worker_count(n * k * config.n_trees, config.n_trees)
-    trees = _grow_forest(X, y01, k, config.seed, config.n_trees, workers)
+    trees = _grow_forest(X, y01, k, config.seed, config.n_trees)
     return ForestModel(
         trees=trees,
         config=config,
@@ -154,25 +155,11 @@ class WorkerFailed(RuntimeError):
     """A tree-growing worker process raised or was killed."""
 
 
-#: Rows times features drawn per node times trees below which a forest is
-#: grown in one process. A fork round trip costs 5-17 ms, more than half of
-#: a small forest saves: planted-mc's 700 rows x 4 x 25 trees grow in 19 ms
-#: alone and 23 ms with two workers, planted-exact's 3000 x 5 x 25 in 292 ms
-#: alone and 196 ms with two. Sizes do not tell how deep the trees grow, so
-#: a forest just over the bar may still lose a fork's cost.
-_FORK_MIN_WORK = 150_000
-
-
-def _worker_count(work: int, n_trees: int) -> int:
-    """Processes to grow n_trees trees in: one per CPU, at most one per tree.
-
-    One for a forest under _FORK_MIN_WORK, and one while another Python
-    thread runs, since a forked child could then inherit a lock that
-    thread holds and never get it.
-    """
-    if work < _FORK_MIN_WORK or threading.active_count() > 1:
-        return 1
-    return min(_available_cpus(), n_trees)
+#: Seconds a fork round trip costs: forking a worker, pickling its trees
+#: back and reaping it. It took 10-17 ms in a fresh `train` on a 2-core
+#: host; the bar sits at about twice that, so a forest forks only where
+#: the second process clearly pays (see _grow_forest).
+_FORK_COST_S = 0.03
 
 
 def _available_cpus() -> int:
@@ -211,27 +198,34 @@ class _Columns:
 
 
 def _grow_forest(
-    X: FeatureMatrix, y: np.ndarray, k: int, seed: int, n_trees: int, workers: int
+    X: FeatureMatrix, y: np.ndarray, k: int, seed: int, n_trees: int
 ) -> tuple[DecisionTree, ...]:
-    """Trees 0..n_trees-1, grown by `workers` processes.
+    """Trees 0..n_trees-1, grown by w processes.
 
-    Worker r grows the trees t with t % workers == r; this process is
-    worker 0 and forks the others, which share X and y copy-on-write and
-    send their trees back pickled over a pipe. Tree t is a function of
-    (seed, t) alone, so the result does not depend on the worker count.
-    A worker that fails or dies raises WorkerFailed here, after every
-    worker has been killed and reaped.
+    This process grows tree 0 first and times it. w is the number of CPUs
+    available, at most n_trees, if the trees the other w - 1 would take
+    would, at tree 0's pace, take longer than _FORK_COST_S, and no other
+    Python thread runs, since a forked child could then inherit a lock that
+    thread holds and never get it; otherwise w is 1. Worker r grows the
+    trees t with t % w == r; this process is worker 0 and forks the others,
+    which share X and y copy-on-write and send their trees back pickled
+    over a pipe. Tree t is a function of (seed, t) alone, so the result
+    does not depend on w. A worker that fails or dies raises WorkerFailed
+    here, after every worker has been killed and reaped.
     """
     cols = _Columns.of(X)
 
-    def grow(r: int) -> list[DecisionTree]:
-        return [
-            _grow_tree(cols, y, np.random.default_rng([seed, t]), k)
-            for t in range(r, n_trees, workers)
-        ]
+    def grow(trees: range) -> list[DecisionTree]:
+        return [_grow_tree(cols, y, np.random.default_rng([seed, t]), k) for t in trees]
 
-    if workers == 1:
-        return tuple(grow(0))
+    rng = np.random.default_rng([seed, 0])  # off the clock: the first call imports numpy.random
+    start = time.perf_counter()
+    first = [_grow_tree(cols, y, rng, k)]
+    pace = time.perf_counter() - start
+    workers = min(_available_cpus(), n_trees)
+    handed_out = n_trees - len(range(0, n_trees, workers))  # 0 for one CPU or one tree
+    if handed_out * pace <= _FORK_COST_S or threading.active_count() > 1:
+        return tuple(first + grow(range(1, n_trees)))
     shares: list[list[DecisionTree]] = [[] for _ in range(workers)]
     children: dict[int, tuple[int, BinaryIO]] = {}  # worker -> (pid, pipe)
     # Frozen objects are never touched by a garbage collection, so a
@@ -247,10 +241,10 @@ def _grow_forest(
                 os.close(read)
                 for _, pipe in children.values():
                     pipe.close()
-                _work(grow, r, write)
+                _work(grow, range(r, n_trees, workers), r, write)
             os.close(write)
             children[r] = (pid, open(read, "rb"))
-        shares[0] = grow(0)
+        shares[0] = first + grow(range(workers, n_trees, workers))
         for r in range(1, workers):
             pid, pipe = children[r]
             with pipe:
@@ -275,8 +269,8 @@ def _grow_forest(
     return tuple(shares[t % workers][t // workers] for t in range(n_trees))
 
 
-def _work(grow, r: int, write: int) -> NoReturn:
-    """Body of forked worker r: pickle grow(r) into the pipe, then _exit.
+def _work(grow, trees: range, r: int, write: int) -> NoReturn:
+    """Body of forked worker r: pickle grow(trees) into the pipe, then _exit.
 
     It never returns into the caller and flushes no inherited buffer; a
     failure is one line on stderr and exit status 1.
@@ -284,7 +278,7 @@ def _work(grow, r: int, write: int) -> NoReturn:
     code = 1
     try:
         with open(write, "wb") as pipe:
-            pickle.dump(grow(r), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(grow(trees), pipe, protocol=pickle.HIGHEST_PROTOCOL)
         code = 0
     except BaseException as exc:
         os.write(2, f"tree worker {r}: {type(exc).__name__}: {exc}\n".encode())

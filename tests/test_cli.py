@@ -72,16 +72,37 @@ def test_analyze_single_threshold(toy_corpus_path, tmp_path):
     assert not (out / "histogram_m1.csv").exists()
 
 
-def test_analyze_bad_threshold_writes_no_histogram(tmp_path, capsys):
-    # With two answers per question the default threshold m = 3 is out of range.
-    path = write_jsonl(tmp_path / "two.jsonl", [
-        {"question_id": i, "image_id": i, "question": f"what is {i}", "answers": ["a", "b"]}
+def _corpus_with_answers(tmp_path, answers):
+    return write_jsonl(tmp_path / f"a{len(answers)}.jsonl", [
+        {"question_id": i, "image_id": i, "question": f"what is {i}", "answers": answers}
         for i in range(3)
     ])
+
+
+def test_analyze_bad_threshold_writes_no_histogram(tmp_path, capsys):
+    # With two answers per question an explicit m = 3 is out of range.
+    path = _corpus_with_answers(tmp_path, ["a", "b"])
     out = tmp_path / "out"
-    assert main(["analyze", "--corpus", str(path), "--out-dir", str(out)]) == 2
+    assert main(["analyze", "--corpus", str(path), "--m", "3", "--out-dir", str(out)]) == 2
     assert "m must be in [1, 2], got 3" in capsys.readouterr().err
     assert list(out.glob("histogram_m*.csv")) == []
+
+
+def test_analyze_defaults_to_the_thresholds_a_corpus_allows(tmp_path):
+    out = tmp_path / "out"
+    path = _corpus_with_answers(tmp_path, ["a", "b"])
+    assert main(["analyze", "--corpus", str(path), "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("histogram_m*.csv")) == [
+        "histogram_m1.csv", "histogram_m2.csv"]
+    assert read_csv(out / "histogram_m2.csv")[1] == {"m": "2", "k": "1", "count": "0"}
+
+
+def test_analyze_without_answers_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = _corpus_with_answers(tmp_path, [])
+    assert main(["analyze", "--corpus", str(path), "--out-dir", str(out)]) == 2
+    assert "m must be in [1, 0], got 1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # no histogram, no rates
 
 
 def test_missing_corpus_is_input_error(tmp_path, capsys):

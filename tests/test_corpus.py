@@ -192,6 +192,25 @@ def test_vqa_requires_annotations_file(tmp_path, mixed_corpus):
         load_corpus(q_path, format="vqa_v1_json")
 
 
+def test_jsonl_rejects_an_annotations_file(tmp_path, mixed_corpus):
+    path = tmp_path / "c.jsonl"
+    save_corpus_jsonl(mixed_corpus, path)
+    missing = tmp_path / "nonexistent.json"
+    with pytest.raises(ParseError, match=re.escape(str(missing))):
+        load_corpus(path, annotations_source=missing)
+
+
+def test_analyze_jsonl_with_annotations_exits_two(tmp_path, mixed_corpus, capsys):
+    path = tmp_path / "c.jsonl"
+    save_corpus_jsonl(mixed_corpus, path)
+    missing = tmp_path / "nonexistent.json"
+    out = tmp_path / "out"
+    assert main(["analyze", "--corpus", str(path), "--annotations", str(missing),
+                 "--out-dir", str(out)]) == 2
+    assert f"{missing}: an annotations file needs format vqa_v1_json" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corpus_subset(mixed_corpus):
     sub = mixed_corpus.subset([5, 2])
     assert sub.question_ids() == (2, 5)

@@ -423,21 +423,39 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on t
 
 
 def _on_cpus(monkeypatch, cpus):
-    """Make train_forest fork for any forest, with this many CPUs."""
-    monkeypatch.setattr(forest, "_FORK_MIN_WORK", 0)
+    """Make train_forest fork for any forest of two trees or more, with this many CPUs."""
+    monkeypatch.setattr(forest, "_FORK_COST_S", 0.0)
     monkeypatch.setattr(forest, "_available_cpus", lambda: cpus)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that counts this process's calls to os.fork from here on."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 @needs_fork
 @pytest.mark.parametrize("kind", ["dense", "encoded"])
 @pytest.mark.parametrize("n_trees", [1, 2, 3, 5])
-def test_trees_do_not_depend_on_the_worker_count(training_sets, monkeypatch, kind, n_trees):
+def test_trees_do_not_depend_on_the_worker_count(training_sets, monkeypatch, forks, kind,
+                                                  n_trees):
     X, y = training_sets[kind]
     k = math.ceil(math.sqrt(X.shape[1]))
-    one = _tree_arrays(_grow_forest(X, y, k, 11, n_trees, 1))
-    assert len(one) == n_trees
-    for workers in (2, 3):  # 3 workers for 1 or 2 trees leaves a worker without trees
-        assert _tree_arrays(_grow_forest(X, y, k, 11, n_trees, workers)) == one
+    _on_cpus(monkeypatch, 1)
+    one = _tree_arrays(_grow_forest(X, y, k, 11, n_trees))
+    assert len(one) == n_trees and not forks
+    for cpus in (2, 3):  # 3 workers for 1 or 2 trees leaves a worker without trees
+        _on_cpus(monkeypatch, cpus)
+        del forks[:]
+        assert _tree_arrays(_grow_forest(X, y, k, 11, n_trees)) == one
+        assert len(forks) == min(cpus, n_trees) - 1
     if n_trees % 2:
         for cpus in (1, 2, 3):
             _on_cpus(monkeypatch, cpus)
@@ -445,36 +463,53 @@ def test_trees_do_not_depend_on_the_worker_count(training_sets, monkeypatch, kin
             assert _tree_arrays(model.trees) == one
 
 
-def test_small_forests_and_threaded_callers_grow_in_one_process(monkeypatch):
-    monkeypatch.setattr(forest, "_available_cpus", lambda: 4)
-    big = forest._FORK_MIN_WORK
-    assert forest._worker_count(big, 25) == 4
-    assert forest._worker_count(big, 3) == 3  # at most one worker per tree
-    assert forest._worker_count(big - 1, 25) == 1
-    # The bench's planted-mc forest (700 rows, 4 of 14 features, 25 trees)
-    # is below the bar; planted-exact's (3000 rows, 5 of 19, 25) is above.
-    assert 700 * 4 * 25 < big < 3000 * 5 * 25
+@needs_fork
+def test_a_slow_forest_forks_on_two_cpus(monkeypatch, forks):
+    # Trees on 700 rows of noisy labels take about 18 ms each here, so the
+    # 12 trees a second process would take save about 200 ms, far above
+    # the cost of a fork.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(700, 16))
+    y = (X[:, 0] + rng.normal(size=700) > 0).astype(np.uint8)
+    monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+    assert len(train_forest(X, y, ForestConfig(n_trees=25)).trees) == 25
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_small_forests_and_threaded_callers_grow_in_one_process(monkeypatch, forks):
+    X, y = separable_data()
+    monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
+    train_forest(X, y, ForestConfig(n_trees=25))  # trees of a few nodes
+    _on_cpus(monkeypatch, 2)  # from here on any forest of two trees or more would fork
+    train_forest(X, y, ForestConfig(n_trees=1))
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert forest._worker_count(big, 25) == 1
+        train_forest(X, y, ForestConfig(n_trees=3))
     finally:
         release.set()
         thread.join()
+    assert not forks
+    train_forest(X, y, ForestConfig(n_trees=3))  # the seam does fork without the thread
+    assert len(forks) == 1
 
 
 @needs_fork
 @pytest.mark.parametrize("caller_froze", [False, True])
-def test_forking_leaves_the_callers_gc_freeze_as_it_was(training_sets, caller_froze):
+def test_forking_leaves_the_callers_gc_freeze_as_it_was(training_sets, monkeypatch, forks,
+                                                         caller_froze):
     X, y = training_sets["dense"]
+    _on_cpus(monkeypatch, 2)
     if caller_froze:
         gc.freeze()
     try:
-        _grow_forest(X, y, 3, 11, 3, 2)
+        _grow_forest(X, y, 3, 11, 3)
         assert (gc.get_freeze_count() > 0) == caller_froze
     finally:
         gc.unfreeze()
+    assert len(forks) == 1
 
 
 def _in_workers(monkeypatch, action):
