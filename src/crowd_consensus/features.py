@@ -8,12 +8,13 @@ saliency probabilities], and a feature mode keeps only the blocks it
 reads: mode q the first three, mode i the last, mode qi all four.
 
 extract_matrix does not store the one-hot columns: a FeatureMatrix keeps
-the real-valued columns as floats and each question's two word ids as
-integer codes, plus a map from every descriptor column to its source, so
-a question costs at most 56 bytes (six floats, two int32 codes) however
-large the vocabularies are. The forest trains and predicts on this
-encoding directly; np.asarray(matrix) builds the dense descriptor matrix
-when one is needed (for code that expects a plain array).
+one float64 row per real-valued column and one per word block, holding
+each question's vocabulary id (the block's vocabulary size when the word
+is unseen or missing), plus a map from every descriptor column to its
+row, so a question costs at most 64 bytes (eight floats) however large
+the vocabularies are. The forest trains and predicts on this encoding in
+place; np.asarray(matrix) builds the dense descriptor matrix when one is
+needed (for code that expects a plain array).
 """
 
 from __future__ import annotations
@@ -120,57 +121,67 @@ def build_vocabularies(training_corpus: Corpus) -> Vocabularies:
     )
 
 
+def _column_map(vocab: Vocabularies, mode: FeatureMode) -> np.ndarray:
+    """The mode's descriptor columns in order, as FeatureMatrix.source.
+
+    The values rows are length, first word and second word when the mode
+    reads the question, then p0..p4 when it reads the image.
+    """
+    question, image = mode is not FeatureMode.I, mode is not FeatureMode.Q
+    source = []
+    if question:
+        source.append((0, -1))
+        source += [(1, w) for w in range(len(vocab.first_words))]
+        source += [(2, w) for w in range(len(vocab.second_words))]
+    if image:
+        source += [(3 * question + k, -1) for k in range(SALIENCY_DIM)]
+    return np.array(source, dtype=np.int64)
+
+
 def feature_dimension(vocab: Vocabularies, mode: FeatureMode) -> int:
     """Width of the descriptor produced for the given mode."""
-    question = 1 + len(vocab.first_words) + len(vocab.second_words)
-    if mode is FeatureMode.Q:
-        return question
-    if mode is FeatureMode.I:
-        return SALIENCY_DIM
-    return question + SALIENCY_DIM
+    return len(_column_map(vocab, mode))
 
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Compact (n, d) descriptor matrix: a numeric block plus word codes.
+    """Compact (n, d) descriptor matrix: float64 rows read through a column map.
 
-    numeric holds the real-valued columns (question length and/or the five
-    saliency probabilities, or every column of a plain dense matrix);
-    codes holds each question's first- and second-word vocabulary ids,
-    -1 where the word is out of vocabulary or missing. source maps each
-    descriptor column f to (-1, j), numeric column j, or to (b, w), the
-    one-hot column that is 1 where codes[:, b] == w. np.asarray(matrix)
-    gives the dense float64 descriptor matrix.
+    values holds one row of n entries per real-valued column (question
+    length, p0..p4, or each column of a plain dense matrix) and one per
+    word block, holding each question's vocabulary id in that block; an
+    unseen or missing word is coded as the block's vocabulary size, a
+    word no one-hot column reads. source maps each descriptor column f to
+    (r, -1), numeric row r, or to (r, w), the one-hot column that is 1
+    where values[r] == w. np.asarray(matrix) gives the dense float64
+    descriptor matrix.
     """
 
-    numeric: np.ndarray  # (n, p) float64
-    codes: np.ndarray  # (n, 2) int32, or (n, 0) for a plain dense matrix
+    values: np.ndarray  # (rows, n) float64, C-contiguous
     source: np.ndarray  # (d, 2) int64
 
     @classmethod
     def from_dense(cls, X: np.ndarray) -> "FeatureMatrix":
         """Treat every column of a 2-d float64 array as numeric."""
         d = X.shape[1]
-        source = np.column_stack([np.full(d, -1), np.arange(d)])
-        return cls(X, np.empty((len(X), 0), dtype=np.int32), source)
+        source = np.column_stack([np.arange(d), np.full(d, -1)])
+        return cls(np.ascontiguousarray(X.T), source)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.numeric), len(self.source))
+        return (len(self), len(self.source))
 
     @property
     def nbytes(self) -> int:
-        return self.numeric.nbytes + self.codes.nbytes + self.source.nbytes
+        return self.values.nbytes + self.source.nbytes
 
     def __len__(self) -> int:
-        return len(self.numeric)
+        return self.values.shape[1]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        dense = np.empty(self.shape)
-        block, j = self.source.T
-        num = block < 0
-        dense[:, num] = self.numeric[:, j[num]]
-        dense[:, ~num] = self.codes[:, block[~num]] == j[~num]
+        row, word = self.source.T
+        values = self.values[row].T
+        dense = np.where(word < 0, values, values == word)
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
@@ -188,34 +199,23 @@ def extract_matrix(
     one-hot block all zero, as does a missing second word. Images absent
     from the table get the uniform saliency fallback.
     """
-    n = len(questions)
-    numeric: list[np.ndarray] = []  # columns
-    source: list[tuple[int, int]] = []
-    codes = np.full((n, 2), -1, dtype=np.int32)
+    question, image = mode is not FeatureMode.I, mode is not FeatureMode.Q
+    values = np.empty((3 * question + SALIENCY_DIM * image, len(questions)))
 
-    if mode is not FeatureMode.I:
-        length = np.zeros(n)
-        for row, vq in enumerate(questions):
+    if question:
+        unseen = (len(vocab.first_words), len(vocab.second_words))
+        for i, vq in enumerate(questions):
             tokens = _question_tokens(vq)
-            length[row] = len(tokens)
-            codes[row, 0] = vocab.first_index.get(tokens[0], -1)
-            if len(tokens) > 1:
-                codes[row, 1] = vocab.second_index.get(tokens[1], -1)
-        source.append((-1, len(numeric)))
-        numeric.append(length)
-        source += [(0, w) for w in range(len(vocab.first_words))]
-        source += [(1, w) for w in range(len(vocab.second_words))]
+            values[0, i] = len(tokens)
+            values[1, i] = vocab.first_index.get(tokens[0], unseen[0])
+            values[2, i] = (
+                vocab.second_index.get(tokens[1], unseen[1]) if len(tokens) > 1 else unseen[1]
+            )
 
-    if mode is not FeatureMode.Q:
-        probs = np.zeros((n, SALIENCY_DIM))
-        for row, vq in enumerate(questions):
-            probs[row] = table.get(vq.image_id) if table is not None else UNIFORM_SALIENCY
-        source += [(-1, len(numeric) + k) for k in range(SALIENCY_DIM)]
-        numeric.extend(probs.T)
+    if image:
+        probs = np.zeros((len(questions), SALIENCY_DIM))
+        for i, vq in enumerate(questions):
+            probs[i] = table.get(vq.image_id) if table is not None else UNIFORM_SALIENCY
+        values[-SALIENCY_DIM:] = probs.T
 
-    return FeatureMatrix(
-        numeric=np.column_stack(numeric),
-        codes=codes,
-        source=np.array(source, dtype=np.int64),
-    )
-
+    return FeatureMatrix(values=values, source=_column_map(vocab, mode))

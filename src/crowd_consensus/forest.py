@@ -13,17 +13,17 @@ two CPUs are in the affinity mask, no other Python thread runs, and the
 trees other processes would take would, at tree 0's pace, outlast a fork
 round trip, it then forks one worker per CPU (at most one per tree):
 worker r grows trees r, r + w, ..., the calling process being worker 0,
-and the others send their trees back pickled over pipes. It reads a
-FeatureMatrix (see features.py) without densifying it, with each numeric
-column and each word-code block laid out contiguously once per forest:
-numeric columns are sorted per node, and a one-hot column, whose only cut
-is "word != w", is scored from per-node bincounts of the word codes.
-Prediction sends all rows down each tree together, one numpy step per
-tree level, and returns one float64 array: each row's share of trees
-voting disagreement. Turning a share into a label is left to the caller
-(the CLI labels p > 0.5 as disagreement). A plain dense array is
-accepted everywhere and treated as all-numeric columns; it gives the
-same trees and predictions as its encoded form.
+and the others send their trees back pickled over pipes. Training and
+prediction read a FeatureMatrix (see features.py) in place, through its
+column map, without densifying it: a numeric column's row is sorted per
+node, and a one-hot column, whose only cut is "word != w", is scored from
+per-node bincounts of its word row. Prediction sends all rows down each
+tree together, one numpy step per tree level, and returns one float64
+array: each row's share of trees voting disagreement. Turning a share
+into a label is left to the caller (the CLI labels p > 0.5 as
+disagreement). A plain dense array is accepted everywhere and treated as
+all-numeric columns; it gives the same trees and predictions as its
+encoded form.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def _encoded(X) -> FeatureMatrix:
     """X itself if encoded; a dense (n, d) array becomes d numeric columns."""
     if isinstance(X, FeatureMatrix):
         return X
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(f"X must be 2-dimensional, got shape {X.shape}")
     return FeatureMatrix.from_dense(X)
@@ -169,34 +169,6 @@ def _available_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@dataclass(frozen=True, eq=False)
-class _Columns:
-    """A FeatureMatrix laid out for split search, built once per forest.
-
-    numeric[j] is numeric column j and codes[b] is code block b plus one
-    (0 is "no word"), each contiguous; block and word are source's columns.
-    width is the largest word of any block plus two, so the first width
-    bins of a bincount of codes[b] count every word a one-hot column reads.
-    """
-
-    numeric: np.ndarray  # (p, n) float64
-    codes: np.ndarray  # (B, n) int32
-    block: np.ndarray  # (d,) int64
-    word: np.ndarray  # (d,) int64
-    width: int
-
-    @classmethod
-    def of(cls, X: FeatureMatrix) -> "_Columns":
-        block, word = X.source.T
-        return cls(
-            numeric=np.ascontiguousarray(X.numeric.T),
-            codes=np.ascontiguousarray(X.codes.T) + 1,
-            block=np.ascontiguousarray(block),
-            word=np.ascontiguousarray(word),
-            width=int(word[block >= 0].max(initial=-1)) + 2,
-        )
-
-
 def _grow_forest(
     X: FeatureMatrix, y: np.ndarray, k: int, seed: int, n_trees: int
 ) -> tuple[DecisionTree, ...]:
@@ -213,14 +185,15 @@ def _grow_forest(
     does not depend on w. A worker that fails or dies raises WorkerFailed
     here, after every worker has been killed and reaped.
     """
-    cols = _Columns.of(X)
+    # Bincounts of a word row need width bins to count every word a one-hot column reads.
+    width = int(X.source[:, 1].max(initial=-1)) + 1
 
     def grow(trees: range) -> list[DecisionTree]:
-        return [_grow_tree(cols, y, np.random.default_rng([seed, t]), k) for t in trees]
+        return [_grow_tree(X, y, np.random.default_rng([seed, t]), k, width) for t in trees]
 
     rng = np.random.default_rng([seed, 0])  # off the clock: the first call imports numpy.random
     start = time.perf_counter()
-    first = [_grow_tree(cols, y, rng, k)]
+    first = [_grow_tree(X, y, rng, k, width)]
     pace = time.perf_counter() - start
     workers = min(_available_cpus(), n_trees)
     handed_out = n_trees - len(range(0, n_trees, workers))  # 0 for one CPU or one tree
@@ -287,13 +260,14 @@ def _work(grow, trees: range, r: int, write: int) -> NoReturn:
 
 
 def _grow_tree(
-    cols: _Columns,
+    X: FeatureMatrix,
     y: np.ndarray,
     rng: np.random.Generator,
     k: int,
+    width: int,
 ) -> DecisionTree:
     n = y.size
-    d = cols.block.size
+    d = len(X.source)
     # The bootstrap draw is the generator's first use, so a tree's sample
     # is reproducible from (seed, tree index) alone.
     bootstrap = rng.integers(0, n, size=n)
@@ -324,7 +298,7 @@ def _grow_tree(
         split = None
         if 0 < n_pos < idx.size:  # impure, so at least 2 rows
             feat_ids = rng.choice(d, size=k, replace=False)
-            split = _best_split(cols, ysub, n_pos, idx, feat_ids)
+            split = _best_split(X, ysub, n_pos, idx, feat_ids, width)
         if split is None:
             votes_d[node] = n_pos
             votes_n[node] = idx.size
@@ -350,30 +324,33 @@ def _grow_tree(
 
 
 def _best_split(
-    cols: _Columns,
+    X: FeatureMatrix,
     ysub: np.ndarray,
     total1: int,
     idx: np.ndarray,
     feat_ids: np.ndarray,
+    width: int,
 ) -> tuple[int, float, np.ndarray] | None:
     """Strictly impurity-reducing (feature, threshold, rows going left), or None.
 
     ysub = y[idx] holds total1 positives. Ties are broken toward the
     earliest feature in feat_ids and, within a feature, the lowest
-    threshold. A numeric column is sorted and every cut between distinct
-    values is a candidate; a one-hot column has the single cut
-    "code != w" (left) at threshold 0.5, and one bincount of totals and
-    one of positives per code block count every sampled word at once. All
-    candidates of the node are scored together.
+    threshold. A numeric column reads its row of X.values, is sorted, and
+    every cut between distinct values is a candidate; a one-hot column
+    has the single cut "word != w" (left) at threshold 0.5, and one
+    bincount of totals and one of positives per word row count every
+    sampled word of that row at once (width, more than any word a one-hot
+    column reads, is their least length). All candidates of the node are
+    scored together.
     """
     m = ysub.size
-    block, word = cols.block[feat_ids], cols.word[feat_ids]
+    row, word = X.source[feat_ids].T
     # Candidate c is cut key[c] % m of feat_ids[key[c] // m]; a smaller key wins ties.
     keys, nls, l1s = [], [], []
     values_at = {}  # numeric feature position -> (values at idx, sorted)
-    coded = {}  # code block -> codes at idx, plus one
-    for i in (block < 0).nonzero()[0].tolist():
-        values = cols.numeric[word[i]][idx]
+    coded = {}  # word row -> its words at idx
+    for i in (word < 0).nonzero()[0].tolist():
+        values = X.values[row[i]][idx]
         order = np.argsort(values, kind="stable")
         sv = values[order]
         cut = (sv[:-1] != sv[1:]).nonzero()[0]  # split between cut and cut+1
@@ -382,17 +359,16 @@ def _best_split(
             nls.append(cut + 1)
             l1s.append(np.cumsum(ysub[order])[cut])
             values_at[i] = values, sv
-    at = (block >= 0).nonzero()[0]
+    at = (word >= 0).nonzero()[0]
     if at.size:
-        blocks = block[at]
+        rows, words = row[at], word[at]
         positive = ysub.view(bool)
-        # counts[0, b, w + 1] and counts[1, b, w + 1]: rows and positive rows with word w in block b.
-        counts = np.zeros((2, len(cols.codes), cols.width), dtype=np.intp)
-        for b in set(blocks.tolist()):
-            codes = coded[b] = cols.codes[b][idx]
-            counts[0, b] = np.bincount(codes, minlength=cols.width)[: cols.width]
-            counts[1, b] = np.bincount(codes[positive], minlength=cols.width)[: cols.width]
-        nr, r1 = counts[:, blocks, word[at] + 1]
+        nr, r1 = np.empty((2, at.size), dtype=np.intp)  # rows and positive rows with the word
+        for r in set(rows.tolist()):
+            codes = coded[r] = X.values[r][idx].astype(np.intp)
+            here = rows == r
+            nr[here] = np.bincount(codes, minlength=width)[words[here]]
+            r1[here] = np.bincount(codes[positive], minlength=width)[words[here]]
         ok = (0 < nr) & (nr < m)
         keys.append(at[ok] * m)
         nls.append(m - nr[ok])
@@ -409,8 +385,8 @@ def _best_split(
         return None
     i, cut = divmod(int(key[gain == best].min()), m)
     f = int(feat_ids[i])
-    if block[i] >= 0:
-        return f, 0.5, coded[int(block[i])] != word[i] + 1
+    if word[i] >= 0:
+        return f, 0.5, coded[int(row[i])] != word[i]
     values, sv = values_at[i]
     lo, hi = sv[cut], sv[cut + 1]
     thr = lo + (hi - lo) / 2.0
@@ -432,22 +408,20 @@ def _gain(m: int, m1: int, nl, l1) -> np.ndarray:
     return _gini(m, m1) - (nl * _gini(nl, l1) + nr * _gini(nr, r1)) / m
 
 
-def _leaves(tree: DecisionTree, X: FeatureMatrix, table: np.ndarray) -> np.ndarray:
+def _leaves(tree: DecisionTree, X: FeatureMatrix) -> np.ndarray:
     """Leaf index of every row of X, all rows descending the tree in lockstep.
 
-    table is [X.numeric | X.codes] as floats. Node i reads table column
-    col[i]; a one-hot node's value is 1.0 where that code equals word[i].
+    Node i reads row[i] of X.values, mapped through X.source from its
+    feature; a one-hot node's value is 1.0 where that row equals word[i].
     """
-    block, j = X.source[tree.feature].T  # a leaf's entry (feature -1) is never read
-    col = np.where(block < 0, j, X.numeric.shape[1] + block)
-    word = np.where(block < 0, -1, j)
+    row, word = X.source[tree.feature].T  # a leaf's entry (feature -1) is never read
     node = np.zeros(len(X), dtype=np.intp)
     rows = np.arange(len(X))
     while rows.size:
         at = node[rows]
         internal = tree.feature[at] >= 0
         rows, at = rows[internal], at[internal]
-        value, w = table[rows, col[at]], word[at]
+        value, w = X.values[row[at], rows], word[at]
         value = np.where(w >= 0, value == w, value)
         node[rows] = np.where(value <= tree.threshold[at], tree.left[at], tree.right[at])
     return node
@@ -461,10 +435,9 @@ def predict_many(model: ForestModel, X) -> np.ndarray:
         raise DimensionMismatch(
             f"model expects (n, {model.n_features}) features, got shape {X.shape}"
         )
-    table = np.hstack([X.numeric, X.codes]) if X.codes.size else X.numeric
     votes = np.zeros(len(X), dtype=np.int64)
     for tree in model.trees:
-        leaf = _leaves(tree, X, table)
+        leaf = _leaves(tree, X)
         # Leaf ties vote disagreement: over-collecting answers is the safe error.
         votes += 2 * tree.votes_disagreement[leaf] >= tree.votes_total[leaf]
     return votes / model.config.n_trees
@@ -481,14 +454,7 @@ def save_model(model: ForestModel, path: str | Path) -> None:
         "layout": MODEL_LAYOUT,
         "vocab": None if model.vocab is None else model.vocab.to_doc(),
         "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "votes_disagreement": tree.votes_disagreement.tolist(),
-                "votes_total": tree.votes_total.tolist(),
-            }
+            {name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}
             for tree in model.trees
         ],
     }

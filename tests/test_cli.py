@@ -221,7 +221,7 @@ def test_eval_invariant_to_corpus_file_order(planted_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     model_path = train(planted_path, out1)
 
-    records = [json.loads(line) for line in open(planted_path)]
+    records = [json.loads(line) for line in planted_path.read_text().splitlines()]
     shuffled = write_jsonl(tmp_path / "shuffled.jsonl", list(reversed(records)))
     assert main(["eval", "--corpus", str(planted_path), "--model", str(model_path),
                  "--out-dir", str(out1)]) == 0
@@ -455,7 +455,8 @@ def test_each_raw_answer_is_normalized_once_per_command(planted_path, tmp_path, 
 
     out = tmp_path / "run"
     model_path = train(planted_path, out)
-    distinct = {ans for line in open(planted_path) for ans in json.loads(line)["answers"]}
+    lines = planted_path.read_text().splitlines()
+    distinct = {ans for line in lines for ans in json.loads(line)["answers"]}
     calls = Counter()
     original = answers_module.normalize_answer
 

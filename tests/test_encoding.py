@@ -58,7 +58,7 @@ def _saliency_table(corpus, seed):
 )
 def test_encoding_matches_its_dense_matrix(tmp_path_factory, n, corpus_seed, forest_seed, mode):
     corpus = make_random_corpus(n, seed=corpus_seed)
-    # Vocabularies from the first half, so later rows carry unseen words (code -1).
+    # Vocabularies from the first half, so later rows carry unseen words.
     train_split = corpus.subset(corpus.question_ids()[: max(2, n // 2)])
     vocab = build_vocabularies(train_split)
     table = _saliency_table(corpus, corpus_seed)
@@ -90,14 +90,14 @@ def test_feature_matrix_holds_codes_not_one_hot_columns():
     X = extract_matrix(corpus, vocab, mode=FeatureMode.QI)
     assert len(X) == 50
     assert X.shape == (50, feature_dimension(vocab, FeatureMode.QI))
-    assert X.numeric.shape == (50, 6)  # length and five saliency probabilities
-    assert X.codes.shape == (50, 2)
-    assert X.nbytes == X.numeric.nbytes + X.codes.nbytes + X.source.nbytes
+    # Length, first word, second word and five saliency probabilities.
+    assert X.values.shape == (8, 50) and X.values.flags.c_contiguous
+    assert X.nbytes == X.values.nbytes + X.source.nbytes
     dense = np.asarray(X)
     assert dense.dtype == np.float64
     one_hot = dense[:, 1 : 1 + len(vocab.first_words)]
     assert one_hot.sum(axis=1).tolist() == [1.0] * 50  # every first word is in vocabulary
-    assert one_hot.argmax(axis=1).tolist() == X.codes[:, 0].tolist()
+    assert one_hot.argmax(axis=1).tolist() == X.values[1].tolist()
 
 
 def test_cli_never_builds_the_dense_matrix(tmp_path, monkeypatch):

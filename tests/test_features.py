@@ -96,6 +96,16 @@ def test_extract_single_token_question(small_corpus):
     assert list(x[3:6]) == [0, 0, 0]
 
 
+def test_unseen_and_missing_words_are_coded_as_the_vocabulary_size(small_corpus):
+    vocab = build_vocabularies(small_corpus)  # 2 first words, 3 second words
+    X = extract_matrix([vq(8, "is it", ["a1"] * 10), vq(9, "how", ["a1"] * 10)], vocab,
+                       mode=FeatureMode.Q)
+    assert X.values.tolist() == [[2, 1], [1, 2], [2, 3]]  # length, first word, second word
+    dense = np.asarray(X)
+    assert dense[0].tolist() == [2, 0, 1, 0, 0, 1]
+    assert dense[1].tolist() == [1, 0, 0, 0, 0, 0]  # "how" unseen, no second word
+
+
 def test_extract_image_mode_uses_table(small_corpus):
     vocab = build_vocabularies(small_corpus)
     table = ImageFeatureTable({5: (0.5, 0.2, 0.1, 0.1, 0.1)})

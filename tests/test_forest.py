@@ -34,8 +34,8 @@ from crowd_consensus.errors import (
     FormatVersionMismatch,
 )
 from crowd_consensus import forest
-from crowd_consensus.features import FeatureMatrix
-from crowd_consensus.forest import WorkerFailed, _best_split, _Columns, _grow_forest
+from crowd_consensus.features import SALIENCY_DIM, FeatureMatrix
+from crowd_consensus.forest import WorkerFailed, _best_split, _grow_forest
 
 A, D = AgreementLabel.AGREEMENT, AgreementLabel.DISAGREEMENT
 
@@ -382,22 +382,22 @@ def test_cli_rejects_inconsistent_model(tmp_path, model_doc, edit, capsys):
 
 
 def test_split_ties_go_to_the_earliest_sampled_feature_and_lowest_cut():
-    # Column 0 is numeric; 1-2 are first words 0-1, 3-4 second words 0-1.
-    # Every one-hot column separates the classes perfectly, so they tie.
+    # Column 0 reads numeric row 0; 1-2 are first words 0-1 (row 1), 3-4
+    # second words 0-1 (row 2). Every one-hot column separates the classes
+    # perfectly, so they tie.
     X = FeatureMatrix(
-        numeric=np.array([[1.0], [2.0], [3.0], [4.0]]),
-        codes=np.array([[0, 0], [1, 1], [1, 1], [0, 0]], dtype=np.int32),
-        source=np.array([[-1, 0], [0, 0], [0, 1], [1, 0], [1, 1]]),
+        values=np.array([[1.0, 2.0, 3.0, 4.0], [0, 1, 1, 0], [0, 1, 1, 0]]),
+        source=np.array([[0, -1], [1, 0], [1, 1], [2, 0], [2, 1]]),
     )
     y = np.array([0, 1, 1, 0], dtype=np.uint8)
     rows = np.arange(4)
     # The numeric column gains less than any one-hot column, so it never wins.
     for feat_ids, expected in (([3, 1, 2, 4], 3), ([2, 4, 1, 3], 2), ([0, 4, 1], 4)):
-        f, threshold, goes_left = _best_split(_Columns.of(X), y, 2, rows, np.array(feat_ids))
+        f, threshold, goes_left = _best_split(X, y, 2, rows, np.array(feat_ids), 2)
         assert (f, threshold) == (expected, 0.5)
         assert goes_left.tolist() == (np.asarray(X)[:, f] <= 0.5).tolist()
     # On the numeric column the cuts at 1.5 and 3.5 gain the same: the lower wins.
-    f, threshold, goes_left = _best_split(_Columns.of(X), y, 2, rows, np.array([0]))
+    f, threshold, goes_left = _best_split(X, y, 2, rows, np.array([0]), 2)
     assert (f, threshold, goes_left.tolist()) == (0, 1.5, [True, False, False, False])
 
 
@@ -410,7 +410,7 @@ def training_sets():
     """A dense matrix and a FeatureMatrix with numeric columns and both code blocks."""
     corpus = make_planted_corpus(300, seed=5)
     X = extract_matrix(corpus, build_vocabularies(corpus), mode=FeatureMode.QI)
-    assert (X.codes >= 0).any(axis=0).all() and X.numeric.shape[1] == 6
+    assert np.asarray(X)[:, 1:-SALIENCY_DIM].any(axis=0).all() and X.values.shape[0] == 8
     y = corpus.answer_table.labels().astype(np.uint8)
     dense = np.random.default_rng(4).normal(size=(120, 5))
     return {
