@@ -48,10 +48,6 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL_ERROR
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crowd-consensus",
@@ -74,28 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="output model path (default: OUT_DIR/model.json)")
 
     p = _command(sub, "predict", cmd_predict, "Per-question disagreement probabilities")
-    _corpus_flags(p)
-    p.add_argument("--image-features")
-    p.add_argument("--model", required=True)
+    _model_flags(p)
 
     p = _command(sub, "eval", cmd_eval, "Precision-recall curves and AP report")
-    _corpus_flags(p)
-    p.add_argument("--image-features")
-    p.add_argument("--model", required=True)
+    _model_flags(p)
 
     p = _command(sub, "allocate", cmd_allocate, "Per-question answer-count plan")
-    _corpus_flags(p)
-    p.add_argument("--image-features")
-    p.add_argument("--model", required=True)
+    _model_flags(p)
     p.add_argument("--budget", type=integer, required=True,
                    help="number of questions granted R answers")
     p.add_argument("--s", type=integer, default=1)
     p.add_argument("--r", type=integer, default=5)
 
     p = _command(sub, "sweep", cmd_sweep, "Diversity vs budget for ours/status-quo/oracle")
-    _corpus_flags(p)
-    p.add_argument("--image-features")
-    p.add_argument("--model", required=True)
+    _model_flags(p)
     p.add_argument("--budgets", help="comma-separated budgets (default: 11 even steps)")
     p.add_argument("--s", type=integer, default=1)
     p.add_argument("--r", type=integer, default=5)
@@ -133,6 +121,13 @@ def _corpus_flags(p) -> None:
     p.add_argument("--corpus", required=True, help="questions file")
     p.add_argument("--annotations", help="annotations file (vqa_v1_json only)")
     p.add_argument("--format", choices=["jsonl", "vqa_v1_json"], default="jsonl")
+
+
+def _model_flags(p) -> None:
+    """Flags of the commands that featurize a corpus with a trained model."""
+    _corpus_flags(p)
+    p.add_argument("--image-features")
+    p.add_argument("--model", required=True)
 
 
 def _load(args):
@@ -389,4 +384,4 @@ def _parse_budgets(raw: str) -> list[int]:
 
 
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

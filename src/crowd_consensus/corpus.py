@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -60,18 +60,17 @@ class VisualQuestion:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered, immutable collection of visual questions sharing one answer count."""
+    """Ordered, immutable collection of visual questions sharing one answer count.
+
+    It records nothing of where its questions came from; a CLI run names
+    its input files in run_config.json.
+    """
 
     questions: tuple[VisualQuestion, ...]
     answers_per_question: int
-    source_tag: str = field(default="", compare=False)
 
     @classmethod
-    def from_questions(
-        cls,
-        questions: Iterable[VisualQuestion],
-        source_tag: str = "",
-    ) -> "Corpus":
+    def from_questions(cls, questions: Iterable[VisualQuestion]) -> "Corpus":
         """Validate, sort by question id, and freeze a corpus.
 
         The answer count A is taken from the first question; later questions
@@ -95,7 +94,7 @@ class Corpus:
                     f"question {vq.question_id} has {len(vq.raw_answers)} answers, "
                     f"expected {a}"
                 )
-        return cls(tuple(ordered), a, source_tag)
+        return cls(tuple(ordered), a)
 
     def __len__(self) -> int:
         return len(self.questions)
@@ -126,15 +125,13 @@ class Corpus:
                         key=lambda vq: vq.question_id)
         if len(picked) != len(wanted):
             raise KeyMismatch(f"{len(wanted) - len(picked)} subset ids are not in the corpus")
-        return Corpus(tuple(picked), self.answers_per_question, self.source_tag)
+        return Corpus(tuple(picked), self.answers_per_question)
 
 
 def load_corpus(
     questions_source: str | Path,
     annotations_source: str | Path | None = None,
     format: str = "jsonl",
-    *,
-    source_tag: str = "",
 ) -> Corpus:
     """Load a corpus from disk.
 
@@ -159,7 +156,7 @@ def load_corpus(
                 "vqa_v1_json needs both a questions file and an annotations file"
             )
         questions = _read_vqa_v1(Path(questions_source), Path(annotations_source))
-    return Corpus.from_questions(questions, source_tag=source_tag)
+    return Corpus.from_questions(questions)
 
 
 def _field(record, key: str, where: str, kind: type):
@@ -325,9 +322,6 @@ class ImageFeatureTable:
 
     def __contains__(self, image_id: int) -> bool:
         return image_id in self.probabilities
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
 
 
 def load_image_features(path: str | Path) -> ImageFeatureTable:

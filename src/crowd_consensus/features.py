@@ -63,20 +63,18 @@ class Vocabularies:
 
     first_words: tuple[str, ...]
     second_words: tuple[str, ...]
-    built_from: str = ""
 
     def to_doc(self) -> dict:
-        """JSON form, as stored in model files."""
-        return {
-            "first": list(self.first_words),
-            "second": list(self.second_words),
-            "built_from": self.built_from,
-        }
+        """JSON form, as stored in model files; "built_from", a retired
+        provenance tag, is always ""."""
+        return {"first": list(self.first_words), "second": list(self.second_words),
+                "built_from": ""}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Vocabularies":
         """Inverse of to_doc; each word list must be a list of distinct strings
-        and built_from a string, or ValueError is raised."""
+        and built_from a string, or ValueError is raised. The model file comes
+        from outside, so built_from is checked, but its value is ignored."""
         first, second, built_from = doc["first"], doc["second"], doc["built_from"]
         for block in (first, second):
             if (
@@ -87,7 +85,7 @@ class Vocabularies:
                 raise ValueError("vocabularies must be lists of distinct strings")
         if type(built_from) is not str:
             raise ValueError(f"built_from must be a string, got {type(built_from).__name__}")
-        return cls(tuple(first), tuple(second), built_from)
+        return cls(tuple(first), tuple(second))
 
     @cached_property
     def first_index(self) -> dict[str, int]:
@@ -102,8 +100,8 @@ def build_vocabularies(training_corpus: Corpus) -> Vocabularies:
     """Collect distinct first and second words over a training corpus.
 
     The second-word vocabulary only sees questions with two or more
-    tokens. Raises EmptyQuestion (with the offending question id) if any
-    question tokenizes to nothing.
+    tokens. Nothing else about the corpus is kept. Raises EmptyQuestion
+    (with the offending question id) if any question tokenizes to nothing.
     """
     if len(training_corpus) == 0:
         raise ValueError("cannot build vocabularies from an empty corpus")
@@ -114,11 +112,7 @@ def build_vocabularies(training_corpus: Corpus) -> Vocabularies:
         first.setdefault(tokens[0])
         if len(tokens) > 1:
             second.setdefault(tokens[1])
-    return Vocabularies(
-        first_words=tuple(first),
-        second_words=tuple(second),
-        built_from=training_corpus.source_tag,
-    )
+    return Vocabularies(first_words=tuple(first), second_words=tuple(second))
 
 
 def _column_map(vocab: Vocabularies, mode: FeatureMode) -> np.ndarray:

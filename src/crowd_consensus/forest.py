@@ -121,6 +121,8 @@ def train_forest(
     n, d = X.shape
     if n < 2:
         raise EmptyTrainingSet(f"need at least 2 training examples, got {n}")
+    if d == 0:
+        raise DimensionMismatch("X has no feature columns")
     y01 = disagreement_mask(y).astype(np.uint8)
     if len(y01) != n:
         raise DimensionMismatch(f"got {n} feature rows but {len(y01)} labels")
@@ -439,7 +441,9 @@ def predict_many(model: ForestModel, X) -> np.ndarray:
     for tree in model.trees:
         leaf = _leaves(tree, X)
         # Leaf ties vote disagreement: over-collecting answers is the safe error.
-        votes += 2 * tree.votes_disagreement[leaf] >= tree.votes_total[leaf]
+        # vd >= vt - vd cannot overflow, as _tree_from_doc keeps 0 <= vd <= vt < 2**63.
+        vd = tree.votes_disagreement[leaf]
+        votes += vd >= tree.votes_total[leaf] - vd
     return votes / model.config.n_trees
 
 
@@ -472,8 +476,9 @@ def load_model(path: str | Path) -> ForestModel:
     child indices point forward inside their tree, features index the
     model's columns, thresholds are finite, leaf vote counts are
     consistent, vocabularies are lists of distinct strings and built_from
-    is a string. Any violation raises FormatVersionMismatch, so a file
-    recording any other way of growing trees does not load.
+    is a string, whose value is then dropped (save_model writes ""). Any
+    violation raises FormatVersionMismatch, so a file recording any other
+    way of growing trees does not load.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # ValueError includes JSONDecodeError and UnicodeDecodeError.

@@ -2,16 +2,17 @@
 
 The planted corpus carries a text signal: questions opening with "why"
 get diverse answer pools (disagreement), questions opening with "is" get
-near-unanimous pools (agreement). A configurable share of questions has
-one answer swapped with a question of the opposite class, which perturbs
-pools and occasionally flips a label, mimicking careless crowd responses.
+near-unanimous pools (agreement). A tenth of the questions (_SWAP_SHARE)
+has one answer swapped with a question of the opposite class, which
+perturbs pools and occasionally flips a label, mimicking careless crowd
+responses. Every question holds DEFAULT_ANSWERS_PER_QUESTION (10) answers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .corpus import Corpus, VisualQuestion
+from .corpus import DEFAULT_ANSWERS_PER_QUESTION as A, Corpus, VisualQuestion
 
 _SUBJECTS = (
     "sky", "dog", "cat", "car", "tree", "house", "bird", "boat", "shirt",
@@ -34,28 +35,24 @@ _DIVERSE_ANSWERS = (
     "juniper", "krill", "lotus", "mesa", "nettle", "onyx", "pine", "reef",
 )
 
-# Disagreement pool shapes: occurrence counts for each planted answer.
+# Disagreement pool shapes: occurrence counts for each planted answer, summing to A.
 _POOL_SHAPES = ((2, 2, 2, 2, 2), (3, 3, 2, 2), (4, 3, 3), (1,) * 10)
 _POOL_WEIGHTS = (0.3, 0.3, 0.3, 0.1)
 
+#: Share of questions touched by cross-class single-answer swaps.
+_SWAP_SHARE = 0.1
 
-def make_planted_corpus(
-    n_questions: int = 2000,
-    seed: int = 0,
-    noise: float = 0.1,
-    answers_per_question: int = 10,
-) -> Corpus:
+
+def make_planted_corpus(n_questions: int = 2000, seed: int = 0) -> Corpus:
     """Generate a corpus whose first word predicts crowd (dis)agreement.
 
     Even-indexed questions start with "why" and hold answer pools with
     several repeated alternatives; odd-indexed questions start with "is"
-    and hold pools where one answer covers at least A-1 slots. `noise` is
-    the fraction of questions touched by cross-class single-answer swaps.
+    and hold pools where one answer covers at least A-1 of the A = 10
+    slots. Then _SWAP_SHARE of the questions, in cross-class pairs,
+    exchange one answer.
     """
-    if answers_per_question < 10:
-        raise ValueError("planted pools need at least 10 answers per question")
     rng = np.random.default_rng(seed)
-    a = answers_per_question
     texts: list[str] = []
     pools: list[list[str]] = []
     for i in range(n_questions):
@@ -72,8 +69,6 @@ def make_planted_corpus(
             pool = [
                 _DIVERSE_ANSWERS[w] for w, count in zip(words, shape) for _ in range(count)
             ]
-            while len(pool) < a:  # pools wider than 10 pad with singletons
-                pool.append(_DIVERSE_ANSWERS[int(rng.integers(len(_DIVERSE_ANSWERS)))])
         else:
             texts.append(
                 "is {} {} {}".format(
@@ -81,14 +76,14 @@ def make_planted_corpus(
                 )
             )
             answer = _pick(rng, _AGREE_ANSWERS)
-            pool = [answer] * a
+            pool = [answer] * A
             if rng.random() < 0.4:
                 others = [w for w in _AGREE_ANSWERS if w != answer]
-                pool[int(rng.integers(a))] = _pick(rng, others)
-        order = rng.permutation(a)
+                pool[int(rng.integers(A))] = _pick(rng, others)
+        order = rng.permutation(A)
         pools.append([pool[j] for j in order])
 
-    _swap_answers(rng, pools, n_questions, noise, a)
+    _swap_answers(rng, pools, n_questions)
 
     questions = [
         VisualQuestion(
@@ -100,12 +95,12 @@ def make_planted_corpus(
         )
         for i in range(n_questions)
     ]
-    return Corpus.from_questions(questions, source_tag="synthetic-planted")
+    return Corpus.from_questions(questions)
 
 
-def _swap_answers(rng, pools, n_questions, noise, a) -> None:
-    """Exchange one answer between `noise * n / 2` cross-class pairs."""
-    n_swaps = round(noise * n_questions / 2)
+def _swap_answers(rng, pools, n_questions) -> None:
+    """Exchange one answer between `_SWAP_SHARE * n / 2` cross-class pairs."""
+    n_swaps = round(_SWAP_SHARE * n_questions / 2)
     if n_swaps == 0:
         return
     disagree_ids = np.arange(0, n_questions, 2)
@@ -113,7 +108,7 @@ def _swap_answers(rng, pools, n_questions, noise, a) -> None:
     chosen_d = rng.choice(disagree_ids, size=min(n_swaps, len(disagree_ids)), replace=False)
     chosen_a = rng.choice(agree_ids, size=min(n_swaps, len(agree_ids)), replace=False)
     for qd, qa in zip(chosen_d, chosen_a):
-        pd, pa = int(rng.integers(a)), int(rng.integers(a))
+        pd, pa = int(rng.integers(A)), int(rng.integers(A))
         pools[qd][pd], pools[qa][pa] = pools[qa][pa], pools[qd][pd]
 
 
@@ -126,14 +121,9 @@ def _answer_type_of(pool: list[str]) -> str:
     return "other"
 
 
-def make_random_corpus(
-    n_questions: int,
-    seed: int = 0,
-    answers_per_question: int = 10,
-) -> Corpus:
-    """Random questions with answer pools of varied repetition, for property tests."""
+def make_random_corpus(n_questions: int, seed: int = 0) -> Corpus:
+    """Random questions with A = 10 answers of varied repetition, for property tests."""
     rng = np.random.default_rng(seed)
-    a = answers_per_question
     openers = ("what", "why", "is", "how", "where", "does")
     questions = []
     for i in range(n_questions):
@@ -145,7 +135,7 @@ def make_random_corpus(
         bank_size = int(rng.integers(2, 16))
         bank = rng.choice(len(_DIVERSE_ANSWERS), size=bank_size, replace=False)
         pool = tuple(
-            _DIVERSE_ANSWERS[bank[k]] for k in rng.integers(0, bank_size, size=a)
+            _DIVERSE_ANSWERS[bank[k]] for k in rng.integers(0, bank_size, size=A)
         )
         questions.append(
             VisualQuestion(
@@ -155,7 +145,7 @@ def make_random_corpus(
                 raw_answers=pool,
             )
         )
-    return Corpus.from_questions(questions, source_tag="synthetic-random")
+    return Corpus.from_questions(questions)
 
 
 def _pick(rng: np.random.Generator, options):

@@ -30,8 +30,7 @@ def mixed_corpus():
             vq(4, "what color is the car", ["red"] * 4 + ["blue"] * 3 + ["maroon"] * 3, "other"),
             vq(5, "why is the man sad", [f"reason {i}" for i in range(10)], "other"),
             vq(6, "what is on the table", ["lamp"] * 8 + ["light", "bulb"]),
-        ],
-        source_tag="toy",
+        ]
     )
 
 

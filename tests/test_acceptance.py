@@ -102,7 +102,7 @@ def test_criterion_3_hypergeometric_correctness():
 
 @lru_cache(maxsize=1)
 def _planted_pipeline():
-    corpus = make_planted_corpus(2000, seed=20, noise=0.1)
+    corpus = make_planted_corpus(2000, seed=20)
     ids = corpus.question_ids()
     train_split = corpus.subset(ids[:1500])
     test_split = corpus.subset(ids[1500:])

@@ -51,10 +51,7 @@ def _path(key):
 
 @lru_cache(maxsize=None)
 def _split(name):
-    return load_corpus(
-        _path(f"{name}_q"), _path(f"{name}_a"), format="vqa_v1_json",
-        source_tag=f"real-{name}",
-    )
+    return load_corpus(_path(f"{name}_q"), _path(f"{name}_a"), format="vqa_v1_json")
 
 
 @lru_cache(maxsize=1)
@@ -62,7 +59,7 @@ def _combined():
     questions = list(_split("train")) + list(_split("val"))
     from crowd_consensus import Corpus
 
-    return Corpus.from_questions(questions, source_tag="real")
+    return Corpus.from_questions(questions)
 
 
 def test_criterion_8_corpus_scale():

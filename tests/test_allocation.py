@@ -210,6 +210,14 @@ def test_sweep_rows_and_averaging():
         assert 0.0 <= row.diversity_fraction <= 1.0
 
 
+def test_sweep_on_an_empty_corpus_gives_its_budget_zero_rows():
+    # An empty ordering reads as float64 in numpy, yet is the one permutation of no rows.
+    rows = sweep(Corpus.from_questions([]), {"ours": [[]], "oracle": [()]}, [0])
+    assert [(r.ranking, r.budget, r.answers_spent, r.diversity) for r in rows] == [
+        ("ours", 0, 0, 0.0), ("oracle", 0, 0, 0.0),
+    ]
+
+
 def _sizes(corpus, plan):
     return dict(zip(corpus.question_ids(), plan.counts.tolist()))
 

@@ -37,6 +37,9 @@ def planted_path(tmp_path_factory):
     return path
 
 
+GOLDEN_MODEL = Path(__file__).parent / "data" / "golden" / "model.json"
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -298,6 +301,31 @@ def test_allocate_and_sweep_key_rows_by_question_id(tmp_path):
                 assert got == float(sum(want) / len(want)), row
             else:
                 assert got == pytest.approx(sum(want) / len(want), abs=1e-12), row
+
+
+def test_sweep_budgets_default_to_eleven_rounded_steps(tmp_path):
+    path = tmp_path / "planted15.jsonl"
+    save_corpus_jsonl(make_planted_corpus(15, seed=5), path)
+    out = tmp_path / "run"
+    model_path = train(path, out)
+    assert main(["sweep", "--corpus", str(path), "--model", str(model_path),
+                 "--out-dir", str(out)]) == 0
+    # round(15 * i / 10) rounds halves to even: 1.5 -> 2, 4.5 -> 4.
+    budgets = [0, 2, 3, 4, 6, 8, 9, 10, 12, 14, 15]
+    assert json.loads((out / "run_config.json").read_text())["budgets"] == budgets
+    rows = read_csv(out / "sweep.csv")
+    assert [int(r["budget"]) for r in rows] == budgets * 3
+
+
+def test_sweep_on_an_empty_corpus_writes_budget_zero_rows(tmp_path):
+    empty = write_jsonl(tmp_path / "empty.jsonl", [])
+    out = tmp_path / "run"
+    assert main(["sweep", "--corpus", str(empty), "--model", str(GOLDEN_MODEL),
+                 "--out-dir", str(out)]) == 0
+    rows = read_csv(out / "sweep.csv")
+    assert [(r["ranking"], r["budget"], r["diversity"]) for r in rows] == [
+        ("ours", "0", "0.0"), ("status_quo", "0", "0.0"), ("oracle", "0", "0.0"),
+    ]
 
 
 def test_sweep_needs_a_status_quo_ordering(planted_path, tmp_path, capsys):

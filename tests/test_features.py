@@ -40,8 +40,7 @@ def small_corpus():
             vq(1, "what is x", ["a1"] * 10),
             vq(2, "what are y", ["a1"] * 10),
             vq(3, "is it z", ["a1"] * 10),
-        ],
-        source_tag="toy",
+        ]
     )
 
 
@@ -49,7 +48,6 @@ def test_build_vocabularies(small_corpus):
     vocab = build_vocabularies(small_corpus)
     assert vocab.first_words == ("what", "is")
     assert vocab.second_words == ("is", "are", "it")
-    assert vocab.built_from == "toy"
 
 
 def test_build_vocabularies_single_word_question():

@@ -153,6 +153,17 @@ def test_leaf_tie_votes_disagreement():
     assert predict_many(_one_tree_model(_leaf_tree(1, 2), 1), [[0.0]]).tolist() == [1.0]
 
 
+@pytest.mark.parametrize("votes", [(2**62, 2**62), (2**62, 2**62 + 1)])
+def test_huge_leaf_votes_in_a_loaded_model_do_not_overflow(tmp_path, votes):
+    path = tmp_path / "model.json"
+    save_model(_one_tree_model(_leaf_tree(1, 2), 1), path)
+    doc = json.loads(path.read_text())
+    doc["trees"][0]["votes_disagreement"], doc["trees"][0]["votes_total"] = [votes[0]], [votes[1]]
+    path.write_text(json.dumps(doc))
+    # A tie test written as 2 * votes_disagreement >= votes_total wraps to -2**63 here.
+    assert predict_many(load_model(path), [[0.0]]).tolist() == [1.0]
+
+
 def test_vote_share_arithmetic():
     model = _hand_model([_leaf_tree(1, 1)] * 20 + [_leaf_tree(0, 1)] * 5)
     assert predict_many(model, [[0.0]]).tolist() == [0.8]
@@ -181,6 +192,8 @@ def test_training_set_errors():
         train_forest([[1.0]], [A], ForestConfig())
     with pytest.raises(DimensionMismatch):
         train_forest([[1.0], [2.0]], [A], ForestConfig())
+    with pytest.raises(DimensionMismatch, match="no feature columns"):
+        train_forest(np.zeros((4, 0)), [A, D, A, D], ForestConfig())
     for labels in (["agreement", "disagreement"], [0.0, 1.0], [0, 2]):
         with pytest.raises(ValueError, match="labels"):
             train_forest([[1.0], [2.0]], labels, ForestConfig())
@@ -360,6 +373,15 @@ def _set_leaf(key, value):
 def test_load_rejects_inconsistent_model(tmp_path, model_doc, edit):
     with pytest.raises(FormatVersionMismatch):
         load_model(_corrupted(tmp_path, model_doc, edit))
+
+
+def test_load_ignores_a_string_built_from(tmp_path, model_doc):
+    path = _corrupted(tmp_path, model_doc,
+                      lambda doc: doc["vocab"].update(built_from="synthetic-planted"))
+    resaved = tmp_path / "resaved.json"
+    save_model(load_model(path), resaved)
+    assert json.loads(resaved.read_text())["vocab"]["built_from"] == ""
+    assert json.loads(resaved.read_text()) == model_doc
 
 
 def _leaf_total(doc):
