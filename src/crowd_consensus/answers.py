@@ -12,12 +12,17 @@ import itertools
 import re
 import string
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, rows_by_stratum
 from .errors import AnswerCountMismatch, InvalidThreshold
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
+
+ANSWER_TYPES = ("yes/no", "number", "other")
 
 #: Whole-token number words converted to digits during normalization.
 NUMBER_WORDS = {
@@ -40,6 +45,17 @@ ARTICLES = frozenset({"a", "an", "the"})
 # The 32 ASCII punctuation characters, removed outright.
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _DIGIT_COMMA = re.compile(r"(?<=\d),(?=\d)")
+
+
+def rows_by_stratum(answer_types: Sequence[str | None]) -> dict[str, list[int]]:
+    """Row indices of each non-empty answer-type stratum, in ANSWER_TYPES order.
+
+    Untyped rows (None) form the last stratum, "unknown".
+    """
+    groups: dict[str, list[int]] = {}
+    for i, t in enumerate(answer_types):
+        groups.setdefault("unknown" if t is None else t, []).append(i)
+    return {s: groups[s] for s in (*ANSWER_TYPES, "unknown") if s in groups}
 
 
 class AgreementLabel(enum.IntEnum):
@@ -79,40 +95,64 @@ def normalize_answer(raw: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class AnswerTable:
-    """Equal-size answer pools, normalized and coded once; row i is pool i.
+    """Equal-size answer pools, coded once; row i is pool i.
 
+    raw_codes[i, j] indexes `raw_vocabulary` (distinct raw answers, in the
+    order they were read) for pool i's j-th answer. The normalized view is
+    derived on first use, normalizing each distinct raw answer once:
     codes[i, j] indexes `vocabulary` (distinct normalized answers, first
-    seen first) for pool i's j-th answer. counts[i, j] is how often pool i
+    met first in raw_vocabulary), and counts[i, j] is how often pool i
     gives that answer if slot j is its first occurrence, else 0.
     """
 
-    vocabulary: tuple[str, ...]
-    codes: np.ndarray  # (n, A) int32
-    counts: np.ndarray  # (n, A) int64
+    raw_vocabulary: tuple[str, ...]
+    raw_codes: np.ndarray  # (n, A) int32
 
     @classmethod
     def from_pools(cls, pools: Sequence[Sequence[str]], a: int) -> "AnswerTable":
-        """Code pools of `a` raw answers each, normalizing each distinct string once.
+        """Code pools of `a` raw answers each, first seen first.
 
         Pools that do not hold len(pools) * a answers in all raise ValueError.
         """
-        code_of_answer: dict[str, int] = {}
-        code_of_raw = {
-            raw: code_of_answer.setdefault(normalize_answer(raw), len(code_of_answer))
-            for raw in dict.fromkeys(itertools.chain.from_iterable(pools))
-        }
+        code_of_raw: dict[str, int] = {}
+        coded = (
+            code_of_raw.setdefault(raw, len(code_of_raw))
+            for raw in itertools.chain.from_iterable(pools)
+        )
         size = len(pools) * a
-        coded = map(code_of_raw.__getitem__, itertools.chain.from_iterable(pools))
         # fromiter raises on fewer than `size` answers but stops quietly at `size`.
-        codes = np.fromiter(coded, dtype=np.int32, count=size).reshape(len(pools), a)
+        raw_codes = np.fromiter(coded, dtype=np.int32, count=size).reshape(len(pools), a)
         if next(coded, None) is not None:
             raise ValueError(f"more than {len(pools)} * {a} answers in {len(pools)} pools")
+        return cls(tuple(code_of_raw), raw_codes)
+
+    @cached_property
+    def _normalized(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The vocabulary, and the code in it of each raw_vocabulary entry."""
+        code_of_answer: dict[str, int] = {}
+        code_of_raw = [
+            code_of_answer.setdefault(normalize_answer(raw), len(code_of_answer))
+            for raw in self.raw_vocabulary
+        ]
+        return tuple(code_of_answer), np.array(code_of_raw, dtype=np.int32)
+
+    @property
+    def vocabulary(self) -> tuple[str, ...]:
+        return self._normalized[0]
+
+    @cached_property
+    def codes(self) -> np.ndarray:  # (n, A) int32
+        return self._normalized[1][self.raw_codes]
+
+    @cached_property
+    def counts(self) -> np.ndarray:  # (n, A) int64
+        codes = self.codes
         # One (n, A) comparison per slot keeps the peak at O(n * A).
         counts = np.zeros(codes.shape, dtype=np.int64)
-        for j in range(a):
+        for j in range(codes.shape[1]):
             same = codes == codes[:, j, None]
             counts[:, j] = np.where(same[:, :j].any(axis=1), 0, same.sum(axis=1))
-        return cls(tuple(code_of_answer), codes, counts)
+        return counts
 
     def distinct_at_least(self, m: int) -> np.ndarray:
         """Per pool: number of distinct normalized answers given at least m times."""
@@ -120,7 +160,7 @@ class AnswerTable:
 
     def labels(self) -> np.ndarray:
         """(n,) bool, True for disagreement: the modal answer covers fewer than A - 1 of A."""
-        a = self.codes.shape[1]
+        a = self.raw_codes.shape[1]
         if a < 2:
             raise AnswerCountMismatch(f"need at least 2 answers, got {a}")
         return self.counts.max(axis=1, initial=0) < a - 1
@@ -181,7 +221,7 @@ def agreement_by_answer_type(corpus: Corpus) -> dict[str, AgreementRates]:
     """
     a = corpus.answers_per_question
     modal = corpus.answer_table.counts.max(axis=1, initial=0)
-    groups = rows_by_stratum([vq.answer_type for vq in corpus])
+    groups = rows_by_stratum(corpus.answer_types)
     groups["all"] = list(range(len(modal)))
     report = {}
     for stratum, rows in groups.items():

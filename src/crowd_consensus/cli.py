@@ -276,7 +276,7 @@ def cmd_eval(args) -> int:
     corpus, scores = _model_predictions(args)
     out = _out_dir(args)
     labels = corpus.answer_table.labels()
-    report = stratified_eval(scores, labels, [vq.answer_type for vq in corpus])
+    report = stratified_eval(scores, labels, corpus.answer_types)
     _write_json(
         out / "report.json",
         {

@@ -2,49 +2,48 @@
 
 Two corpus formats are supported: the paired questions/annotations JSON
 layout used by the large public VQA releases, and a flat JSONL record
-format convenient for synthetic or desk-scale corpora. Image saliency
-comes in as a CSV of five per-image probabilities (0, 1, 2, 3, or 4+
-salient objects).
+format convenient for synthetic or desk-scale corpora. Both are read
+record by record into columns; the VQA JSON files are decoded a chunk at
+a time, so neither a whole file's text nor a list of its parsed records
+is ever held. Image saliency comes in as a CSV of five per-image
+probabilities (0, 1, 2, 3, or 4+ salient objects).
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
+import numpy as np
+
+from .answers import ANSWER_TYPES, AnswerTable
 from .errors import (
     AnswerCountMismatch,
+    CrowdConsensusError,
     InvalidProbability,
     KeyMismatch,
     MissingAnnotation,
     ParseError,
 )
 
-ANSWER_TYPES = ("yes/no", "number", "other")
 CORPUS_FORMATS = ("jsonl", "vqa_v1_json")
 DEFAULT_ANSWERS_PER_QUESTION = 10
 
 #: Saliency fallback for images absent from a feature table.
 UNIFORM_SALIENCY = (0.2, 0.2, 0.2, 0.2, 0.2)
 
-def rows_by_stratum(answer_types: Sequence[str | None]) -> dict[str, list[int]]:
-    """Row indices of each non-empty answer-type stratum, in ANSWER_TYPES order.
-
-    Untyped rows (None) form the last stratum, "unknown".
-    """
-    groups: dict[str, list[int]] = {}
-    for i, t in enumerate(answer_types):
-        groups.setdefault("unknown" if t is None else t, []).append(i)
-    return {s: groups[s] for s in (*ANSWER_TYPES, "unknown") if s in groups}
-
-
 _SALIENCY_HEADER = ["image_id", "p0", "p1", "p2", "p3", "p4"]
 _SUM_BAND = 1e-3
+
+#: Bytes of a VQA JSON file read and decoded at a time.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,59 +57,76 @@ class VisualQuestion:
     answer_type: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
     """Ordered, immutable collection of visual questions sharing one answer count.
 
-    It records nothing of where its questions came from; a CLI run names
-    its input files in run_config.json.
+    The questions are held as columns; row i is the question with the
+    i-th smallest id. ids and image_ids are int64 arrays, texts the
+    question texts, answer_types a name in ANSWER_TYPES or None per row,
+    and answer_table codes each row's raw answers. Indexing or iterating
+    a corpus builds VisualQuestion rows on demand. It records nothing of
+    where its questions came from; a CLI run names its input files in
+    run_config.json.
     """
 
-    questions: tuple[VisualQuestion, ...]
-    answers_per_question: int
+    ids: np.ndarray  # (n,) int64, strictly increasing
+    image_ids: np.ndarray  # (n,) int64
+    texts: tuple[str, ...]
+    answer_types: tuple[str | None, ...]
+    answer_table: AnswerTable
 
     @classmethod
     def from_questions(cls, questions: Iterable[VisualQuestion]) -> "Corpus":
         """Validate, sort by question id, and freeze a corpus.
 
-        The answer count A is taken from the first question; later questions
-        with a different count raise AnswerCountMismatch. Duplicate question
-        ids and unknown answer types raise ParseError.
+        The answer count A is taken from the question with the smallest
+        id; another question with a different count raises
+        AnswerCountMismatch. Duplicate question ids, unknown answer types
+        and ids outside the int64 range raise ParseError.
         """
-        ordered = sorted(questions, key=lambda vq: vq.question_id)
-        a = len(ordered[0].raw_answers) if ordered else DEFAULT_ANSWERS_PER_QUESTION
-        seen: set[int] = set()
-        for vq in ordered:
-            if vq.question_id in seen:
-                raise ParseError(f"duplicate question_id {vq.question_id}")
-            seen.add(vq.question_id)
-            if vq.answer_type is not None and vq.answer_type not in ANSWER_TYPES:
-                raise ParseError(
-                    f"question {vq.question_id}: unknown answer_type "
-                    f"{vq.answer_type!r} (expected one of {ANSWER_TYPES})"
-                )
-            if len(vq.raw_answers) != a:
-                raise AnswerCountMismatch(
-                    f"question {vq.question_id} has {len(vq.raw_answers)} answers, "
-                    f"expected {a}"
-                )
-        return cls(tuple(ordered), a)
+        columns = _Columns()
+        for vq in questions:
+            columns.add_question(vq.question_id, vq.image_id, vq.question_text, "Corpus")
+            columns.add_answers(vq.raw_answers, vq.answer_type)
+        return _corpus(columns, columns)
+
+    @property
+    def answers_per_question(self) -> int:
+        return self.answer_table.raw_codes.shape[1]
+
+    @property
+    def questions(self) -> "Corpus":
+        """The corpus itself, as a sequence of VisualQuestion rows."""
+        return self
 
     def __len__(self) -> int:
-        return len(self.questions)
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> VisualQuestion:
+        table = self.answer_table
+        return VisualQuestion(
+            question_id=int(self.ids[i]),
+            image_id=int(self.image_ids[i]),
+            question_text=self.texts[i],
+            raw_answers=tuple(map(table.raw_vocabulary.__getitem__, table.raw_codes[i].tolist())),
+            answer_type=self.answer_types[i],
+        )
 
     def __iter__(self) -> Iterator[VisualQuestion]:
-        return iter(self.questions)
+        answer = self.answer_table.raw_vocabulary.__getitem__
+        rows = zip(map(int, self.ids), map(int, self.image_ids), self.texts,
+                   self.answer_table.raw_codes, self.answer_types)
+        for qid, image_id, text, codes, answer_type in rows:
+            yield VisualQuestion(qid, image_id, text, tuple(map(answer, codes.tolist())), answer_type)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return self.answers_per_question == other.answers_per_question and list(self) == list(other)
 
     def question_ids(self) -> tuple[int, ...]:
-        return tuple(vq.question_id for vq in self.questions)
-
-    @cached_property
-    def answer_table(self):
-        """The `answers.AnswerTable` of every question, in corpus order, built on first use."""
-        from .answers import AnswerTable
-
-        return AnswerTable.from_pools([vq.raw_answers for vq in self], self.answers_per_question)
+        return tuple(self.ids.tolist())
 
     def subset(self, question_ids: Iterable[int]) -> "Corpus":
         """New corpus of the given ids, re-sorted ascending.
@@ -121,11 +137,105 @@ class Corpus:
         wanted = set(ids)
         if len(wanted) != len(ids):
             raise KeyMismatch("subset lists a question id more than once")
-        picked = sorted((vq for vq in self if vq.question_id in wanted),
-                        key=lambda vq: vq.question_id)
-        if len(picked) != len(wanted):
-            raise KeyMismatch(f"{len(wanted) - len(picked)} subset ids are not in the corpus")
-        return Corpus(tuple(picked), self.answers_per_question)
+        rows = [i for i, qid in enumerate(self.ids.tolist()) if qid in wanted]
+        if len(rows) != len(wanted):
+            raise KeyMismatch(f"{len(wanted) - len(rows)} subset ids are not in the corpus")
+        table = self.answer_table
+        used, raw_codes = np.unique(table.raw_codes[rows], return_inverse=True)
+        return Corpus(
+            self.ids[rows],
+            self.image_ids[rows],
+            tuple(self.texts[i] for i in rows),
+            tuple(self.answer_types[i] for i in rows),
+            AnswerTable(
+                tuple(table.raw_vocabulary[c] for c in used.tolist()),
+                raw_codes.reshape(len(rows), self.answers_per_question).astype(np.int32),
+            ),
+        )
+
+
+class _Columns:
+    """Corpus records coded into columns as they are read, in reading order.
+
+    A VQA questions file fills ids, image_ids and texts; an annotations
+    file fills ids, the answers and their types; a JSONL file fills all.
+    Raw answers are coded through one dict as they arrive, so each
+    distinct answer string is kept once, and so is each answer type.
+    """
+
+    def __init__(self) -> None:
+        self.ids = array("q")
+        self.image_ids = array("q")
+        self.texts: list[str] = []
+        self.types: list = []
+        self.codes = array("i")  # every record's raw answer codes, end to end
+        self.sizes = array("q")  # answers per record
+        self.code_of_raw: dict[str, int] = {}
+        self.type_names: dict[str, str] = {}
+        #: The first record a VQA file's reader rejected (see _read_records).
+        self.fault: CrowdConsensusError | None = None
+
+    def add_question(self, question_id: int, image_id: int, text: str, where: str) -> None:
+        _append_int64(self.ids, question_id, "question_id", where)
+        _append_int64(self.image_ids, image_id, "image_id", where)
+        self.texts.append(text)
+
+    def add_answers(self, answers: Sequence[str], answer_type) -> None:
+        code = self.code_of_raw
+        coded = list(map(code.get, answers))
+        if None in coded:  # answers not met before get the next codes
+            coded = [code.setdefault(raw, len(code)) for raw in answers]
+        self.codes.fromlist(coded)
+        self.sizes.append(len(answers))
+        if isinstance(answer_type, str):
+            answer_type = self.type_names.setdefault(answer_type, answer_type)
+        self.types.append(answer_type)
+
+
+def _append_int64(column: array, value: int, key: str, where: str) -> None:
+    try:
+        column.append(value)
+    except OverflowError:
+        raise ParseError(f"{where}: {key} {value} is outside the int64 range") from None
+
+
+def _corpus(questions: _Columns, answers: _Columns, rows: np.ndarray | None = None) -> Corpus:
+    """Freeze columns into a Corpus sorted by question id.
+
+    rows[i] is the answers record of questions record i (default: record
+    i itself). Taken in id order, the first question that repeats an id,
+    has an unknown answer type, or has another answer count than the
+    first question raises ParseError or AnswerCountMismatch.
+    """
+    ids = np.array(questions.ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    rows = order if rows is None else rows[order]
+    sizes = np.array(answers.sizes, dtype=np.int64)[rows]
+    types = [answers.types[r] for r in rows.tolist()]
+    a = int(sizes[0]) if len(ids) else DEFAULT_ANSWERS_PER_QUESTION
+    repeated = np.zeros(len(ids), dtype=bool)
+    repeated[1:] = ids[1:] == ids[:-1]
+    unknown = np.array([t is not None and t not in ANSWER_TYPES for t in types], dtype=bool)
+    bad = repeated | unknown | (sizes != a)
+    if bad.any():
+        k = int(bad.argmax())
+        if repeated[k]:
+            raise ParseError(f"duplicate question_id {ids[k]}")
+        if unknown[k]:
+            raise ParseError(
+                f"question {ids[k]}: unknown answer_type {types[k]!r} (expected one of {ANSWER_TYPES})"
+            )
+        raise AnswerCountMismatch(f"question {ids[k]} has {sizes[k]} answers, expected {a}")
+    # Every answers record belongs to exactly one question, so all hold A answers.
+    codes = np.frombuffer(answers.codes, dtype=np.int32).reshape(len(answers.sizes), a)
+    return Corpus(
+        ids,
+        np.array(questions.image_ids, dtype=np.int64)[order],
+        tuple(map(questions.texts.__getitem__, order.tolist())),
+        tuple(types),
+        AnswerTable(tuple(answers.code_of_raw), codes[rows]),
+    )
 
 
 def load_corpus(
@@ -149,14 +259,12 @@ def load_corpus(
     if format == "jsonl":
         if annotations_source is not None:
             raise ParseError(f"{annotations_source}: an annotations file needs format vqa_v1_json")
-        questions = _read_jsonl(Path(questions_source))
-    else:
-        if annotations_source is None:
-            raise MissingAnnotation(
-                "vqa_v1_json needs both a questions file and an annotations file"
-            )
-        questions = _read_vqa_v1(Path(questions_source), Path(annotations_source))
-    return Corpus.from_questions(questions)
+        return _read_jsonl(Path(questions_source))
+    if annotations_source is None:
+        raise MissingAnnotation(
+            "vqa_v1_json needs both a questions file and an annotations file"
+        )
+    return _read_vqa_v1(Path(questions_source), Path(annotations_source))
 
 
 def _field(record, key: str, where: str, kind: type):
@@ -177,14 +285,8 @@ def _read_text(path: str | Path, split=iter):
             raise ParseError(f"{path}: {exc}") from exc
 
 
-def _shared(strings: dict[str, str], value):
-    """value, or the first equal string met in this file if value is a string."""
-    return strings.setdefault(value, value) if isinstance(value, str) else value
-
-
-def _read_jsonl(path: Path) -> list[VisualQuestion]:
-    questions = []
-    shared: dict[str, str] = {}  # each distinct answer or answer type, kept once
+def _read_jsonl(path: Path) -> Corpus:
+    columns = _Columns()
     for lineno, line in enumerate(_read_text(path), start=1):
         line = line.strip()
         if not line:
@@ -198,101 +300,265 @@ def _read_jsonl(path: Path) -> list[VisualQuestion]:
         answers = _field(record, "answers", where, list)
         if not all(isinstance(ans, str) for ans in answers):
             raise ParseError(f"{where}: answers must be strings, got {answers!r}")
-        questions.append(
-            VisualQuestion(
-                question_id=_field(record, "question_id", where, int),
-                image_id=_field(record, "image_id", where, int),
-                question_text=_field(record, "question", where, str),
-                raw_answers=tuple(map(shared.setdefault, answers, answers)),
-                answer_type=_shared(shared, record.get("answer_type")),
-            )
-        )
-    return questions
+        _add_question(columns, record, where)
+        columns.add_answers(answers, record.get("answer_type"))
+    return _corpus(columns, columns)
 
 
-def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> list[VisualQuestion]:
-    where = str(questions_path)
-    records = _field(_load_json_doc(questions_path), "questions", where, list)
-    annotations = _field(
-        _load_json_doc(annotations_path), "annotations", str(annotations_path), list
+def _add_question(columns: _Columns, record, where: str) -> None:
+    columns.add_question(
+        _field(record, "question_id", where, int),
+        _field(record, "image_id", where, int),
+        _field(record, "question", where, str),
+        where,
     )
 
-    by_id: dict[int, dict] = {}
-    for ann in annotations:
-        qid = _field(ann, "question_id", str(annotations_path), int)
-        if qid in by_id:
-            raise ParseError(f"{annotations_path}: duplicate annotation for question_id {qid}")
-        by_id[qid] = ann
 
-    questions = []
-    answer_types: dict[str, str] = {}
-    for q in records:
-        qid = _field(q, "question_id", where, int)
-        ann = by_id.get(qid)
-        if ann is None:
-            raise MissingAnnotation(f"question {qid} has no annotation record")
-        ann_where = f"{annotations_path} question {qid}"
-        answers = tuple(
-            entry[0] if type(entry) is tuple else _field(entry, "answer", ann_where, str)
-            for entry in _field(ann, "answers", ann_where, list)
-        )
-        questions.append(
-            VisualQuestion(
-                question_id=qid,
-                image_id=_field(q, "image_id", where, int),
-                question_text=_field(q, "question", where, str),
-                raw_answers=answers,
-                answer_type=_shared(answer_types, ann.get("answer_type")),
-            )
-        )
-    orphans = by_id.keys() - {vq.question_id for vq in questions}
-    if orphans:
+def _add_annotation(columns: _Columns, record, where: str) -> None:
+    qid = _field(record, "question_id", where, int)
+    entries_where = f"{where} question {qid}"
+    entries = _field(record, "answers", entries_where, list)
+    answers = [entry.get("answer") if type(entry) is dict else None for entry in entries]
+    if not set(map(type, answers)) <= {str}:  # _field's check, on all entries at once
+        for entry in entries:
+            _field(entry, "answer", entries_where, str)
+    _append_int64(columns.ids, qid, "question_id", where)
+    columns.add_answers(answers, record.get("answer_type"))
+
+
+def _read_vqa_v1(questions_path: Path, annotations_path: Path) -> Corpus:
+    questions = _read_records(questions_path, "questions", _add_question)
+    annotations = _read_records(annotations_path, "annotations", _add_annotation)
+    question_ids = np.array(questions.ids, dtype=np.int64)
+    annotated = np.array(annotations.ids, dtype=np.int64)
+    by_id = np.argsort(annotated, kind="stable")
+    annotated = annotated[by_id]
+    repeats = by_id[1:][annotated[1:] == annotated[:-1]]
+    if repeats.size:
+        qid = annotations.ids[repeats.min()]
+        raise ParseError(f"{annotations_path}: duplicate annotation for question_id {qid}")
+    at = np.searchsorted(annotated, question_ids)
+    found = at < len(annotated)
+    found[found] = annotated[at[found]] == question_ids[found]
+    if not found.all():
+        raise MissingAnnotation(f"question {question_ids[found.argmin()]} has no annotation record")
+    orphans = np.ones(len(annotated), dtype=bool)
+    orphans[at] = False
+    if orphans.any():
         raise ParseError(
-            f"{annotations_path}: {len(orphans)} annotation record(s) match no question, "
-            f"the smallest question_id being {min(orphans)}"
+            f"{annotations_path}: {orphans.sum()} annotation record(s) match no question, "
+            f"the smallest question_id being {annotated[orphans.argmax()]}"
         )
-    return questions
+    return _corpus(questions, annotations, by_id[at])
 
 
-#: Keys _read_vqa_v1 reads from some object; an object holding one is never an answer entry.
-_RECORD_KEYS = frozenset(
-    {"questions", "annotations", "question_id", "image_id", "question", "answers", "answer_type"}
-)
+def _read_records(path: Path, key: str, add: Callable[[_Columns, object, str], None]) -> _Columns:
+    """Columns of the records in the array doc[key], where path holds the JSON object doc.
 
-
-def _load_json_doc(path: Path) -> dict:
-    """The JSON object in path, with each answer entry replaced as it is parsed.
-
-    An object whose "answer" is a string and that holds none of
-    _RECORD_KEYS becomes a 1-tuple (answer,), one tuple per distinct
-    answer, so no entry dict is kept and each answer string is kept once.
-    A tuple is no JSON type, so a malformed entry (a bare string, a list)
-    still reaches the reader's type checks as before. Every key the reader
-    looks up is absent from such an object, so it reads None from the
-    tuple just as from the dict.
+    The file is decoded a chunk at a time and the array one record at a
+    time, each record going to add(columns, record, str(path)) as soon as
+    it is decoded. As with json.load, a repeated top-level key keeps its
+    last value, and bytes that are not UTF-8, JSON errors and trailing
+    data anywhere in the file are reported before the first record add
+    rejected, which is raised once the whole file has parsed.
     """
-    entries: dict[str, tuple[str]] = {}
+    where = str(path)
+    with open(path, "rb") as fh:
+        doc = _JsonStream(fh, where)
+        found = None
+        c = doc.peek()
+        if c == "\ufeff" and doc.pos == 0:
+            doc.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+        if c != "{":
+            doc.value()
+            doc.end()
+            raise ParseError(f"{where}: expected a JSON object")
+        doc.pos += 1
+        c, after = doc.peek(), "{"
+        while c != "}" or after != "{":
+            if c != '"':
+                doc.fail(after)
+            name = doc.value()
+            if doc.peek() != ":":
+                doc.fail('{""')
+            doc.pos += 1
+            if doc.peek() == "[" and name == key:
+                found = doc.records(add)
+            else:
+                value = doc.value()
+                if name == key:
+                    found = value
+            c = doc.peek()
+            if c == "}":
+                break
+            if c != ",":
+                doc.fail('{"":0')
+            c, after = doc.comma(), '{"":0'
+        doc.pos += 1
+        doc.end()
+    if not isinstance(found, _Columns):
+        _field({key: found}, key, where, list)
+    if found.fault is not None:
+        raise found.fault
+    return found
 
-    def answer_entry(obj: dict):
-        answer = obj.get("answer")
-        if type(answer) is not str or not _RECORD_KEYS.isdisjoint(obj):
-            return obj
-        entry = entries.get(answer)
-        if entry is None:
-            entry = entries[answer] = (answer,)
-        return entry
 
-    with open(path, "r", encoding="utf-8") as fh:
-        # ValueError includes JSONDecodeError and UnicodeDecodeError.
+class _JsonStream:
+    """The text of a UTF-8 JSON file, decoded _CHUNK_BYTES at a time.
+
+    text[pos:] is decoded text not yet consumed, and text[0] is character
+    `start` of the file. Each refill drops the text before `mark`: the
+    end of the last token read, from which fail() has json word an error,
+    or the start of the value being decoded. Every position an error
+    reports counts from the start of the file, as json.load's do.
+    """
+
+    _whitespace = json.decoder.WHITESPACE
+    _decoder = json.JSONDecoder()
+
+    def __init__(self, fh, path: str) -> None:
+        self.fh, self.path = fh, path
+        # Newlines translated as open() does in text mode, as json.load read them.
+        self.utf8 = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
+        self.text, self.pos, self.mark, self.start = "", 0, 0, 0
+        self.lines = 0  # newlines before text[0]
+        self.line_start = 0  # file position of the first character of text[0]'s line
+        self.bytes_read = 0
+        self.done = False
+
+    def more(self) -> bool:
+        """Decode the next chunk onto the text; False once the file is exhausted.
+
+        A read takes at least as many bytes as the text kept from mark on,
+        so a value spanning many chunks is decoded in linear time.
+        """
+        if self.done:
+            return False
+        drop = self.mark
+        self.lines += self.text.count("\n", 0, drop)
+        newline = self.text.rfind("\n", 0, drop)
+        if newline >= 0:
+            self.line_start = self.start + newline + 1
+        rest, self.text = self.text[drop:], ""  # the consumed text goes before the read
+        self.start += drop
+        self.pos -= drop
+        self.mark = 0
+        self.text = rest + self._read(max(_CHUNK_BYTES, len(rest)))
+        return True
+
+    def _read(self, size: int) -> str:
+        """The next `size` bytes of the file, decoded. The bytes are freed on
+        return, before more() joins the text to what it kept."""
+        data = self.fh.read(size)
+        pending = len(self.utf8.getstate()[0])
         try:
-            doc = json.load(fh, object_hook=answer_entry)
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    if type(doc) is tuple:  # a whole document shaped like an answer entry
-        return {}
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return doc
+            text = self.utf8.decode(data, final=not data)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{self.path}: {_utf8_error(exc, self.bytes_read - pending)}") from exc
+        self.bytes_read += len(data)
+        self.done = not data
+        return text
+
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end of the file."""
+        self.mark = self.pos
+        return self._skip()
+
+    def comma(self) -> str:
+        """peek() past the comma at pos, which fail() still reads: json 3.13
+        reports a trailing comma at the comma."""
+        self.mark = self.pos
+        self.pos += 1
+        return self._skip()
+
+    def _skip(self) -> str:
+        c = self.text[self.pos : self.pos + 1]
+        if c and c not in " \t\n\r":
+            return c
+        while True:
+            self.pos = self._whitespace.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self.more():
+                return self.text[self.pos : self.pos + 1]
+
+    def value(self):
+        """Decode the JSON value at pos and move past it."""
+        self.mark = self.pos
+        while True:
+            try:
+                value, end = self._decoder.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError as exc:
+                failure = exc.msg, exc.pos
+            except (ValueError, RecursionError) as exc:
+                failure = str(exc), None
+            else:
+                # A number within three characters of the end may go on ("1" + "e+5").
+                if end + 3 <= len(self.text) or not self.more():
+                    self.pos = end
+                    return value
+                continue
+            # Outside the except clause, so the exception and the text it holds are gone.
+            if not self.more():
+                msg, at = failure
+                if at is None:
+                    raise ParseError(f"{self.path}: {msg}")
+                self.error(msg, at)
+
+    def records(self, add: Callable[[_Columns, object, str], None]) -> _Columns:
+        """Pass each element of the array at pos to add, as _read_records says."""
+        columns = _Columns()
+        self.pos += 1
+        c = self.peek()
+        while c != "]":
+            record = self.value()
+            if columns.fault is None:
+                try:
+                    add(columns, record, self.path)
+                except CrowdConsensusError as exc:
+                    columns.fault = exc
+            c = self.peek()
+            if c == "]":
+                break
+            if c != ",":
+                self.fail("[0")
+            if self.comma() == "]":
+                self.fail("[0")
+        self.pos += 1
+        return columns
+
+    def end(self) -> None:
+        """Only whitespace may follow the document."""
+        if self.peek():
+            self.fail("0")
+
+    def fail(self, after: str) -> NoReturn:
+        """Raise json's error for text[mark:] read just after `after`.
+
+        `after` puts json's parser in the state this reader is in at mark,
+        so the message is json.load's on every Python version.
+        """
+        try:
+            json.loads(after + self.text[self.mark :])
+        except json.JSONDecodeError as exc:
+            self.error(exc.msg, self.mark + exc.pos - len(after))
+        raise AssertionError(f"{self.path}: json accepted text this reader rejected")
+
+    def error(self, msg: str, i: int) -> NoReturn:
+        """ParseError for msg at text[i], worded as json.JSONDecodeError words it."""
+        lineno = self.lines + self.text.count("\n", 0, i) + 1
+        newline = self.text.rfind("\n", 0, i)
+        colno = i - newline if newline >= 0 else self.start + i - self.line_start + 1
+        raise ParseError(
+            f"{self.path}: {msg}: line {lineno} column {colno} (char {self.start + i})"
+        )
+
+
+def _utf8_error(exc: UnicodeDecodeError, offset: int) -> str:
+    """str(exc) with its byte positions moved `offset` bytes on."""
+    start, end = exc.start + offset, exc.end + offset
+    if end - start == 1:
+        return (f"'{exc.encoding}' codec can't decode byte 0x{exc.object[exc.start]:02x} "
+                f"in position {start}: {exc.reason}")
+    return f"'{exc.encoding}' codec can't decode bytes in position {start}-{end - 1}: {exc.reason}"
 
 
 def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
@@ -310,18 +576,47 @@ def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageFeatureTable:
-    """image_id -> five salient-object-count probabilities summing to 1."""
+    """Five salient-object-count probabilities, summing to 1, per image.
 
-    probabilities: Mapping[int, tuple[float, ...]]
+    Row k of probabilities belongs to image_ids[k]; the ids ascend.
+    """
+
+    image_ids: np.ndarray  # (m,) int64, strictly increasing
+    probabilities: np.ndarray  # (m, 5) float64
+
+    @classmethod
+    def from_rows(cls, rows: Mapping[int, Sequence[float]]) -> "ImageFeatureTable":
+        """A table of the given image_id -> 5-vector rows, stored as given."""
+        ids = sorted(rows)
+        return cls(
+            np.array(ids, dtype=np.int64),
+            np.array([rows[i] for i in ids], dtype=np.float64).reshape(len(ids), 5),
+        )
+
+    def _row(self, image_id: int) -> int:
+        """Index of image_id in image_ids, or -1."""
+        k = int(np.searchsorted(self.image_ids, image_id))
+        return k if k < len(self.image_ids) and self.image_ids[k] == image_id else -1
 
     def get(self, image_id: int) -> tuple[float, ...]:
         """Stored 5-vector, or the uniform fallback for unknown images."""
-        return self.probabilities.get(image_id, UNIFORM_SALIENCY)
+        k = self._row(image_id)
+        return UNIFORM_SALIENCY if k < 0 else tuple(self.probabilities[k].tolist())
 
     def __contains__(self, image_id: int) -> bool:
-        return image_id in self.probabilities
+        return self._row(image_id) >= 0
+
+    def lookup(self, image_ids: np.ndarray) -> np.ndarray:
+        """(n, 5) rows of the given image ids, the uniform fallback for unknown ones."""
+        rows = np.empty((len(image_ids), 5))
+        rows[:] = UNIFORM_SALIENCY
+        if len(self.image_ids):
+            at = np.searchsorted(self.image_ids, image_ids).clip(max=len(self.image_ids) - 1)
+            found = self.image_ids[at] == image_ids
+            rows[found] = self.probabilities[at[found]]
+        return rows
 
 
 def load_image_features(path: str | Path) -> ImageFeatureTable:
@@ -329,11 +624,15 @@ def load_image_features(path: str | Path) -> ImageFeatureTable:
 
     Every cell is a plain ASCII number: a cell holding "_" or any
     non-ASCII character raises ParseError, though int() and float() would
-    read "1_0" as 10 and Arabic-Indic digits as ASCII ones. Rows whose
+    read "1_0" as 10 and Arabic-Indic digits as ASCII ones. An image_id
+    outside the int64 range or given twice raises ParseError. Rows whose
     components are finite, non-negative and sum to 1 within 1e-3 are
-    renormalized to sum exactly 1; anything else raises InvalidProbability.
+    renormalized to sum exactly 1; anything else raises
+    InvalidProbability. A row's sum adds its components left to right, so
+    it is the same float on every Python version. The first failing row
+    in the file is the one reported.
     """
-    table: dict[int, tuple[float, ...]] = {}
+    ids, probabilities, lines = array("q"), array("d"), array("q")
     reader = _read_text(path, csv.reader)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != _SALIENCY_HEADER:
@@ -344,25 +643,46 @@ def load_image_features(path: str | Path) -> ImageFeatureTable:
         if not row:
             continue
         where = f"{path}:{lineno}"
-        if len(row) != 6:
-            raise ParseError(f"{where}: expected 6 columns, got {len(row)}")
-        if any("_" in cell or not cell.isascii() for cell in row):
-            raise ParseError(f"{where}: cells must be plain ASCII numbers, got {row}")
         try:
-            image_id = int(row[0])
-            probs = [float(cell) for cell in row[1:]]
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-        if image_id in table:
-            raise ParseError(f"{where}: duplicate image_id {image_id}")
-        if not all(math.isfinite(p) for p in probs):
-            raise InvalidProbability(f"{where}: non-finite probability component")
-        if any(p < 0.0 for p in probs):
-            raise InvalidProbability(f"{where}: negative probability component")
-        total = sum(probs)
-        if abs(total - 1.0) > _SUM_BAND:
-            raise InvalidProbability(
-                f"{where}: probabilities sum to {total}, outside 1 +/- {_SUM_BAND}"
-            )
-        table[image_id] = tuple(p / total for p in probs)
-    return ImageFeatureTable(table)
+            if len(row) != 6:
+                raise ParseError(f"{where}: expected 6 columns, got {len(row)}")
+            cells = "".join(row)
+            if "_" in cells or not cells.isascii():
+                raise ParseError(f"{where}: cells must be plain ASCII numbers, got {row}")
+            try:
+                image_id = int(row[0])
+                p0, p1, p2, p3, p4 = probs = list(map(float, row[1:]))
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from exc
+            _append_int64(ids, image_id, "image_id", where)
+            lines.append(lineno)
+            total = p0 + p1 + p2 + p3 + p4  # finite if every component is
+            if not math.isfinite(total) and not all(map(math.isfinite, probs)):
+                raise InvalidProbability(f"{where}: non-finite probability component")
+            if min(probs) < 0.0:
+                raise InvalidProbability(f"{where}: negative probability component")
+            if abs(total - 1.0) > _SUM_BAND:
+                raise InvalidProbability(
+                    f"{where}: probabilities sum to {total}, outside 1 +/- {_SUM_BAND}"
+                )
+        except CrowdConsensusError:
+            _id_order(ids, lines, path)  # a repeated id on an earlier row fails first
+            raise
+        probabilities.extend([p / total for p in probs])
+    order = _id_order(ids, lines, path)
+    return ImageFeatureTable(
+        np.array(ids, dtype=np.int64)[order],
+        np.frombuffer(probabilities, dtype=np.float64).reshape(len(ids), 5)[order],
+    )
+
+
+def _id_order(ids: array, lines: array, path) -> np.ndarray:
+    """The stable order that sorts ids; ParseError names the first row
+    (in file order) whose image_id an earlier row holds."""
+    image_ids = np.array(ids, dtype=np.int64)
+    order = np.argsort(image_ids, kind="stable")
+    repeats = order[1:][image_ids[order[1:]] == image_ids[order[:-1]]]
+    if repeats.size:
+        k = repeats.min()
+        raise ParseError(f"{path}:{lines[k]}: duplicate image_id {image_ids[k]}")
+    return order

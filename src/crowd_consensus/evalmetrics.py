@@ -15,8 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .answers import disagreement_mask
-from .corpus import rows_by_stratum
+from .answers import disagreement_mask, rows_by_stratum
 from .errors import LengthMismatch, NoPositives
 
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .answers import _PUNCT_TABLE
-from .corpus import Corpus, ImageFeatureTable, UNIFORM_SALIENCY, VisualQuestion
+from .corpus import Corpus, ImageFeatureTable, UNIFORM_SALIENCY
 from .errors import EmptyQuestion
 
 SALIENCY_DIM = 5
@@ -49,12 +49,13 @@ def tokenize_question(question_text: str) -> list[str]:
     return tokens
 
 
-def _question_tokens(vq: VisualQuestion) -> list[str]:
-    """tokenize_question on a corpus question; EmptyQuestion names its id."""
-    try:
-        return tokenize_question(vq.question_text)
-    except EmptyQuestion as exc:
-        raise EmptyQuestion(f"question {vq.question_id}: {exc}") from exc
+def _question_tokens(corpus: Corpus) -> Iterator[list[str]]:
+    """tokenize_question on each corpus question; EmptyQuestion names its id."""
+    for i, text in enumerate(corpus.texts):
+        try:
+            yield tokenize_question(text)
+        except EmptyQuestion as exc:
+            raise EmptyQuestion(f"question {corpus.ids[i]}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,7 @@ def build_vocabularies(training_corpus: Corpus) -> Vocabularies:
         raise ValueError("cannot build vocabularies from an empty corpus")
     first: dict[str, None] = {}
     second: dict[str, None] = {}
-    for vq in training_corpus:
-        tokens = _question_tokens(vq)
+    for tokens in _question_tokens(training_corpus):
         first.setdefault(tokens[0])
         if len(tokens) > 1:
             second.setdefault(tokens[1])
@@ -180,7 +180,7 @@ class FeatureMatrix:
 
 
 def extract_matrix(
-    questions: Corpus | Sequence[VisualQuestion],
+    corpus: Corpus,
     vocab: Vocabularies,
     table: ImageFeatureTable | None = None,
     mode: FeatureMode = FeatureMode.QI,
@@ -194,12 +194,11 @@ def extract_matrix(
     from the table get the uniform saliency fallback.
     """
     question, image = mode is not FeatureMode.I, mode is not FeatureMode.Q
-    values = np.empty((3 * question + SALIENCY_DIM * image, len(questions)))
+    values = np.empty((3 * question + SALIENCY_DIM * image, len(corpus)))
 
     if question:
         unseen = (len(vocab.first_words), len(vocab.second_words))
-        for i, vq in enumerate(questions):
-            tokens = _question_tokens(vq)
+        for i, tokens in enumerate(_question_tokens(corpus)):
             values[0, i] = len(tokens)
             values[1, i] = vocab.first_index.get(tokens[0], unseen[0])
             values[2, i] = (
@@ -207,9 +206,7 @@ def extract_matrix(
             )
 
     if image:
-        probs = np.zeros((len(questions), SALIENCY_DIM))
-        for i, vq in enumerate(questions):
-            probs[i] = table.get(vq.image_id) if table is not None else UNIFORM_SALIENCY
+        probs = table.lookup(corpus.image_ids) if table is not None else np.array([UNIFORM_SALIENCY])
         values[-SALIENCY_DIM:] = probs.T
 
     return FeatureMatrix(values=values, source=_column_map(vocab, mode))

@@ -288,6 +288,7 @@ def test_answer_table_memory_is_linear_in_pool_size():
     tracemalloc.start()
     try:
         table = AnswerTable.from_pools(pools, 200)
+        table.counts  # derived on first use
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -297,11 +298,12 @@ def test_answer_table_memory_is_linear_in_pool_size():
 
 def test_answer_table_codes_pools_without_per_answer_lists():
     # 50k pools of 10: Python lists of all n * A answers and codes peaked at
-    # 15.7 MB; the (n, A) codes and counts arrays themselves take 6 MB.
+    # 15.7 MB; the (n, A) raw codes, codes and counts arrays themselves take 8 MB.
     pools = [[f"answer {(7 * i + j) % 300}" for j in range(10)] for i in range(50_000)]
     tracemalloc.start()
     try:
         table = AnswerTable.from_pools(pools, 10)
+        table.counts  # derived on first use
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

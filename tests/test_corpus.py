@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from crowd_consensus import (
@@ -301,6 +302,8 @@ BAD_FIELDS = [
     ("answers", None),
     ("answers", ["x"] * 9 + [None]),
     ("answers", ["x"] * 9 + [3]),
+    ("question_id", 2**63),
+    ("image_id", -(2**63) - 1),
 ]
 
 
@@ -393,6 +396,11 @@ PARSE_PARITY = {
                                   "{q}: expected key 'question_id' of type int, got None"),
     "annotation-record-is-answer": ("a", ("annotations", 1), {"answer": "x"},
                                     "{a}: expected key 'question_id' of type int, got None"),
+    "question-text-is-answer": ("q", ("questions", 1, "question"), {"answer": "yes"},
+                                "{q}: expected key 'question' of type str, got {{'answer': 'yes'}}"),
+    "answer-type-is-answer": ("a", ("annotations", 1, "answer_type"), {"answer": "x"},
+                              "question 2: unknown answer_type {{'answer': 'x'}} "
+                              "(expected one of ('yes/no', 'number', 'other'))"),
 }
 
 
@@ -448,10 +456,11 @@ def test_loaders_keep_one_string_per_distinct_answer(tmp_path, mixed_corpus, fmt
 
 
 def test_vqa_load_memory_is_bounded(tmp_path):
-    # 2,000 questions of 10 answers, each answer an {"answer", "answer_id"} entry
-    # (about 1 MB of annotations). Measured peaks: 7.3 MB keeping every entry dict
-    # and answer string, 2.5 MB sharing one string per distinct answer.
-    n = 2000
+    # 6,000 questions of 10 answers, each answer an {"answer", "answer_id"} entry
+    # (2.9 MB of annotations, three 1 MiB chunks). Measured peaks: 7.7 MB parsing
+    # each file whole with json.load, 2.8 MB streaming it: one chunk's bytes and
+    # text (2 MiB) plus 0.9 MB of columns. The bound is that plus 0.7 MB.
+    n = 6000
     (tmp_path / "q.json").write_text(json.dumps({"questions": [
         {"question_id": i, "image_id": i // 3, "question": f"what is on table {i}"}
         for i in range(n)
@@ -469,7 +478,62 @@ def test_vqa_load_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(corpus) == n
-    assert peak < 4_000_000, peak
+    assert peak < 3_500_000, peak
+
+
+def test_image_features_memory_is_bounded(tmp_path):
+    # 6,000 rows, as in the planted benchmark workloads. Measured peaks: 1.7 MB
+    # keeping a dict of tuples, 0.7 MB filling id and probability arrays (0.3 MB
+    # kept). The bound is that plus 0.2 MB.
+    rows = np.random.default_rng(1).dirichlet(np.ones(5), size=6000).tolist()
+    path = _write_features(
+        tmp_path, [f"{3 * i}," + ",".join(map(repr, row)) for i, row in enumerate(rows)]
+    )
+    tracemalloc.start()
+    try:
+        table = load_image_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.probabilities.shape == (6000, 5)
+    assert peak < 900_000, peak
+
+
+def test_saliency_rows_are_summed_left_to_right(tmp_path):
+    # Python 3.12's sum() of floats rounds this row's total to 1.0; added left
+    # to right it is 0.9999999999999999, as sum() gave before 3.12.
+    probs = [0.3700220793237553, 0.2773631961205968, 0.026474735166627246,
+             0.10737499531541232, 0.2187649940736083]
+    total = 0.0
+    for p in probs:
+        total += p
+    assert total == 0.9999999999999999
+    table = load_image_features(_write_features(tmp_path, ["2," + ",".join(map(repr, probs))]))
+    assert table.get(2) == tuple(p / total for p in probs)
+
+
+@pytest.mark.parametrize("image_id", [2**63, -(2**63) - 1])
+def test_image_ids_outside_int64_are_parse_errors(tmp_path, image_id):
+    path = _write_features(tmp_path, ["1,0.2,0.2,0.2,0.2,0.2", f"{image_id},0.2,0.2,0.2,0.2,0.2"])
+    with pytest.raises(ParseError, match=f"{re.escape(str(path))}:3: image_id {image_id} is outside"):
+        load_image_features(path)
+    with pytest.raises(ParseError, match="question_id 9223372036854775808 is outside"):
+        Corpus.from_questions([vq(2**63, "what is it", ["a"] * 10)])
+
+
+def test_first_failing_saliency_row_is_reported(tmp_path):
+    # A repeated id is found once the file is read; it still goes before a later bad row.
+    path = _write_features(tmp_path, ["5,0.2,0.2,0.2,0.2,0.2", "", "5,0.2,0.2,0.2,0.2,0.2",
+                                      "6,0.5,0.5,0.5,0.5,0.5"])
+    with pytest.raises(ParseError, match=re.escape(f"{path}:4: duplicate image_id 5")):
+        load_image_features(path)
+    path = _write_features(tmp_path, ["5,0.2,0.2,0.2,0.2,0.2", "6,nan,0.2,0.2,0.2,0.2",
+                                      "5,0.2,0.2,0.2,0.2,0.2"])
+    with pytest.raises(InvalidProbability, match=re.escape(f"{path}:3: non-finite")):
+        load_image_features(path)
+    path = _write_features(tmp_path, ["5,0.2,0.2,0.2,0.2,0.2", "5,nan,0.2,0.2,0.2,0.2"])
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: duplicate image_id 5")):
+        load_image_features(path)
 
 
 #: Inputs the JSON parser rejects with something other than JSONDecodeError.

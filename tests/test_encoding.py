@@ -46,7 +46,7 @@ def _saliency_table(corpus, seed):
     rng = np.random.default_rng(seed)
     rows = rng.dirichlet(np.ones(5), size=4)
     images = sorted({vq.image_id for vq in corpus})[::2]
-    return ImageFeatureTable({i: tuple(rows[rng.integers(4)]) for i in images})
+    return ImageFeatureTable.from_rows({i: tuple(rows[rng.integers(4)]) for i in images})
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,7 +30,7 @@ def test_tokenize_empty_question():
 
 def extract_features(vq, vocab, table=None, mode=FeatureMode.QI):
     """One question's dense descriptor: a one-row extract_matrix."""
-    return np.asarray(extract_matrix([vq], vocab, table, mode))[0]
+    return np.asarray(extract_matrix(Corpus.from_questions([vq]), vocab, table, mode))[0]
 
 
 @pytest.fixture
@@ -96,8 +96,10 @@ def test_extract_single_token_question(small_corpus):
 
 def test_unseen_and_missing_words_are_coded_as_the_vocabulary_size(small_corpus):
     vocab = build_vocabularies(small_corpus)  # 2 first words, 3 second words
-    X = extract_matrix([vq(8, "is it", ["a1"] * 10), vq(9, "how", ["a1"] * 10)], vocab,
-                       mode=FeatureMode.Q)
+    X = extract_matrix(
+        Corpus.from_questions([vq(8, "is it", ["a1"] * 10), vq(9, "how", ["a1"] * 10)]), vocab,
+        mode=FeatureMode.Q,
+    )
     assert X.values.tolist() == [[2, 1], [1, 2], [2, 3]]  # length, first word, second word
     dense = np.asarray(X)
     assert dense[0].tolist() == [2, 0, 1, 0, 0, 1]
@@ -106,7 +108,7 @@ def test_unseen_and_missing_words_are_coded_as_the_vocabulary_size(small_corpus)
 
 def test_extract_image_mode_uses_table(small_corpus):
     vocab = build_vocabularies(small_corpus)
-    table = ImageFeatureTable({5: (0.5, 0.2, 0.1, 0.1, 0.1)})
+    table = ImageFeatureTable.from_rows({5: (0.5, 0.2, 0.1, 0.1, 0.1)})
     x = extract_features(
         vq(9, "what is x", ["a1"] * 10, image_id=5), vocab, table, FeatureMode.I
     )
@@ -123,7 +125,7 @@ def test_truncated_layout_drops_blocks(small_corpus):
 def test_ablation_nesting(small_corpus):
     vocab = build_vocabularies(small_corpus)
     question = vq(9, "is it z", ["a1"] * 10)
-    table = ImageFeatureTable({9: (0.4, 0.3, 0.1, 0.1, 0.1)})
+    table = ImageFeatureTable.from_rows({9: (0.4, 0.3, 0.1, 0.1, 0.1)})
     full = extract_features(question, vocab, table, FeatureMode.QI)
     q_only = extract_features(question, vocab, table, FeatureMode.Q)
     i_only = extract_features(question, vocab, table, FeatureMode.I)
