@@ -98,7 +98,8 @@ class AnswerTable:
     """Equal-size answer pools, coded once; row i is pool i.
 
     raw_codes[i, j] indexes `raw_vocabulary` (distinct raw answers, in the
-    order they were read) for pool i's j-th answer. The normalized view is
+    order they were read; a corpus subset keeps its parent's) for pool
+    i's j-th answer. The normalized view is
     derived on first use, normalizing each distinct raw answer once:
     codes[i, j] indexes `vocabulary` (distinct normalized answers, first
     met first in raw_vocabulary), and counts[i, j] is how often pool i

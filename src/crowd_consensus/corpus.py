@@ -141,16 +141,12 @@ class Corpus:
         if len(rows) != len(wanted):
             raise KeyMismatch(f"{len(wanted) - len(rows)} subset ids are not in the corpus")
         table = self.answer_table
-        used, raw_codes = np.unique(table.raw_codes[rows], return_inverse=True)
         return Corpus(
             self.ids[rows],
             self.image_ids[rows],
             tuple(self.texts[i] for i in rows),
             tuple(self.answer_types[i] for i in rows),
-            AnswerTable(
-                tuple(table.raw_vocabulary[c] for c in used.tolist()),
-                raw_codes.reshape(len(rows), self.answers_per_question).astype(np.int32),
-            ),
+            AnswerTable(table.raw_vocabulary, table.raw_codes[rows]),
         )
 
 
@@ -392,8 +388,8 @@ def _read_records(path: Path, key: str, add: Callable[[_Columns, object, str], N
             if c == "}":
                 break
             if c != ",":
-                doc.fail('{"":0')
-            c, after = doc.comma(), '{"":0'
+                doc.fail('{"":""')
+            c, after = doc.comma(), '{"":""'
         doc.pos += 1
         doc.end()
     if not isinstance(found, _Columns):
@@ -519,22 +515,24 @@ class _JsonStream:
             if c == "]":
                 break
             if c != ",":
-                self.fail("[0")
+                self.fail('[""')
             if self.comma() == "]":
-                self.fail("[0")
+                self.fail('[""')
         self.pos += 1
         return columns
 
     def end(self) -> None:
         """Only whitespace may follow the document."""
         if self.peek():
-            self.fail("0")
+            self.fail('""')
 
     def fail(self, after: str) -> NoReturn:
         """Raise json's error for text[mark:] read just after `after`.
 
         `after` puts json's parser in the state this reader is in at mark,
-        so the message is json.load's on every Python version.
+        so the message is json.load's on every Python version. It ends in
+        a string where a value was read, which nothing after mark extends
+        as it could extend a number ("0" + ".5").
         """
         try:
             json.loads(after + self.text[self.mark :])
@@ -543,13 +541,20 @@ class _JsonStream:
         raise AssertionError(f"{self.path}: json accepted text this reader rejected")
 
     def error(self, msg: str, i: int) -> NoReturn:
-        """ParseError for msg at text[i], worded as json.JSONDecodeError words it."""
+        """ParseError for msg at text[i], worded as json.JSONDecodeError words it.
+
+        The rest of the file is decoded first, a chunk at a time, so bytes
+        that are not UTF-8 anywhere in it are reported instead, as
+        json.load, which decoded the whole file before parsing, did.
+        """
         lineno = self.lines + self.text.count("\n", 0, i) + 1
         newline = self.text.rfind("\n", 0, i)
         colno = i - newline if newline >= 0 else self.start + i - self.line_start + 1
-        raise ParseError(
-            f"{self.path}: {msg}: line {lineno} column {colno} (char {self.start + i})"
-        )
+        message = f"{self.path}: {msg}: line {lineno} column {colno} (char {self.start + i})"
+        self.text = ""
+        while not self.done:
+            self._read(_CHUNK_BYTES)
+        raise ParseError(message)
 
 
 def _utf8_error(exc: UnicodeDecodeError, offset: int) -> str:

@@ -86,12 +86,22 @@ def documents(draw, key) -> bytes:
     return (ws + "{" + ws + body + ws + "}" + ws).encode()
 
 
+MUTATIONS = ["none", "truncate", "not-utf8", "bom", "trailing", "repeat"]
+
+
 @st.composite
 def mutated(draw, key) -> bytes:
     """A document, maybe truncated, with bytes that are not UTF-8, a BOM,
-    trailing data, or one more value for `key` put first."""
+    trailing data, or one more value for `key` put first; at times with
+    two of these, so that faults compete."""
     content = draw(documents(key))
-    kind = draw(st.sampled_from(["none", "truncate", "not-utf8", "bom", "trailing", "repeat"]))
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=2)):
+        content = draw(mutation(content, key, kind))
+    return content
+
+
+@st.composite
+def mutation(draw, content, key, kind) -> bytes:
     if kind == "truncate":
         content = content[: draw(st.integers(0, len(content)))]
     elif kind == "not-utf8":
@@ -101,7 +111,8 @@ def mutated(draw, key) -> bytes:
     elif kind == "bom":
         content = b"\xef\xbb\xbf" + content
     elif kind == "trailing":
-        content += draw(st.sampled_from([b" x", b"{}", b"\n1", b",", b"\xff"]))
+        # ".5" and "e5" would extend a number that ended the document.
+        content += draw(st.sampled_from([b" x", b"{}", b"\n1", b",", b"\xff", b".5", b"e5"]))
     elif kind == "repeat":
         value = json.dumps(draw(st.lists(RECORDS[key], max_size=3) | JSON)).encode()
         content = content.replace(b"{", b'{"%s": %s, ' % (key.encode(), value), 1)
@@ -146,7 +157,13 @@ TOKENS = """{
     # json 3.13 words a trailing comma itself, at the comma's position.
     TOKENS.replace('"question": ""}', '"question": ""} ,\n\t '),
     TOKENS.replace('"\U0001f600\U0001f600"', '"\U0001f600\U0001f600",\r\n\n  '),
-], ids=["float-id", "valid", "bom", "array-trailing-comma", "object-trailing-comma"])
+    # Text right after a value that would extend a number ending there.
+    TOKENS.rstrip() + ".5",
+    TOKENS.rstrip() + "e5",
+    TOKENS.replace('"\U0001f600\U0001f600"', "1.5.5"),
+    TOKENS.replace('\\"q\\""}', '\\"q\\""}.5'),
+], ids=["float-id", "valid", "bom", "array-trailing-comma", "object-trailing-comma",
+        "fraction-after-document", "exponent-after-document", "after-member", "after-record"])
 def test_chunk_boundaries_inside_any_token(tmp_path, text):
     path = tmp_path / "questions.json"
     path.write_bytes(text.encode())
@@ -194,3 +211,14 @@ def test_json_errors_go_before_an_earlier_bad_record(tmp_path):
     with pytest.raises(ParseError) as got:
         corpus._read_records(path, "questions", ADD["questions"])
     assert str(got.value) == f"{path}: {want.value}"
+
+
+def test_bytes_that_are_not_utf8_go_before_any_json_error(tmp_path):
+    path = tmp_path / "questions.json"
+    # A BOM, trailing data and a missing comma, each with a bad byte 40 bytes on.
+    for text in (b"\xef\xbb\xbf{}", b"{} x", b'{"questions": [1 2]}'):
+        path.write_bytes(text + b" " * 40 + b"\xff")
+        want = outcome(json_load_records, path, "questions")
+        assert "can't decode byte 0xff in position" in want[1]
+        for chunk in (1, 4, 1 << 20):
+            assert outcome(corpus._read_records, path, "questions", chunk) == want
