@@ -4,16 +4,17 @@ Two corpus formats are supported: the paired questions/annotations JSON
 layout used by the large public VQA releases, and a flat JSONL record
 format convenient for synthetic or desk-scale corpora. Both are read
 record by record into columns; the VQA JSON files are decoded a chunk at
-a time, so neither a whole file's text nor a list of its parsed records
-is ever held. Image saliency comes in as a CSV of five per-image
-probabilities (0, 1, 2, 3, or 4+ salient objects).
+a time, so a file that loads never has its whole text or a list of its
+parsed records held. A file the stream rejects is parsed again by json,
+whose error is the one raised. Image saliency comes in as a CSV of five
+per-image probabilities (0, 1, 2, 3, or 4+ salient objects). Every reader
+reports bytes that are not UTF-8 at their offset in the file.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import io
 import json
 import math
 from array import array
@@ -273,12 +274,16 @@ def _field(record, key: str, where: str, kind: type):
 
 def _read_text(path: str | Path, split=iter):
     """The lines of a UTF-8 text file, or its rows with split=csv.reader;
-    bytes that are not UTF-8 and CSV the reader rejects raise ParseError."""
+    bytes that are not UTF-8 (at their offset in the file, see _file_text)
+    and CSV the reader rejects raise ParseError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:
             yield from split(fh)
-        except (UnicodeDecodeError, csv.Error) as exc:
+        except csv.Error as exc:
             raise ParseError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError:
+            _file_text(path)  # the text layer's offsets count from its own read chunk
+            raise
 
 
 def _read_jsonl(path: Path) -> Corpus:
@@ -354,43 +359,38 @@ def _read_records(path: Path, key: str, add: Callable[[_Columns, object, str], N
     The file is decoded a chunk at a time and the array one record at a
     time, each record going to add(columns, record, str(path)) as soon as
     it is decoded. As with json.load, a repeated top-level key keeps its
-    last value, and bytes that are not UTF-8, JSON errors and trailing
-    data anywhere in the file are reported before the first record add
-    rejected, which is raised once the whole file has parsed.
+    last value; text json.load would not read raises its error (see
+    _JsonStream.reject), before the first record add rejected, which is
+    raised once the whole file has parsed.
     """
     where = str(path)
     with open(path, "rb") as fh:
         doc = _JsonStream(fh, where)
         found = None
-        c = doc.peek()
-        if c == "\ufeff" and doc.pos == 0:
-            doc.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-        if c != "{":
+        if doc.peek() != "{":
             doc.value()
             doc.end()
             raise ParseError(f"{where}: expected a JSON object")
-        doc.pos += 1
-        c, after = doc.peek(), "{"
-        while c != "}" or after != "{":
-            if c != '"':
-                doc.fail(after)
+        for _ in doc.items("}"):
+            if doc.peek() != '"':
+                doc.reject()
             name = doc.value()
             if doc.peek() != ":":
-                doc.fail('{""')
+                doc.reject()
             doc.pos += 1
-            if doc.peek() == "[" and name == key:
-                found = doc.records(add)
-            else:
+            if doc.peek() != "[" or name != key:
                 value = doc.value()
                 if name == key:
                     found = value
-            c = doc.peek()
-            if c == "}":
-                break
-            if c != ",":
-                doc.fail('{"":""')
-            c, after = doc.comma(), '{"":""'
-        doc.pos += 1
+            else:
+                found = columns = _Columns()
+                for _ in doc.items("]"):
+                    record = doc.value()
+                    if columns.fault is None:
+                        try:
+                            add(columns, record, where)
+                        except CrowdConsensusError as exc:
+                            columns.fault = exc
         doc.end()
     if not isinstance(found, _Columns):
         _field({key: found}, key, where, list)
@@ -402,11 +402,11 @@ def _read_records(path: Path, key: str, add: Callable[[_Columns, object, str], N
 class _JsonStream:
     """The text of a UTF-8 JSON file, decoded _CHUNK_BYTES at a time.
 
-    text[pos:] is decoded text not yet consumed, and text[0] is character
-    `start` of the file. Each refill drops the text before `mark`: the
-    end of the last token read, from which fail() has json word an error,
-    or the start of the value being decoded. Every position an error
-    reports counts from the start of the file, as json.load's do.
+    text[pos:] is decoded text not yet consumed; each refill drops the
+    text before pos. The stream only accepts or rejects: where it finds
+    text it will not accept, reject() has json parse the whole file, so
+    every error is json.load's own, worded and placed as json.load words
+    and places it.
     """
 
     _whitespace = json.decoder.WHITESPACE
@@ -414,31 +414,20 @@ class _JsonStream:
 
     def __init__(self, fh, path: str) -> None:
         self.fh, self.path = fh, path
-        # Newlines translated as open() does in text mode, as json.load read them.
-        self.utf8 = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), True)
-        self.text, self.pos, self.mark, self.start = "", 0, 0, 0
-        self.lines = 0  # newlines before text[0]
-        self.line_start = 0  # file position of the first character of text[0]'s line
-        self.bytes_read = 0
+        self.utf8 = codecs.getincrementaldecoder("utf-8")()
+        self.text, self.pos = "", 0
         self.done = False
 
     def more(self) -> bool:
         """Decode the next chunk onto the text; False once the file is exhausted.
 
-        A read takes at least as many bytes as the text kept from mark on,
+        A read takes at least as many bytes as the text kept from pos on,
         so a value spanning many chunks is decoded in linear time.
         """
         if self.done:
             return False
-        drop = self.mark
-        self.lines += self.text.count("\n", 0, drop)
-        newline = self.text.rfind("\n", 0, drop)
-        if newline >= 0:
-            self.line_start = self.start + newline + 1
-        rest, self.text = self.text[drop:], ""  # the consumed text goes before the read
-        self.start += drop
-        self.pos -= drop
-        self.mark = 0
+        rest, self.text = self.text[self.pos :], ""  # the consumed text goes before the read
+        self.pos = 0
         self.text = rest + self._read(max(_CHUNK_BYTES, len(rest)))
         return True
 
@@ -446,28 +435,14 @@ class _JsonStream:
         """The next `size` bytes of the file, decoded. The bytes are freed on
         return, before more() joins the text to what it kept."""
         data = self.fh.read(size)
-        pending = len(self.utf8.getstate()[0])
-        try:
-            text = self.utf8.decode(data, final=not data)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{self.path}: {_utf8_error(exc, self.bytes_read - pending)}") from exc
-        self.bytes_read += len(data)
         self.done = not data
-        return text
+        try:
+            return self.utf8.decode(data, final=self.done)
+        except UnicodeDecodeError:
+            self.reject()
 
     def peek(self) -> str:
         """Skip whitespace; the next character, or "" at the end of the file."""
-        self.mark = self.pos
-        return self._skip()
-
-    def comma(self) -> str:
-        """peek() past the comma at pos, which fail() still reads: json 3.13
-        reports a trailing comma at the comma."""
-        self.mark = self.pos
-        self.pos += 1
-        return self._skip()
-
-    def _skip(self) -> str:
         c = self.text[self.pos : self.pos + 1]
         if c and c not in " \t\n\r":
             return c
@@ -478,92 +453,74 @@ class _JsonStream:
 
     def value(self):
         """Decode the JSON value at pos and move past it."""
-        self.mark = self.pos
         while True:
             try:
                 value, end = self._decoder.raw_decode(self.text, self.pos)
-            except json.JSONDecodeError as exc:
-                failure = exc.msg, exc.pos
-            except (ValueError, RecursionError) as exc:
-                failure = str(exc), None
-            else:
-                # A number within three characters of the end may go on ("1" + "e+5").
-                if end + 3 <= len(self.text) or not self.more():
-                    self.pos = end
-                    return value
-                continue
-            # Outside the except clause, so the exception and the text it holds are gone.
-            if not self.more():
-                msg, at = failure
-                if at is None:
-                    raise ParseError(f"{self.path}: {msg}")
-                self.error(msg, at)
+            except (ValueError, RecursionError):
+                # Handled outside the except clause, so the exception and the text it
+                # holds are gone before more() reads on.
+                end = None
+            # A number within three characters of the end may go on ("1" + "e+5").
+            if end is not None and end + 3 <= len(self.text) or not self.more():
+                break
+        if end is None:
+            self.reject()
+        self.pos = end
+        return value
 
-    def records(self, add: Callable[[_Columns, object, str], None]) -> _Columns:
-        """Pass each element of the array at pos to add, as _read_records says."""
-        columns = _Columns()
+    def items(self, close: str) -> Iterator[None]:
+        """Yield with pos at each member of the object or array whose opening
+        bracket is at pos, then move past its closing bracket `close`.
+        A separator other than a comma, or a comma before `close`, is rejected."""
         self.pos += 1
         c = self.peek()
-        while c != "]":
-            record = self.value()
-            if columns.fault is None:
-                try:
-                    add(columns, record, self.path)
-                except CrowdConsensusError as exc:
-                    columns.fault = exc
+        while c != close:
+            yield
             c = self.peek()
-            if c == "]":
-                break
-            if c != ",":
-                self.fail('[""')
-            if self.comma() == "]":
-                self.fail('[""')
+            if c == ",":
+                self.pos += 1
+                if self.peek() == close:
+                    self.reject()
+            elif c != close:
+                self.reject()
         self.pos += 1
-        return columns
 
     def end(self) -> None:
         """Only whitespace may follow the document."""
         if self.peek():
-            self.fail('""')
+            self.reject()
 
-    def fail(self, after: str) -> NoReturn:
-        """Raise json's error for text[mark:] read just after `after`.
+    def reject(self) -> NoReturn:
+        """Raise json.load's error for this file, which the stream will not accept.
 
-        `after` puts json's parser in the state this reader is in at mark,
-        so the message is json.load's on every Python version. It ends in
-        a string where a value was read, which nothing after mark extends
-        as it could extend a number ("0" + ".5").
+        The file is decoded whole, so a byte that is not UTF-8 is reported
+        at its offset in the file, and json parses the text, dropping each
+        object as it is built: the error path holds the file's bytes and
+        text, never its records.
         """
-        try:
-            json.loads(after + self.text[self.mark :])
-        except json.JSONDecodeError as exc:
-            self.error(exc.msg, self.mark + exc.pos - len(after))
-        raise AssertionError(f"{self.path}: json accepted text this reader rejected")
-
-    def error(self, msg: str, i: int) -> NoReturn:
-        """ParseError for msg at text[i], worded as json.JSONDecodeError words it.
-
-        The rest of the file is decoded first, a chunk at a time, so bytes
-        that are not UTF-8 anywhere in it are reported instead, as
-        json.load, which decoded the whole file before parsing, did.
-        """
-        lineno = self.lines + self.text.count("\n", 0, i) + 1
-        newline = self.text.rfind("\n", 0, i)
-        colno = i - newline if newline >= 0 else self.start + i - self.line_start + 1
-        message = f"{self.path}: {msg}: line {lineno} column {colno} (char {self.start + i})"
         self.text = ""
-        while not self.done:
-            self._read(_CHUNK_BYTES)
+        try:
+            json.loads(_file_text(self.path), object_pairs_hook=lambda pairs: None)
+        except (ValueError, RecursionError) as exc:
+            # Raised outside the except clause, so the text the exception holds is freed.
+            message = f"{self.path}: {exc}"
+        else:
+            raise AssertionError(f"{self.path}: json accepted text this reader rejected")
         raise ParseError(message)
 
 
-def _utf8_error(exc: UnicodeDecodeError, offset: int) -> str:
-    """str(exc) with its byte positions moved `offset` bytes on."""
-    start, end = exc.start + offset, exc.end + offset
-    if end - start == 1:
-        return (f"'{exc.encoding}' codec can't decode byte 0x{exc.object[exc.start]:02x} "
-                f"in position {start}: {exc.reason}")
-    return f"'{exc.encoding}' codec can't decode bytes in position {start}-{end - 1}: {exc.reason}"
+def _file_text(path: str | Path) -> str:
+    """The whole text of a UTF-8 file, its newlines translated as text-mode
+    open() translates them; bytes that are not UTF-8 raise ParseError at
+    their offset in the file."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"{path}: {exc}"
+    else:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    raise ParseError(message)
 
 
 def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:

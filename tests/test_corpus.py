@@ -455,11 +455,7 @@ def test_loaders_keep_one_string_per_distinct_answer(tmp_path, mixed_corpus, fmt
     assert len({id(t) for t in types}) == len(set(types))
 
 
-def test_vqa_load_memory_is_bounded(tmp_path):
-    # 6,000 questions of 10 answers, each answer an {"answer", "answer_id"} entry
-    # (2.9 MB of annotations, three 1 MiB chunks). Measured peaks: 7.7 MB parsing
-    # each file whole with json.load, 2.8 MB streaming it: one chunk's bytes and
-    # text (2 MiB) plus 0.9 MB of columns. The bound is that plus 0.7 MB.
+def _write_memory_pair(tmp_path):
     n = 6000
     (tmp_path / "q.json").write_text(json.dumps({"questions": [
         {"question_id": i, "image_id": i // 3, "question": f"what is on table {i}"}
@@ -471,6 +467,15 @@ def test_vqa_load_memory_is_bounded(tmp_path):
                      for j in range(10)]}
         for i in range(n)
     ]}))
+    return n
+
+
+def test_vqa_load_memory_is_bounded(tmp_path):
+    # 6,000 questions of 10 answers, each answer an {"answer", "answer_id"} entry
+    # (2.9 MB of annotations, three 1 MiB chunks). Measured peaks: 7.7 MB parsing
+    # each file whole with json.load, 2.8 MB streaming it: one chunk's bytes and
+    # text (2 MiB) plus 0.9 MB of columns. The bound is that plus 0.7 MB.
+    n = _write_memory_pair(tmp_path)
     tracemalloc.start()
     try:
         corpus = load_corpus(tmp_path / "q.json", tmp_path / "a.json", format="vqa_v1_json")
@@ -479,6 +484,25 @@ def test_vqa_load_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert len(corpus) == n
     assert peak < 3_500_000, peak
+
+
+def test_rejected_vqa_file_memory_is_bounded(tmp_path):
+    # The annotations file above with trailing data, which json parses again whole.
+    # Measured peak: 6.8 MB, the file's bytes and text (2 x 2.9 MB) plus the 1.0 MB
+    # of columns read before the fault. Parsing it into objects took 21.3 MB; the
+    # bound, bytes and text plus 1.7 MB, holds only if no record is built.
+    _write_memory_pair(tmp_path)
+    path = tmp_path / "a.json"
+    path.write_bytes(path.read_bytes() + b" x")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="Extra data"):
+            load_corpus(tmp_path / "q.json", path, format="vqa_v1_json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size + 1_700_000, peak
 
 
 def test_image_features_memory_is_bounded(tmp_path):
@@ -540,6 +564,8 @@ def test_first_failing_saliency_row_is_reported(tmp_path):
 UNPARSABLE = {
     "nested": b"[" * 200_000,  # RecursionError
     "not-utf8": b'{"question": "caf\xe9"}',  # UnicodeDecodeError
+    # Past the first read of a text-mode file, whose offsets count from that read.
+    "not-utf8-far": b'{"question": "' + b"x" * 28_000 + b'\xff"}',
     "long-int": b"1" * 5000,  # ValueError: too many digits for int()
 }
 
@@ -554,24 +580,37 @@ def test_unparsable_corpus_is_a_parse_error(tmp_path, mixed_corpus, which, conte
         args = ["--corpus", str(path)]
     else:
         q_path, a_path = _write_vqa_pair(tmp_path, mixed_corpus)
-        (q_path if which == "questions" else a_path).write_bytes(content)
+        path = q_path if which == "questions" else a_path
+        path.write_bytes(content)
         args = ["--corpus", str(q_path), "--annotations", str(a_path),
                 "--format", "vqa_v1_json"]
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         load_corpus(args[1], args[3] if len(args) > 2 else None,
                     format="jsonl" if which == "jsonl" else "vqa_v1_json")
+    _assert_bad_byte_at_its_file_offset(exc.value, path)
     assert main(["analyze", *args, "--out-dir", str(tmp_path / "out")]) == 2
+
+
+def _assert_bad_byte_at_its_file_offset(error, path):
+    """If path is not UTF-8, error is the one decoding the whole file gives."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as whole:
+        assert str(error) == f"{path}: {whole}"
 
 
 @pytest.mark.parametrize("row", [
     b"4,0.2,0.2,0.2,0.2,0.2\xff",
     b'4,"' + b"0" * 200_000 + b'",0.2,0.2,0.2,0.2',  # over the csv module's field limit
-], ids=["not-utf8", "huge-field"])
+    # Past the first read of a text-mode file, whose offsets count from that read.
+    b"".join(b"%d,0.2,0.2,0.2,0.2,0.2\n" % i for i in range(4, 1400)) + b"9999,0.2\xc3,0.2,0.2,0.2,0.2",
+], ids=["not-utf8", "huge-field", "not-utf8-far"])
 def test_unreadable_image_features_are_a_parse_error(tmp_path, mixed_corpus, row):
     path = tmp_path / "features.csv"
     path.write_bytes(b"image_id,p0,p1,p2,p3,p4\n3,0.2,0.2,0.2,0.2,0.2\n" + row + b"\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         load_image_features(path)
+    _assert_bad_byte_at_its_file_offset(exc.value, path)
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus_jsonl(mixed_corpus, corpus_path)
     assert main(["train", "--corpus", str(corpus_path), "--image-features", str(path),

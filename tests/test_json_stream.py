@@ -68,7 +68,7 @@ RECORDS = {
     }) | JSON,
 }
 SEPARATORS = [(", ", ": "), (",", ":"), (" ,\n", " :\t")]
-WHITESPACE = ["", " ", "\n  ", "\t\r\n "]
+WHITESPACE = ["", " ", "\n  ", "\t\r\n ", "\r"]
 
 
 @st.composite
