@@ -8,7 +8,6 @@ column; it is an IntEnum, so a sequence of its members converts to 0/1.
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 import string
 from dataclasses import dataclass
@@ -109,24 +108,6 @@ class AnswerTable:
     raw_vocabulary: tuple[str, ...]
     raw_codes: np.ndarray  # (n, A) int32
 
-    @classmethod
-    def from_pools(cls, pools: Sequence[Sequence[str]], a: int) -> "AnswerTable":
-        """Code pools of `a` raw answers each, first seen first.
-
-        Pools that do not hold len(pools) * a answers in all raise ValueError.
-        """
-        code_of_raw: dict[str, int] = {}
-        coded = (
-            code_of_raw.setdefault(raw, len(code_of_raw))
-            for raw in itertools.chain.from_iterable(pools)
-        )
-        size = len(pools) * a
-        # fromiter raises on fewer than `size` answers but stops quietly at `size`.
-        raw_codes = np.fromiter(coded, dtype=np.int32, count=size).reshape(len(pools), a)
-        if next(coded, None) is not None:
-            raise ValueError(f"more than {len(pools)} * {a} answers in {len(pools)} pools")
-        return cls(tuple(code_of_raw), raw_codes)
-
     @cached_property
     def _normalized(self) -> tuple[tuple[str, ...], np.ndarray]:
         """The vocabulary, and the code in it of each raw_vocabulary entry."""
@@ -190,7 +171,9 @@ def agreement_label(raw_answers: Sequence[str]) -> AgreementLabel:
     With A stored answers the rule is: modal normalized-answer count
     >= A - 1, which tolerates a single careless or spam response.
     """
-    [disagrees] = AnswerTable.from_pools([raw_answers], len(raw_answers)).labels()
+    code_of_raw: dict[str, int] = {}
+    raw_codes = [[code_of_raw.setdefault(raw, len(code_of_raw)) for raw in raw_answers]]
+    [disagrees] = AnswerTable(tuple(code_of_raw), np.array(raw_codes, dtype=np.int32)).labels()
     return AgreementLabel(bool(disagrees))
 
 

@@ -43,7 +43,8 @@ UNIFORM_SALIENCY = (0.2, 0.2, 0.2, 0.2, 0.2)
 _SALIENCY_HEADER = ["image_id", "p0", "p1", "p2", "p3", "p4"]
 _SUM_BAND = 1e-3
 
-#: Bytes of a VQA JSON file read and decoded at a time.
+#: Bytes of a VQA JSON file read and decoded at a time, and of a file's bytes
+#: checked as UTF-8 at a time (see _file_text).
 _CHUNK_BYTES = 1 << 20
 
 
@@ -95,11 +96,6 @@ class Corpus:
     @property
     def answers_per_question(self) -> int:
         return self.answer_table.raw_codes.shape[1]
-
-    @property
-    def questions(self) -> "Corpus":
-        """The corpus itself, as a sequence of VisualQuestion rows."""
-        return self
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -433,13 +429,15 @@ class _JsonStream:
 
     def _read(self, size: int) -> str:
         """The next `size` bytes of the file, decoded. The bytes are freed on
-        return, before more() joins the text to what it kept."""
+        return, before more() joins the text to what it kept, or before
+        reject() reads the file."""
         data = self.fh.read(size)
         self.done = not data
         try:
             return self.utf8.decode(data, final=self.done)
         except UnicodeDecodeError:
-            self.reject()
+            data = None
+        self.reject()
 
     def peek(self) -> str:
         """Skip whitespace; the next character, or "" at the end of the file."""
@@ -512,15 +510,25 @@ class _JsonStream:
 def _file_text(path: str | Path) -> str:
     """The whole text of a UTF-8 file, its newlines translated as text-mode
     open() translates them; bytes that are not UTF-8 raise ParseError at
-    their offset in the file."""
+    their offset in the file.
+
+    The bytes are checked _CHUNK_BYTES at a time before the file is decoded
+    whole, as a whole-file decode error would hold a copy of every byte.
+    """
     data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        message = f"{path}: {exc}"
+    utf8 = codecs.getincrementaldecoder("utf-8")()
+    for start in range(0, len(data), _CHUNK_BYTES):
+        # The decoder's error counts from the bytes it kept from the last chunk.
+        at = start - len(utf8.getstate()[0])
+        try:
+            utf8.decode(data[start : start + _CHUNK_BYTES], final=start + _CHUNK_BYTES >= len(data))
+        except UnicodeDecodeError as exc:
+            # Worded on data itself, which the error refers to without copying it.
+            bad = UnicodeDecodeError("utf-8", data, at + exc.start, at + exc.end, exc.reason)
+            break
     else:
-        return text.replace("\r\n", "\n").replace("\r", "\n")
-    raise ParseError(message)
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    raise ParseError(f"{path}: {bad}")
 
 
 def save_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
@@ -556,19 +564,6 @@ class ImageFeatureTable:
             np.array(ids, dtype=np.int64),
             np.array([rows[i] for i in ids], dtype=np.float64).reshape(len(ids), 5),
         )
-
-    def _row(self, image_id: int) -> int:
-        """Index of image_id in image_ids, or -1."""
-        k = int(np.searchsorted(self.image_ids, image_id))
-        return k if k < len(self.image_ids) and self.image_ids[k] == image_id else -1
-
-    def get(self, image_id: int) -> tuple[float, ...]:
-        """Stored 5-vector, or the uniform fallback for unknown images."""
-        k = self._row(image_id)
-        return UNIFORM_SALIENCY if k < 0 else tuple(self.probabilities[k].tolist())
-
-    def __contains__(self, image_id: int) -> bool:
-        return self._row(image_id) >= 0
 
     def lookup(self, image_ids: np.ndarray) -> np.ndarray:
         """(n, 5) rows of the given image ids, the uniform fallback for unknown ones."""

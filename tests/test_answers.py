@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowd_consensus import (
@@ -104,9 +104,14 @@ def test_normalization_idempotent_property(s):
     assert normalize_answer(once) == once
 
 
+def _table(*pools):
+    """The AnswerTable of a corpus of the given pools, one question each."""
+    return Corpus.from_questions([vq(i, "what is it", pool) for i, pool in enumerate(pools)]).answer_table
+
+
 def valid_answers(pool, m):
     """The normalized answers one pool gives at least m times, read from its AnswerTable."""
-    table = AnswerTable.from_pools([pool], len(pool))
+    table = _table(pool)
     kept = table.counts[0] >= m
     assert table.distinct_at_least(m)[0] == kept.sum()
     return {table.vocabulary[c] for c in table.codes[0][kept]}
@@ -126,7 +131,7 @@ def test_valid_answers_all_distinct_empty_at_two():
 
 def test_valid_answers_counts_cover_all_answers():
     pool = ["yes"] * 5 + ["no"] * 3 + ["maybe"] * 2
-    table = AnswerTable.from_pools([pool], len(pool))
+    table = _table(pool)
     counts = dict(zip(table.vocabulary, table.counts[table.counts > 0].tolist()))
     assert sum(counts.values()) == len(pool)
     assert counts["maybe"] == 2  # answers below a threshold are still tallied
@@ -154,6 +159,24 @@ def test_agreement_label_normalizes_before_matching():
 def test_agreement_label_needs_two_answers():
     with pytest.raises(AnswerCountMismatch):
         agreement_label(["yes"])
+
+
+@given(st.lists(st.sampled_from(POOL_WORDS + ["", " ", "a", "Two!"]) | st.text(max_size=3),
+                max_size=10))
+@example([])
+@example(["yes"])
+@example(["", "the"])
+@example(["Yes!", "no"])
+@settings(max_examples=300, deadline=None)
+def test_agreement_label_matches_the_corpus_table(pool):
+    # agreement_label codes its pool itself; a corpus codes it through _Columns.
+    try:
+        [disagrees] = _table(pool).labels()
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            agreement_label(pool)
+    else:
+        assert agreement_label(pool) is AgreementLabel(bool(disagrees))
 
 
 @given(
@@ -284,38 +307,17 @@ def test_answer_table_matches_single_pool_functions(corpus):
 def test_answer_table_memory_is_linear_in_pool_size():
     # 500 pools of 200 answers: the (n, A, A) comparison tensor is 20 MB of
     # bools. Measured peaks: 42 MB building it, 3.1 MB comparing one slot at a time.
-    pools = [[f"answer {(i + j) % 300}" for j in range(200)] for i in range(500)]
+    vocabulary = tuple(f"answer {k}" for k in range(300))
+    raw_codes = ((np.arange(500)[:, None] + np.arange(200)) % 300).astype(np.int32)
     tracemalloc.start()
     try:
-        table = AnswerTable.from_pools(pools, 200)
+        table = AnswerTable(vocabulary, raw_codes)
         table.counts  # derived on first use
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert table.counts.sum() == 500 * 200
     assert peak < 8_000_000, peak
-
-
-def test_answer_table_codes_pools_without_per_answer_lists():
-    # 50k pools of 10: Python lists of all n * A answers and codes peaked at
-    # 15.7 MB; the (n, A) raw codes, codes and counts arrays themselves take 8 MB.
-    pools = [[f"answer {(7 * i + j) % 300}" for j in range(10)] for i in range(50_000)]
-    tracemalloc.start()
-    try:
-        table = AnswerTable.from_pools(pools, 10)
-        table.counts  # derived on first use
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.codes[1].tolist() == [7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
-    assert peak < 10_000_000, peak
-
-
-@pytest.mark.parametrize("pools", [[["a", "b"], ["c"]], [["a", "b"], ["c", "d", "e"]]],
-                         ids=["too-few", "too-many"])
-def test_answer_table_rejects_pools_that_do_not_fill_the_table(pools):
-    with pytest.raises(ValueError):
-        AnswerTable.from_pools(pools, 2)
 
 
 def test_answer_table_is_built_once_per_corpus(mixed_corpus):

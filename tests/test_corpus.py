@@ -1,9 +1,12 @@
 import json
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowd_consensus import (
     Corpus,
@@ -11,6 +14,7 @@ from crowd_consensus import (
     load_image_features,
     save_corpus_jsonl,
 )
+from crowd_consensus import corpus as corpus_module
 from crowd_consensus.corpus import UNIFORM_SALIENCY
 from crowd_consensus.errors import (
     AnswerCountMismatch,
@@ -42,8 +46,8 @@ def test_load_jsonl(tmp_path):
     corpus = load_corpus(path)
     assert len(corpus) == 3
     assert corpus.answers_per_question == 10
-    assert corpus.questions[1].question_id == 1
-    assert corpus.questions[1].image_id == 101
+    assert corpus[1].question_id == 1
+    assert corpus[1].image_id == 101
 
 
 def test_load_jsonl_orders_by_question_id(tmp_path):
@@ -143,8 +147,8 @@ def test_load_vqa_v1_json(tmp_path, mixed_corpus):
     assert len(corpus) == len(mixed_corpus)
     assert corpus.question_ids() == mixed_corpus.question_ids()
     row = corpus.question_ids().index(3)
-    assert corpus.questions[row].raw_answers == mixed_corpus.questions[row].raw_answers
-    assert corpus.questions[row].answer_type == "number"
+    assert corpus[row].raw_answers == mixed_corpus[row].raw_answers
+    assert corpus[row].answer_type == "number"
 
 
 def test_vqa_missing_annotation(tmp_path, mixed_corpus):
@@ -237,8 +241,8 @@ def _write_features(tmp_path, rows):
 def test_load_image_features(tmp_path):
     path = _write_features(tmp_path, ["7,0.1,0.2,0.3,0.2,0.2"])
     table = load_image_features(path)
-    assert 7 in table
-    assert sum(table.get(7)) == pytest.approx(1.0, abs=1e-9)
+    assert 7 in table.image_ids
+    assert table.lookup(np.array([7])).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_image_features_negative_component(tmp_path):
@@ -256,13 +260,13 @@ def test_image_features_sum_out_of_band(tmp_path):
 def test_image_features_renormalized_within_band(tmp_path):
     path = _write_features(tmp_path, ["3,0.2005,0.2,0.2,0.2,0.2"])
     table = load_image_features(path)
-    assert sum(table.get(3)) == pytest.approx(1.0, abs=1e-6)
+    assert table.lookup(np.array([3])).sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_image_features_uniform_fallback(tmp_path):
     table = load_image_features(_write_features(tmp_path, ["1,0.2,0.2,0.2,0.2,0.2"]))
-    assert table.get(999) == UNIFORM_SALIENCY
-    assert 999 not in table
+    assert table.lookup(np.array([999])).tolist() == [list(UNIFORM_SALIENCY)]
+    assert 999 not in table.image_ids
 
 
 def test_image_features_parse_errors(tmp_path):
@@ -505,6 +509,27 @@ def test_rejected_vqa_file_memory_is_bounded(tmp_path):
     assert peak < 2 * size + 1_700_000, peak
 
 
+def test_bad_utf8_vqa_file_memory_is_bounded(tmp_path):
+    # The annotations file above with a 0xff byte two-thirds of the way in. Measured
+    # peak: 6.8 MB, the file's bytes (2.9 MB), 0.7 MB of columns read before the
+    # fault, and three 1 MiB chunks: the piece being checked, the text decoded from
+    # it and the decode error's copy of it. Decoding the file whole took 11.6 MB, as
+    # the error copies every byte. The bound is the bytes plus 4.3 MB.
+    _write_memory_pair(tmp_path)
+    path = tmp_path / "a.json"
+    data = bytearray(path.read_bytes())
+    data[data.index(b"answer", 2 * len(data) // 3) + 3] = 0xFF
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="can't decode byte 0xff in position"):
+            load_corpus(tmp_path / "q.json", path, format="vqa_v1_json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) + 4_300_000, peak
+
+
 def test_image_features_memory_is_bounded(tmp_path):
     # 6,000 rows, as in the planted benchmark workloads. Measured peaks: 1.7 MB
     # keeping a dict of tuples, 0.7 MB filling id and probability arrays (0.3 MB
@@ -533,7 +558,7 @@ def test_saliency_rows_are_summed_left_to_right(tmp_path):
         total += p
     assert total == 0.9999999999999999
     table = load_image_features(_write_features(tmp_path, ["2," + ",".join(map(repr, probs))]))
-    assert table.get(2) == tuple(p / total for p in probs)
+    assert table.lookup(np.array([2])).tolist() == [[p / total for p in probs]]
 
 
 @pytest.mark.parametrize("image_id", [2**63, -(2**63) - 1])
@@ -615,3 +640,60 @@ def test_unreadable_image_features_are_a_parse_error(tmp_path, mixed_corpus, row
     save_corpus_jsonl(mixed_corpus, corpus_path)
     assert main(["train", "--corpus", str(corpus_path), "--image-features", str(path),
                  "--out-dir", str(tmp_path)]) == 2
+
+
+#: A sequence that is not UTF-8, the _CHUNK_BYTES that places it when it starts
+#: at file offset k, and whether it ends the file.
+BAD_UTF8 = {
+    # The second byte of the second chunk.
+    "inside-a-chunk": (b"\xff", lambda k: k - 1, False),
+    # A chunk ends in two bytes of a three-byte sequence; the next starts with "(".
+    "split-across-chunks": (b"\xe2\x82(", lambda k: k + 2, False),
+    # The file ends in two bytes of a three-byte sequence, one each side of a boundary.
+    "truncated-at-end": (b"\xe2\x82", lambda k: k + 1, True),
+}
+
+
+@pytest.mark.parametrize("reader", ["jsonl", "vqa_v1_json", "saliency"])
+@pytest.mark.parametrize("bad", BAD_UTF8.values(), ids=BAD_UTF8.keys())
+def test_bad_utf8_across_chunks_is_placed_as_a_whole_decode(tmp_path, monkeypatch, mixed_corpus,
+                                                             reader, bad):
+    sequence, chunk, ends_file = bad
+    if reader == "jsonl":
+        path = tmp_path / "corpus.jsonl"
+        save_corpus_jsonl(mixed_corpus, path)
+        prefix, suffix = path.read_bytes() + b'{"question": "x', b'"}\n'
+        args = (path,)
+    elif reader == "vqa_v1_json":
+        q_path, path = _write_vqa_pair(tmp_path, mixed_corpus)
+        prefix, suffix = b'{"annotations": [{"question": "x', b'"}]}'
+        args = (q_path, path, "vqa_v1_json")
+    else:
+        path = tmp_path / "features.csv"
+        prefix, suffix = b"image_id,p0,p1,p2,p3,p4\n3,0.2,0.2,0.2,0.2,0.2\n4,0.2", b",0.2,0.2,0.2,0.2\n"
+    path.write_bytes(prefix + sequence + (b"" if ends_file else suffix))
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_bytes().decode("utf-8")
+    assert whole.value.start == len(prefix)
+    monkeypatch.setattr(corpus_module, "_CHUNK_BYTES", chunk(len(prefix)))
+    with pytest.raises(ParseError) as exc:
+        load_image_features(path) if reader == "saliency" else load_corpus(*args)
+    assert str(exc.value) == f"{path}: {whole.value}"
+
+
+@given(st.lists(st.sampled_from([b"a", b"\n", b"\xc3", b"\xa9", b"\xe2", b"\x82", b"\xac",
+                                 b"\xed", b"\xa0", b"\xf0", b"\x9f", b"\x80", b"\xff"]),
+                max_size=16).map(b"".join),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_file_text_places_bad_utf8_as_a_whole_decode(tmp_path_factory, data, chunk):
+    path = tmp_path_factory.mktemp("utf8") / "file"
+    path.write_bytes(data)
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            with pytest.raises(ParseError, match=re.escape(f"{path}: {whole}")):
+                corpus_module._file_text(path)
+        else:
+            assert corpus_module._file_text(path) == text
