@@ -83,8 +83,8 @@ class AllocationPlan:
 def _check_plan(n: int, budget: int, s: int, r: int) -> None:
     if not 0 <= budget <= n:
         raise InvalidBudget(f"budget must be in [0, {n}], got {budget}")
-    if not 1 <= s < r:
-        raise InvalidCounts(f"need 1 <= S < R, got S={s}, R={r}")
+    if not 1 <= s < r < 2**63:
+        raise InvalidCounts(f"need 1 <= S < R < 2**63, got S={s}, R={r}")
 
 
 def make_plan(ranking: Sequence[int], budget: int, s: int = 1, r: int = 5) -> AllocationPlan:

@@ -1,8 +1,10 @@
 """Command-line pipeline: analyze, train, predict, eval, allocate, sweep.
 
-Every command writes its resolved run configuration (run_config.json)
-next to its outputs, so a finished run can be reproduced exactly. Exit
-codes: 0 success, 2 input error, 3 internal error.
+A command computes all of its outputs, then writes them into --out-dir,
+creating it, so one that fails on its input creates no directory. main
+then writes the resolved run configuration (run_config.json) next to
+them, so a finished run can be reproduced exactly. Exit codes: 0
+success, 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = {k: v for k, v in vars(args).items() if k != "func"}
+        # A command returns the fields it resolves for run_config.json, if any.
+        config.update(args.func(args) or {})
+        _write_json(Path(args.out_dir) / "run_config.json", config)
+        return EXIT_OK
     except (CrowdConsensusError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -140,18 +146,13 @@ def _check_seed(args) -> None:
         raise ValueError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _atomic_write(path: Path, write) -> None:
     """Call write(tmp) on a sibling temporary file, then move it over path.
 
-    A write that fails leaves any previous file at path untouched and no
-    temporary file behind.
+    Creates path's directory. A write that fails leaves any previous file
+    at path untouched and no temporary file behind.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         write(tmp)
@@ -179,31 +180,25 @@ def _write_csv(path: Path, header, rows) -> None:
     _atomic_write(path, write)
 
 
-def _write_run_config(out: Path, args, **resolved) -> None:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
-    config.update(resolved)
-    _write_json(out / "run_config.json", config)
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     corpus = _load(args)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     # By default m = 1, 2, 3 up to A; a corpus without answers still fails m = 1.
     default = [1, 2, 3][: max(corpus.answers_per_question, 1)]
     thresholds = [args.m] if args.m is not None else default
     # Every threshold is checked before any file is written.
     hists = {m: diversity_histogram(corpus, m) for m in thresholds}
+    rates = agreement_by_answer_type(corpus)
     for m, hist in hists.items():
         _write_csv(
             out / f"histogram_m{m}.csv",
             ["m", "k", "count"],
             [[m, k, count] for k, count in sorted(hist.items())],
         )
-    rates = agreement_by_answer_type(corpus)
     _write_csv(
         out / "answer_types.csv",
         ["answer_type", "unanimous", "exactly_one", "at_most_one", "n"],
@@ -218,11 +213,9 @@ def cmd_analyze(args) -> int:
             for stratum, r in rates.items()
         ],
     )
-    _write_run_config(out, args)
-    return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> dict:
     _check_seed(args)
     try:
         config = ForestConfig(n_trees=args.trees, seed=args.seed)
@@ -231,17 +224,15 @@ def cmd_train(args) -> int:
     corpus = _load(args)
     if len(corpus) == 0:
         raise EmptyTrainingSet(f"no questions in {args.corpus}")
-    out = _out_dir(args)
     vocab = build_vocabularies(corpus)
     table = load_image_features(args.image_features) if args.image_features else None
     mode = FeatureMode(args.mode)
     X = extract_matrix(corpus, vocab, table, mode)
     y = corpus.answer_table.labels()
     model = train_forest(X, y, config, vocab=vocab, feature_mode=mode)
-    model_path = Path(args.model) if args.model else out / "model.json"
+    model_path = Path(args.model or Path(args.out_dir) / "model.json")
     _atomic_write(model_path, lambda tmp: save_model(model, tmp))
-    _write_run_config(out, args, model=str(model_path))
-    return EXIT_OK
+    return {"model": str(model_path)}
 
 
 def _model_predictions(args):
@@ -257,24 +248,21 @@ def _model_predictions(args):
     return corpus, predict_many(model, X)
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     corpus, scores = _model_predictions(args)
-    out = _out_dir(args)
     _write_csv(
-        out / "predictions.csv",
+        Path(args.out_dir) / "predictions.csv",
         ["question_id", "p_disagreement", "label"],
         [
             [qid, _fmt(p), AgreementLabel(p > 0.5).name.lower()]
             for qid, p in zip(corpus.question_ids(), scores.tolist())
         ],
     )
-    _write_run_config(out, args)
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     corpus, scores = _model_predictions(args)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     labels = corpus.answer_table.labels()
     report = stratified_eval(scores, labels, corpus.answer_types)
     _write_json(
@@ -288,8 +276,6 @@ def cmd_eval(args) -> int:
     _write_curve(out / "pr_overall.csv", report.curve_overall)
     for stratum, curve in report.curve_by_type.items():
         _write_curve(out / f"pr_{stratum.replace('/', '_')}.csv", curve)
-    _write_run_config(out, args)
-    return EXIT_OK
 
 
 def _write_curve(path: Path, curve) -> None:
@@ -300,23 +286,20 @@ def _write_curve(path: Path, curve) -> None:
     )
 
 
-def cmd_allocate(args) -> int:
+def cmd_allocate(args) -> None:
     corpus, scores = _model_predictions(args)
-    out = _out_dir(args)
     plan = make_plan(rank_by_disagreement(scores), args.budget, args.s, args.r)
     _write_csv(
-        out / "plan.csv",
+        Path(args.out_dir) / "plan.csv",
         ["question_id", "answer_count", "p_disagreement"],
         [
             [qid, count, _fmt(p)]
             for qid, count, p in zip(corpus.question_ids(), plan.counts.tolist(), scores.tolist())
         ],
     )
-    _write_run_config(out, args)
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> dict:
     if args.status_quo_seeds < 1:
         raise ValueError(f"--status-quo-seeds must be >= 1, got {args.status_quo_seeds}")
     if args.sim == "mc" and args.trials < 1:
@@ -326,7 +309,6 @@ def cmd_sweep(args) -> int:
     corpus, scores = _model_predictions(args)
     if budgets is None:  # 11 even steps
         budgets = sorted({round(len(corpus) * i / 10) for i in range(11)})
-    out = _out_dir(args)
     rankings = {
         "ours": [rank_by_disagreement(scores)],
         "status_quo": _StatusQuoOrderings(len(corpus), args.seed, args.status_quo_seeds),
@@ -343,7 +325,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
     )
     _write_csv(
-        out / "sweep.csv",
+        Path(args.out_dir) / "sweep.csv",
         ["ranking", "budget", "answers_spent", "diversity",
          "diversity_fraction", "cost_usd", "labor_hours"],
         [
@@ -352,8 +334,7 @@ def cmd_sweep(args) -> int:
             for row in rows
         ],
     )
-    _write_run_config(out, args, budgets=budgets)
-    return EXIT_OK
+    return {"budgets": budgets}
 
 
 class _StatusQuoOrderings(Sequence):

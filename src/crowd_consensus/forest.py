@@ -69,8 +69,8 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.n_trees % 2 == 0:
-            raise ValueError(f"n_trees must be odd and >= 1, got {self.n_trees}")
+        if not 1 <= self.n_trees < 2**31 or self.n_trees % 2 == 0:
+            raise ValueError(f"n_trees must be odd and in [1, 2**31), got {self.n_trees}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a non-negative 64-bit integer")
 
@@ -144,13 +144,19 @@ def train_forest(
 
 
 def _encoded(X) -> FeatureMatrix:
-    """X itself if encoded; a dense (n, d) array becomes d numeric columns."""
-    if isinstance(X, FeatureMatrix):
-        return X
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"X must be 2-dimensional, got shape {X.shape}")
-    return FeatureMatrix.from_dense(X)
+    """X itself if encoded; a dense (n, d) array becomes d numeric columns.
+
+    Raises ValueError on a NaN or infinite value, which no cut separates
+    from its neighbours.
+    """
+    if not isinstance(X, FeatureMatrix):
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise DimensionMismatch(f"X must be 2-dimensional, got shape {X.shape}")
+        X = FeatureMatrix.from_dense(X)
+    if not np.isfinite(X.values).all():
+        raise ValueError("X holds NaN or infinite values")
+    return X
 
 
 class WorkerFailed(RuntimeError):

@@ -104,6 +104,9 @@ def test_make_plan_validation():
         make_plan([1, 2], budget=1, s=0, r=5)
     with pytest.raises(InvalidCounts):
         make_plan([1, 2], budget=1, s=5, r=5)
+    with pytest.raises(InvalidCounts, match=r"R < 2\*\*63"):
+        make_plan([1, 2], budget=1, s=1, r=2**63 + 1)  # would overflow the int64 counts
+    assert make_plan([1, 0], budget=1, s=1, r=2**63 - 1).counts.tolist() == [1, 2**63 - 1]
 
 
 def _single_question_corpus():

@@ -105,7 +105,7 @@ def test_analyze_without_answers_exits_two(tmp_path, capsys):
     path = _corpus_with_answers(tmp_path, [])
     assert main(["analyze", "--corpus", str(path), "--out-dir", str(out)]) == 2
     assert "m must be in [1, 0], got 1" in capsys.readouterr().err
-    assert list(out.iterdir()) == []  # no histogram, no rates
+    assert not out.exists()  # no histogram, no rates, no directory
 
 
 def test_missing_corpus_is_input_error(tmp_path, capsys):
@@ -156,6 +156,29 @@ def test_train_writes_model_and_config(planted_path, tmp_path):
     assert exc.value.code == 2
 
 
+def test_train_model_flag_creates_its_directory(planted_path, tmp_path):
+    out = tmp_path / "run"
+    model_path = tmp_path / "new" / "dir" / "m.json"
+    train(planted_path, out, model=model_path)
+    assert json.loads(model_path.read_text())["format"] == "crowd-consensus-forest"
+    assert json.loads((out / "run_config.json").read_text())["model"] == str(model_path)
+    assert sorted(p.name for p in out.iterdir()) == ["run_config.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_failed_command_creates_no_directory(planted_path, tmp_path, capsys, command):
+    bad = tmp_path / "saliency.csv"
+    bad.write_text("image_id,p0,p1,p2,p3,p4\n0,0.5,0.5,0,0,x\n")
+    out = tmp_path / "new" / "run"
+    argv = [command, "--corpus", str(planted_path), "--image-features", str(bad),
+            "--out-dir", str(out)]
+    if command == "eval":
+        argv += ["--model", str(GOLDEN_MODEL)]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_train_rerun_is_byte_identical(planted_path, tmp_path):
     out = tmp_path / "run"
     model_path = train(planted_path, out)
@@ -182,7 +205,7 @@ def test_question_without_tokens_is_named(planted_path, tmp_path, capsys):
         assert "question 5: question has no tokens: '?!'" in capsys.readouterr().err
 
 
-def test_predict_and_allocate(planted_path, tmp_path):
+def test_predict_and_allocate(planted_path, tmp_path, capsys):
     out = tmp_path / "run"
     model_path = train(planted_path, out)
     assert main(["predict", "--corpus", str(planted_path), "--model", str(model_path),
@@ -205,6 +228,13 @@ def test_predict_and_allocate(planted_path, tmp_path):
         plan_rows, key=lambda r: (-float(r["p_disagreement"]), int(r["question_id"]))
     )
     assert {r["question_id"] for r in by_score[:100]} == boosted
+
+    # An R past int64 once overflowed plan.counts (exit 3).
+    assert main(["allocate", "--corpus", str(planted_path), "--model", str(model_path),
+                 "--budget", "1", "--r", "9223372036854775809",
+                 "--out-dir", str(tmp_path / "big-r")]) == 2
+    assert "R < 2**63" in capsys.readouterr().err
+    assert not (tmp_path / "big-r").exists()
 
 
 def test_eval_reports_high_ap_on_planted_signal(planted_path, tmp_path):
@@ -403,11 +433,15 @@ def test_seed_env_var_default(planted_path, tmp_path, monkeypatch):
     (["--seed", "-3"], None),
     (["--seed", str(2**64)], None),
     ({"train": ["--trees", "4"], "sweep": ["--budgets", "x"]}, None),
+    # Such --trees values once raised OverflowError (exit 3) or grew 2**63 trees.
+    ({"train": ["--trees", "99999999999999999999"], "sweep": ["--status-quo-seeds", "0"]}, None),
+    ({"train": ["--trees", "9223372036854775809"], "sweep": ["--trials", "0", "--sim", "mc"]},
+     None),
     ([], "abc"),
     ([], "-1"),
     ([], str(2**64)),
-], ids=["flag-negative", "flag-too-large", "trees-or-budgets", "env-not-an-integer",
-        "env-negative", "env-too-large"])
+], ids=["flag-negative", "flag-too-large", "trees-or-budgets", "trees-past-int64",
+        "trees-past-2**63", "env-not-an-integer", "env-negative", "env-too-large"])
 def test_seed_is_checked_before_loading(tmp_path, monkeypatch, capsys, command, flags, env):
     if isinstance(flags, dict):
         flags = flags[command]

@@ -45,6 +45,10 @@ def test_config_validation():
         ForestConfig(n_trees=24)  # even votes could tie
     with pytest.raises(ValueError):
         ForestConfig(n_trees=0)
+    for n_trees in (2**31 + 1, 2**63 + 1, 10**20 - 1):  # odd, but past the bound
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*31\)"):
+            ForestConfig(n_trees=n_trees)
+    ForestConfig(n_trees=2**31 - 1)
     with pytest.raises(ValueError):
         ForestConfig(seed=-1)
     with pytest.raises(TypeError):
@@ -197,6 +201,25 @@ def test_training_set_errors():
     for labels in (["agreement", "disagreement"], [0.0, 1.0], [0, 2]):
         with pytest.raises(ValueError, match="labels"):
             train_forest([[1.0], [2.0]], labels, ForestConfig())
+
+
+@pytest.mark.parametrize("X,y,seed", [
+    # A cut next to NaN, or between -inf and a finite value, would be NaN.
+    ([[math.nan], [1.0], [2.0], [math.nan], [0.5], [3.0]], [1, 0, 1, 0, 1, 0], 1),
+    ([[-math.inf], [1.0], [1.0], [1.0]], [1, 0, 0, 0], 2),
+    ([[math.inf, 0.0], [1.0, 1.0]], [1, 0], 0),
+], ids=["nan", "minus-inf", "plus-inf"])
+def test_non_finite_features_are_rejected(X, y, seed):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        train_forest(X, y, ForestConfig(n_trees=1, seed=seed))
+    encoded = FeatureMatrix.from_dense(np.array(X))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        train_forest(encoded, y, ForestConfig(n_trees=1, seed=seed))
+    model = train_forest(np.nan_to_num(X), y, ForestConfig(n_trees=1, seed=seed))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        predict_many(model, X)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        predict_many(model, encoded)
 
 
 def test_vocab_dimension_check():
