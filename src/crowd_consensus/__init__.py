@@ -7,12 +7,10 @@ to decide how many answers to collect per question under a fixed budget.
 """
 
 from .allocation import (
-    AllocationPlan,
     SweepRow,
     make_plan,
     oracle_ranking,
     rank_by_disagreement,
-    simulate_collection,
     status_quo_ranking,
     sweep,
 )
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgreementLabel",
     "AgreementRates",
-    "AllocationPlan",
     "Corpus",
     "DecisionTree",
     "EvalReport",
@@ -97,7 +94,6 @@ __all__ = [
     "rank_by_disagreement",
     "save_corpus_jsonl",
     "save_model",
-    "simulate_collection",
     "status_quo_ranking",
     "stratified_eval",
     "sweep",

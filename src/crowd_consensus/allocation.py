@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -55,61 +56,23 @@ def oracle_ranking(corpus: Corpus) -> list[int]:
     return np.argsort(-truth, kind="stable").tolist()
 
 
-def _answers_spent(n: int, budget: int, s: int, r: int) -> int:
-    return budget * r + (n - budget) * s
+def _check_plan(n: int, budget, s, r) -> None:
+    # A float budget, S or R is refused, where the int64 counts would truncate it.
+    if not (isinstance(budget, Integral) and 0 <= budget <= n):
+        raise InvalidBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
+    if not (isinstance(s, Integral) and isinstance(r, Integral) and 1 <= s < r < 2**63):
+        raise InvalidCounts(f"need integers 1 <= S < R < 2**63, got S={s!r}, R={r!r}")
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
-    """The first `budget` rows of `ranking` get r answers, every other row s."""
-
-    ranking: Sequence[int]
-    budget: int
-    s: int
-    r: int
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Answers collected per corpus row."""
-        counts = np.full(len(self.ranking), self.s)
-        counts[self.ranking[: self.budget]] = self.r
-        return counts
-
-    @property
-    def answers_spent(self) -> int:
-        return _answers_spent(len(self.ranking), self.budget, self.s, self.r)
-
-
-def _check_plan(n: int, budget: int, s: int, r: int) -> None:
-    if not 0 <= budget <= n:
-        raise InvalidBudget(f"budget must be in [0, {n}], got {budget}")
-    if not 1 <= s < r < 2**63:
-        raise InvalidCounts(f"need 1 <= S < R < 2**63, got S={s}, R={r}")
-
-
-def make_plan(ranking: Sequence[int], budget: int, s: int = 1, r: int = 5) -> AllocationPlan:
-    _check_plan(len(ranking), budget, s, r)
-    return AllocationPlan(ranking=list(ranking), budget=budget, s=s, r=r)
-
-
-def simulate_collection(
-    plan: AllocationPlan,
-    corpus: Corpus,
-    mode: str = "exact",
-    trials: int = 1000,
-    seed: int = 0,
-) -> SweepRow:
-    """Score a plan against a corpus's stored answer pools: sweep's row for it.
-
-    "exact" computes the hypergeometric expectation of captured diversity
-    and is deterministic. "mc" draws `trials` random collections from one
-    stream per (seed, question id); trial t is its t-th permutation, so
-    results do not depend on evaluation order or on the other questions.
-    """
-    [row] = sweep(
-        corpus, {"plan": [plan.ranking]}, [plan.budget], plan.s, plan.r, mode, trials, seed
-    )
-    return row
+def make_plan(ranking: Sequence[int], budget: int, s: int = 1, r: int = 5) -> np.ndarray:
+    """Answers to collect per corpus row, as an (n,) int64 array: R for the
+    first `budget` rows of `ranking`, a permutation of the rows 0..n-1, and
+    S for every other row."""
+    rows = _permutation("plan", ranking, len(ranking))
+    _check_plan(len(rows), budget, s, r)
+    counts = np.full(len(rows), s, dtype=np.int64)
+    counts[rows[:budget]] = r
+    return counts
 
 
 @dataclass(frozen=True)
@@ -206,7 +169,7 @@ def sweep(
             raise KeyMismatch(f"ranking {name!r} has no ordering")
         for budget in budgets:
             diversity = (base * count + prefix[budget]) / (denominator * count)
-            spent = _answers_spent(n, budget, s, r)
+            spent = budget * r + (n - budget) * s
             rows.append(
                 SweepRow(
                     ranking=name,

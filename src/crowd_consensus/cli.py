@@ -288,13 +288,13 @@ def _write_curve(path: Path, curve) -> None:
 
 def cmd_allocate(args) -> None:
     corpus, scores = _model_predictions(args)
-    plan = make_plan(rank_by_disagreement(scores), args.budget, args.s, args.r)
+    counts = make_plan(rank_by_disagreement(scores), args.budget, args.s, args.r)
     _write_csv(
         Path(args.out_dir) / "plan.csv",
         ["question_id", "answer_count", "p_disagreement"],
         [
             [qid, count, _fmt(p)]
-            for qid, count, p in zip(corpus.question_ids(), plan.counts.tolist(), scores.tolist())
+            for qid, count, p in zip(corpus.question_ids(), counts.tolist(), scores.tolist())
         ],
     )
 

@@ -66,27 +66,23 @@ class Vocabularies:
     second_words: tuple[str, ...]
 
     def to_doc(self) -> dict:
-        """JSON form, as stored in model files; "built_from", a retired
-        provenance tag, is always ""."""
-        return {"first": list(self.first_words), "second": list(self.second_words),
-                "built_from": ""}
+        """JSON form, as stored in model files."""
+        return {"first": list(self.first_words), "second": list(self.second_words)}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Vocabularies":
-        """Inverse of to_doc; each word list must be a list of distinct strings
-        and built_from a string, or ValueError is raised. The model file comes
-        from outside, so built_from is checked, but its value is ignored."""
-        first, second, built_from = doc["first"], doc["second"], doc["built_from"]
-        for block in (first, second):
+        """Inverse of to_doc; doc must hold just the two word lists, each a
+        list of distinct strings, or ValueError is raised."""
+        if set(doc) != {"first", "second"}:
+            raise ValueError(f"vocab keys {sorted(doc)}, expected ['first', 'second']")
+        for block in (doc["first"], doc["second"]):
             if (
                 type(block) is not list
                 or not all(type(w) is str for w in block)
                 or len(set(block)) != len(block)
             ):
                 raise ValueError("vocabularies must be lists of distinct strings")
-        if type(built_from) is not str:
-            raise ValueError(f"built_from must be a string, got {type(built_from).__name__}")
-        return cls(tuple(first), tuple(second))
+        return cls(tuple(doc["first"]), tuple(doc["second"]))
 
     @cached_property
     def first_index(self) -> dict[str, int]:

@@ -36,7 +36,7 @@ import pickle
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO, NoReturn
 
@@ -51,14 +51,7 @@ from .errors import (
 from .features import FeatureMatrix, FeatureMode, Vocabularies, feature_dimension
 
 MODEL_FORMAT = "crowd-consensus-forest"
-MODEL_VERSION = 1
-
-#: The one descriptor layout model files record: each mode's unused blocks are left out.
-MODEL_LAYOUT = "truncated"
-
-#: The one way trees are grown, as model files record it in "config":
-#: ceil(sqrt(d)) features drawn per node, leaves of any size, no depth limit.
-MODEL_GROWTH = {"features_per_split": None, "max_depth": None, "min_leaf_size": 1}
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -69,10 +62,12 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_trees < 2**31 or self.n_trees % 2 == 0:
-            raise ValueError(f"n_trees must be odd and in [1, 2**31), got {self.n_trees}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a non-negative 64-bit integer")
+        # type(), unlike isinstance, refuses a bool as well as a float.
+        n_trees, seed = self.n_trees, self.seed
+        if type(n_trees) is not int or not 1 <= n_trees < 2**31 or n_trees % 2 == 0:
+            raise ValueError(f"n_trees must be an odd integer in [1, 2**31), got {n_trees!r}")
+        if type(seed) is not int or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,10 +453,9 @@ def save_model(model: ForestModel, path: str | Path) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "config": {**asdict(model.config), **MODEL_GROWTH},
+        "config": asdict(model.config),
         "n_features": model.n_features,
         "feature_mode": model.feature_mode.value,
-        "layout": MODEL_LAYOUT,
         "vocab": None if model.vocab is None else model.vocab.to_doc(),
         "trees": [
             {name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}
@@ -476,15 +470,12 @@ def save_model(model: ForestModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> ForestModel:
     """Read a model file; predictions round-trip bit-exactly.
 
-    Besides format and version, the tree structure that prediction walks
-    is checked: config n_trees and seed are integers, its other keys
-    hold exactly the MODEL_GROWTH values, the layout is MODEL_LAYOUT,
-    child indices point forward inside their tree, features index the
-    model's columns, thresholds are finite, leaf vote counts are
-    consistent, vocabularies are lists of distinct strings and built_from
-    is a string, whose value is then dropped (save_model writes ""). Any
-    violation raises FormatVersionMismatch, so a file recording any other
-    way of growing trees does not load.
+    The file, its config, its vocab and each tree hold exactly the keys
+    save_model writes, and the tree structure that prediction walks is
+    checked: children point forward inside their tree, features index the
+    model's columns, thresholds are finite, leaf votes are consistent and
+    vocabularies are lists of distinct strings. Anything else, a version 1
+    file included, raises FormatVersionMismatch.
     """
     with open(path, "r", encoding="utf-8") as fh:
         # ValueError includes JSONDecodeError and UnicodeDecodeError.
@@ -498,10 +489,10 @@ def load_model(path: str | Path) -> ForestModel:
                 f"{path}: found {doc.get('format')!r} v{doc.get('version')!r}, "
                 f"expected {MODEL_FORMAT!r} v{MODEL_VERSION}"
             )
+        if set(doc) != _MODEL_KEYS:
+            raise ValueError(f"keys {sorted(doc)}, expected {sorted(_MODEL_KEYS)}")
         vocab = None if doc["vocab"] is None else Vocabularies.from_doc(doc["vocab"])
         mode = FeatureMode(doc["feature_mode"])
-        if doc["layout"] != MODEL_LAYOUT:
-            raise ValueError(f"layout must be {MODEL_LAYOUT!r}, got {doc['layout']!r}")
         n_features = doc["n_features"]
         if type(n_features) is not int or not 1 <= n_features < 2**31:
             raise ValueError(f"n_features must be an integer in [1, 2**31), got {n_features!r}")
@@ -510,19 +501,9 @@ def load_model(path: str | Path) -> ForestModel:
                 f"n_features is {n_features} but the vocabularies and mode "
                 f"imply {feature_dimension(vocab, mode)}"
             )
-        settings = {**doc["config"]}
-        for key, value in MODEL_GROWTH.items():
-            if key not in settings:
-                raise ValueError(f"config has no {key}")
-            # A bool or float that compares equal to the value is still rejected.
-            found = settings.pop(key)
-            if type(found) is not type(value) or found != value:
-                raise ValueError(f"config {key} must be {json.dumps(value)}, got {found!r}")
-        config = ForestConfig(**settings)
-        for f in fields(config):
-            value = getattr(config, f.name)
-            if type(value) is not int:
-                raise ValueError(f"config {f.name} must be an integer, got {value!r}")
+        config = ForestConfig(**doc["config"])
+        if asdict(config) != doc["config"]:  # a key left out would read as its default
+            raise ValueError(f"config keys {sorted(doc['config'])}, expected ['n_trees', 'seed']")
         trees = tuple(_tree_from_doc(t, n_features) for t in doc["trees"])
         if len(trees) != config.n_trees:
             raise ValueError(f"{len(trees)} trees but config.n_trees is {config.n_trees}")
@@ -537,6 +518,8 @@ def load_model(path: str | Path) -> ForestModel:
         raise FormatVersionMismatch(f"{path}: malformed model file ({exc})") from exc
 
 
+_MODEL_KEYS = {"format", "version", "config", "n_features", "feature_mode", "vocab", "trees"}
+
 _TREE_ARRAYS = {
     "feature": np.int32,
     "threshold": np.float64,
@@ -549,6 +532,8 @@ _TREE_ARRAYS = {
 
 def _tree_from_doc(doc: dict, n_features: int) -> DecisionTree:
     """One tree from its JSON arrays, checking every invariant prediction relies on."""
+    if set(doc) != _TREE_ARRAYS.keys():
+        raise ValueError(f"tree keys {sorted(doc)}, expected {sorted(_TREE_ARRAYS)}")
     arrays = {}
     for name, dtype in _TREE_ARRAYS.items():
         values = doc[name]

@@ -21,7 +21,6 @@ from crowd_consensus import (
     average_precision,
     build_vocabularies,
     extract_matrix,
-    make_plan,
     make_planted_corpus,
     make_random_corpus,
     normalize_answer,
@@ -30,7 +29,6 @@ from crowd_consensus import (
     rank_by_disagreement,
     save_corpus_jsonl,
     save_model,
-    simulate_collection,
     status_quo_ranking,
     sweep,
     train_forest,
@@ -91,12 +89,12 @@ def test_criterion_3_hypergeometric_correctness():
         corpus = Corpus.from_questions(
             [VisualQuestion(1, 1, "is it day", tuple(["yes"] * 8 + ["no"] * 2))]
         )
-        plan = make_plan([0], budget=1, s=1, r=5)
+        plan = {"plan": [[0]]}  # budget 1: the one question gets R = 5 answers
         expected = 1 + (1 - math.comb(8, 5) / math.comb(10, 5))
-        exact = simulate_collection(plan, corpus, mode="exact")
+        [exact] = sweep(corpus, plan, [1], s=1, r=5, mode="exact")
         assert abs(exact.diversity - expected) <= 1e-9
         assert round(exact.diversity, 4) == 1.7778
-        mc = simulate_collection(plan, corpus, mode="mc", trials=100_000, seed=5)
+        [mc] = sweep(corpus, plan, [1], s=1, r=5, mode="mc", trials=100_000, seed=5)
         assert abs(mc.diversity - expected) <= 0.005
 
 
@@ -212,12 +210,12 @@ def test_criterion_7_budget_monotonicity_and_boundaries():
             for ranking in rankings:
                 previous = -1.0
                 for budget in range(n + 1):
-                    report = simulate_collection(make_plan(ranking, budget), corpus)
+                    [report] = sweep(corpus, {"plan": [ranking]}, [budget])
                     assert report.diversity >= previous
                     previous = report.diversity
             for budget in (0, n):
                 values = {
-                    simulate_collection(make_plan(rk, budget), corpus).diversity
+                    sweep(corpus, {"plan": [rk]}, [budget])[0].diversity
                     for rk in rankings
                 }
                 assert len(values) == 1

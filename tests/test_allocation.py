@@ -12,7 +12,6 @@ from crowd_consensus import (
     make_random_corpus,
     oracle_ranking,
     rank_by_disagreement,
-    simulate_collection,
     status_quo_ranking,
     sweep,
 )
@@ -84,38 +83,59 @@ def test_truth_threshold_is_two():
 
 
 def test_make_plan_arithmetic():
-    plan = make_plan([3, 1, 2, 0], budget=2, s=1, r=5)
-    assert plan.counts.tolist() == [1, 5, 1, 5]
-    assert plan.answers_spent == 12
+    counts = make_plan([3, 1, 2, 0], budget=2, s=1, r=5)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [1, 5, 1, 5]
+    assert counts.sum() == 12
 
 
 def test_make_plan_boundaries():
     ranking = [2, 0, 1]
-    assert make_plan(ranking, 0).counts.tolist() == [1, 1, 1]
-    assert make_plan(ranking, 3).counts.tolist() == [5, 5, 5]
+    assert make_plan(ranking, 0).tolist() == [1, 1, 1]
+    assert make_plan(ranking, 3).tolist() == [5, 5, 5]
 
 
 def test_make_plan_validation():
     with pytest.raises(InvalidBudget):
-        make_plan([1, 2], budget=3)
+        make_plan([0, 1], budget=3)
     with pytest.raises(InvalidBudget):
-        make_plan([1, 2], budget=-1)
+        make_plan([0, 1], budget=-1)
     with pytest.raises(InvalidCounts):
-        make_plan([1, 2], budget=1, s=0, r=5)
+        make_plan([0, 1], budget=1, s=0, r=5)
     with pytest.raises(InvalidCounts):
-        make_plan([1, 2], budget=1, s=5, r=5)
+        make_plan([0, 1], budget=1, s=5, r=5)
     with pytest.raises(InvalidCounts, match=r"R < 2\*\*63"):
-        make_plan([1, 2], budget=1, s=1, r=2**63 + 1)  # would overflow the int64 counts
-    assert make_plan([1, 0], budget=1, s=1, r=2**63 - 1).counts.tolist() == [1, 2**63 - 1]
+        make_plan([0, 1], budget=1, s=1, r=2**63 + 1)  # would overflow the int64 counts
+    assert make_plan([1, 0], budget=1, s=1, r=2**63 - 1).tolist() == [1, 2**63 - 1]
+    # R = 5.5 once became 5 in the int64 counts without an error.
+    with pytest.raises(InvalidBudget):
+        make_plan([1, 0], budget=1.0)
+    for s, r in ((1, 5.5), (1.0, 5), (1, "5")):
+        with pytest.raises(InvalidCounts):
+            make_plan([1, 0], budget=2, s=s, r=r)
+    assert make_plan([1, 0], np.int64(1), np.int64(2), np.int64(6)).tolist() == [2, 6]
+
+
+def test_make_plan_refuses_a_ranking_that_is_not_a_permutation():
+    # [0, 0] once gave counts [5, 1] at budget 2: six answers where ten were spent.
+    for ranking in ([0, 0], [1, 2], [0, 1, 3], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(KeyMismatch, match="ranking 'plan' is not a permutation"):
+            make_plan(ranking, budget=len(ranking))
 
 
 def _single_question_corpus():
     return Corpus.from_questions([vq(1, "is it day", ["yes"] * 8 + ["no"] * 2)])
 
 
+def _scored(corpus, ranking, budget, s=1, r=5, **mode):
+    """sweep's row for the one plan that gives the first `budget` rows of `ranking` R answers."""
+    [row] = sweep(corpus, {"plan": [ranking]}, [budget], s, r, **mode)
+    return row
+
+
 def test_simulate_exact_single_question():
     corpus = _single_question_corpus()
-    row = simulate_collection(make_plan([0], 1, 1, 5), corpus)
+    row = _scored(corpus, [0], 1)
     # One certain answer plus one with 2 of 10 copies, drawing 5.
     assert row.diversity == pytest.approx(
         1 + (1 - math.comb(8, 5) / math.comb(10, 5)), abs=1e-12
@@ -125,22 +145,19 @@ def test_simulate_exact_single_question():
     assert row.answers_spent == 5
     unanimous = Corpus.from_questions([vq(1, "is it day", ["yes"] * 10)])
     for budget in (0, 1):  # one answer, then five
-        assert simulate_collection(make_plan([0], budget, 1, 5), unanimous).diversity == 1.0
+        assert _scored(unanimous, [0], budget).diversity == 1.0
     # Drawing the whole pool (R = A) captures every truth answer.
     full = Corpus.from_questions([vq(1, "what", ["a"] * 4 + ["b"] * 3 + ["c"] * 2 + ["d"])])
-    assert simulate_collection(make_plan([0], 1, 1, 10), full).diversity == 3
+    assert _scored(full, [0], 1, 1, 10).diversity == 3
 
 
 def test_simulate_monte_carlo_tracks_exact():
     corpus = _single_question_corpus()
-    plan = make_plan([0], 1, 1, 5)
-    exact = simulate_collection(plan, corpus, mode="exact")
-    mc = simulate_collection(plan, corpus, mode="mc", trials=20_000, seed=3)
+    exact = _scored(corpus, [0], 1, mode="exact")
+    mc = _scored(corpus, [0], 1, mode="mc", trials=20_000, seed=3)
     assert mc.diversity == pytest.approx(exact.diversity, abs=0.02)
-    again = simulate_collection(plan, corpus, mode="mc", trials=500, seed=3)
-    assert again.diversity == simulate_collection(
-        plan, corpus, mode="mc", trials=500, seed=3
-    ).diversity
+    again = _scored(corpus, [0], 1, mode="mc", trials=500, seed=3)
+    assert again.diversity == _scored(corpus, [0], 1, mode="mc", trials=500, seed=3).diversity
 
 
 def test_monte_carlo_consistency_on_small_corpus():
@@ -151,25 +168,25 @@ def test_monte_carlo_consistency_on_small_corpus():
             vq(3, "is it new", ["no"] * 10),
         ]
     )
-    plan = make_plan([1, 0, 2], budget=1, s=1, r=5)  # ids 2, 1, 3
-    exact = simulate_collection(plan, corpus, mode="exact")
-    mc = simulate_collection(plan, corpus, mode="mc", trials=100_000, seed=1)
+    ranking = [1, 0, 2]  # ids 2, 1, 3
+    exact = _scored(corpus, ranking, 1, mode="exact")
+    mc = _scored(corpus, ranking, 1, mode="mc", trials=100_000, seed=1)
     assert mc.diversity == pytest.approx(exact.diversity, abs=0.005)
 
 
 def test_simulate_validation():
     corpus = _single_question_corpus()
     with pytest.raises(KeyMismatch):
-        simulate_collection(make_plan([0, 1], 1), corpus)
+        _scored(corpus, [0, 1], 1)
     with pytest.raises(KeyMismatch):
-        simulate_collection(make_plan([1], 1), corpus)  # the question id, not its row
+        _scored(corpus, [1], 1)  # the question id, not its row
     small = Corpus.from_questions([vq(1, "is it", ["x", "x", "y"])])
     with pytest.raises(InvalidCounts):
-        simulate_collection(make_plan([0], 0, 1, 5), small)
+        _scored(small, [0], 0, 1, 5)
     with pytest.raises(ValueError):
-        simulate_collection(make_plan([0], 0), corpus, mode="bogus")
+        _scored(corpus, [0], 0, mode="bogus")
     with pytest.raises(ValueError):
-        simulate_collection(make_plan([0], 0), corpus, mode="mc", trials=0)
+        _scored(corpus, [0], 0, mode="mc", trials=0)
 
 
 def test_budget_monotone_and_boundaries_on_random_corpora():
@@ -184,14 +201,11 @@ def test_budget_monotone_and_boundaries_on_random_corpora():
         for ranking in rankings:
             last = -1.0
             for budget in range(n + 1):
-                report = simulate_collection(make_plan(ranking, budget), corpus)
+                report = _scored(corpus, ranking, budget)
                 assert report.diversity >= last
                 last = report.diversity
         for budget in (0, n):
-            values = {
-                simulate_collection(make_plan(rk, budget), corpus).diversity
-                for rk in rankings
-            }
+            values = {_scored(corpus, rk, budget).diversity for rk in rankings}
             assert len(values) == 1  # plan ignores order here
 
 
@@ -221,8 +235,8 @@ def test_sweep_on_an_empty_corpus_gives_its_budget_zero_rows():
     ]
 
 
-def _sizes(corpus, plan):
-    return dict(zip(corpus.question_ids(), plan.counts.tolist()))
+def _sizes(corpus, counts):
+    return dict(zip(corpus.question_ids(), counts.tolist()))
 
 
 def test_exact_sweep_is_the_correctly_rounded_rational():
@@ -242,9 +256,8 @@ def test_exact_sweep_is_the_correctly_rounded_rational():
             ) / len(variants)
             assert row.diversity == float(want)
             assert row.diversity_fraction == row.diversity / max_div
-        plan = make_plan(orderings[0], 7, 2, 6)
-        assert simulate_collection(plan, corpus).diversity == float(
-            reference_exact_capture(corpus, _sizes(corpus, plan))
+        assert _scored(corpus, orderings[0], 7, 2, 6).diversity == float(
+            reference_exact_capture(corpus, _sizes(corpus, make_plan(orderings[0], 7, 2, 6)))
         )
 
 
@@ -259,7 +272,6 @@ def test_exact_diversity_depends_only_on_the_top_b_set():
             rnd.shuffle(top)
             rnd.shuffle(rest)
             reordered = top + rest
-            values.add(simulate_collection(make_plan(reordered, budget), corpus).diversity)
             values.add(sweep(corpus, {"x": [reordered]}, [budget])[0].diversity)
         assert len(values) == 1, budget
 
@@ -312,11 +324,11 @@ def test_monte_carlo_follows_the_documented_stream():
     for corpus, ranking, budgets, seed, trials in cases:
         rows = sweep(corpus, {"x": [ranking]}, budgets, mode="mc", trials=trials, seed=seed)
         for row in rows:
-            plan = make_plan(ranking, row.budget)
-            want = reference_mc(corpus, _sizes(corpus, plan), trials=trials, seed=seed)
+            counts = make_plan(ranking, row.budget)
+            want = reference_mc(corpus, _sizes(corpus, counts), trials=trials, seed=seed)
             assert row.diversity == want
-            assert simulate_collection(
-                plan, corpus, mode="mc", trials=trials, seed=seed
+            assert _scored(
+                corpus, ranking, row.budget, mode="mc", trials=trials, seed=seed
             ).diversity == want
 
 
@@ -419,11 +431,10 @@ def test_rows_and_ids_agree_with_an_id_keyed_reference():
             sum(reference_mc(corpus, w, trials=20, seed=6) for w in want) / len(variants),
             abs=1e-12,
         )
-    plan = make_plan(ours, 11)
-    assert dict(zip(ids, plan.counts.tolist())) == sizes(ours, 11)
-    assert simulate_collection(plan, corpus).diversity == float(
+    assert dict(zip(ids, make_plan(ours, 11).tolist())) == sizes(ours, 11)
+    assert _scored(corpus, ours, 11).diversity == float(
         reference_exact_capture(corpus, sizes(ours, 11))
     )
-    assert simulate_collection(plan, corpus, mode="mc", trials=20, seed=6).diversity == (
+    assert _scored(corpus, ours, 11, mode="mc", trials=20, seed=6).diversity == (
         reference_mc(corpus, sizes(ours, 11), trials=20, seed=6)
     )

@@ -53,6 +53,11 @@ def test_config_validation():
         ForestConfig(seed=-1)
     with pytest.raises(TypeError):
         ForestConfig(max_depth=None)  # trees always grow until pure
+    # A bool equals an int and a float can hold one; each is still refused.
+    for settings in ({"n_trees": 3.0}, {"n_trees": True}, {"n_trees": np.int64(3)},
+                     {"seed": 1.5}, {"seed": False}, {"seed": 2.0**70}):
+        with pytest.raises(ValueError, match="must be an (odd )?integer"):
+            ForestConfig(**settings)
     ForestConfig(n_trees=25, seed=0)  # defaults are valid
 
 
@@ -378,8 +383,11 @@ def _set_leaf(key, value):
                  id="vocab-first-is-string"),
     pytest.param(lambda doc: doc["vocab"].update(built_from={"corpus": "x"}),
                  id="vocab-built-from-object"),
+    pytest.param(lambda doc: doc["vocab"].update(built_from=""), id="vocab-built-from-string"),
+    pytest.param(lambda doc: doc["trees"][0].update(depth=[0]), id="tree-extra-key"),
     pytest.param(lambda doc: doc["config"].update(n_trees=3.0), id="config-n-trees-float"),
     pytest.param(lambda doc: doc["config"].update(seed=True), id="config-seed-bool"),
+    pytest.param(lambda doc: doc["config"].pop("seed"), id="config-seed-missing"),
     pytest.param(lambda doc: doc["config"].update(min_leaf_size=1.5),
                  id="config-min-leaf-size-float"),
     pytest.param(lambda doc: doc["config"].update(max_depth=2.0), id="config-max-depth-float"),
@@ -389,7 +397,6 @@ def _set_leaf(key, value):
     pytest.param(lambda doc: doc["config"].update(max_depth=5), id="config-max-depth-5"),
     pytest.param(lambda doc: doc["config"].update(features_per_split=4),
                  id="config-features-per-split-4"),
-    pytest.param(lambda doc: doc["config"].pop("max_depth"), id="config-max-depth-missing"),
     pytest.param(lambda doc: doc.update(layout="zeroed"), id="layout-zeroed"),
     pytest.param(lambda doc: doc.update(layout="padded"), id="layout-padded"),
 ])
@@ -398,13 +405,25 @@ def test_load_rejects_inconsistent_model(tmp_path, model_doc, edit):
         load_model(_corrupted(tmp_path, model_doc, edit))
 
 
-def test_load_ignores_a_string_built_from(tmp_path, model_doc):
-    path = _corrupted(tmp_path, model_doc,
-                      lambda doc: doc["vocab"].update(built_from="synthetic-planted"))
-    resaved = tmp_path / "resaved.json"
-    save_model(load_model(path), resaved)
-    assert json.loads(resaved.read_text())["vocab"]["built_from"] == ""
-    assert json.loads(resaved.read_text()) == model_doc
+def _version_1(doc):
+    """doc as version 1 wrote it, with the retired layout, growth and built_from fields."""
+    doc.update(version=1, layout="truncated")
+    doc["config"].update(features_per_split=None, max_depth=None, min_leaf_size=1)
+    doc["vocab"].update(built_from="")
+
+
+def test_a_version_1_model_exits_two_from_every_command(tmp_path, model_doc, capsys):
+    path = _corrupted(tmp_path, model_doc, _version_1)
+    with pytest.raises(FormatVersionMismatch, match="v1, expected 'crowd-consensus-forest' v2"):
+        load_model(path)
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus_jsonl(make_planted_corpus(40, seed=3), corpus_path)
+    for command in (["predict"], ["eval"], ["allocate", "--budget", "1"], ["sweep"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--corpus", str(corpus_path), "--model", str(path),
+                     "--out-dir", str(out)]) == 2
+        assert "v1, expected" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _leaf_total(doc):
