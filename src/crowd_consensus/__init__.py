@@ -15,7 +15,6 @@ from .allocation import (
     sweep,
 )
 from .answers import (
-    AgreementLabel,
     AgreementRates,
     agreement_by_answer_type,
     agreement_label,
@@ -60,7 +59,6 @@ from .synthetic import make_planted_corpus, make_random_corpus
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgreementLabel",
     "AgreementRates",
     "Corpus",
     "DecisionTree",

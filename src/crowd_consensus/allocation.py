@@ -41,8 +41,12 @@ _MC_TRIAL_CHUNK = 1024
 
 
 def rank_by_disagreement(scores: Sequence[float]) -> list[int]:
-    """Corpus rows by descending predicted disagreement, ties to the lower row."""
-    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable").tolist()
+    """Corpus rows by descending predicted disagreement, ties to the lower row;
+    a NaN or infinite score, which has no place in the order, raises ValueError."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores hold NaN or infinite values")
+    return np.argsort(-scores, kind="stable").tolist()
 
 
 def status_quo_ranking(n: int, seed) -> list[int]:
@@ -57,10 +61,12 @@ def oracle_ranking(corpus: Corpus) -> list[int]:
 
 
 def _check_plan(n: int, budget, s, r) -> None:
-    # A float budget, S or R is refused, where the int64 counts would truncate it.
-    if not (isinstance(budget, Integral) and 0 <= budget <= n):
+    # A float budget, S or R is refused, where the int64 counts would truncate it,
+    # and so is a bool, which would index by mask.
+    budget_ok, s_ok, r_ok = (isinstance(x, Integral) and not isinstance(x, bool) for x in (budget, s, r))
+    if not (budget_ok and 0 <= budget <= n):
         raise InvalidBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
-    if not (isinstance(s, Integral) and isinstance(r, Integral) and 1 <= s < r < 2**63):
+    if not (s_ok and r_ok and 1 <= s < r < 2**63):
         raise InvalidCounts(f"need integers 1 <= S < R < 2**63, got S={s!r}, R={r!r}")
 
 
@@ -109,7 +115,8 @@ def sweep(
     trial t is its t-th permutation of the A pool slots, and S and R read
     its prefixes. A budget's diversity is the S-captures plus a prefix sum
     of (R-capture - S-capture) along the ordering, averaged over orderings
-    exactly; the one int / int division per row rounds correctly.
+    exactly. diversity and diversity_fraction are each one int / int
+    division of that exact sum, so each rounds correctly.
     """
     n = len(corpus)
     for budget in (0, *budgets):
@@ -139,7 +146,7 @@ def sweep(
             terms[k] = scaled[table.counts].sum(axis=1)
     else:
         denominator, terms = trials, {k: np.zeros(n, dtype=object) for k in (s, r)}
-        ids = corpus.question_ids()
+        ids = corpus.ids.tolist()
         for row in np.flatnonzero(table.distinct_at_least(TRUTH_MIN_COUNT)).tolist():
             rng = np.random.default_rng([seed & _SEED_MASK, ids[row] & _SEED_MASK])
             codes = table.codes[row]
@@ -152,7 +159,7 @@ def sweep(
                 draws = rng.permuted(np.broadcast_to(np.arange(a), (chunk, a)), axis=1)
                 seen = np.logical_or.accumulate(truth[draws[:, :r]], axis=1)
                 for k in (s, r):
-                    terms[k][row] += np.count_nonzero(seen[:, k - 1])
+                    terms[k][row] += int(np.count_nonzero(seen[:, k - 1]))
     base = terms[s].sum()
     gain = terms[r] - terms[s]
     max_diversity = int(table.distinct_at_least(TRUTH_MIN_COUNT).sum())
@@ -168,15 +175,16 @@ def sweep(
         if count == 0:
             raise KeyMismatch(f"ranking {name!r} has no ordering")
         for budget in budgets:
-            diversity = (base * count + prefix[budget]) / (denominator * count)
+            captured, scale = base * count + prefix[budget], denominator * count
+            fraction = 1.0 if max_diversity == 0 else captured / (scale * max_diversity)
             spent = budget * r + (n - budget) * s
             rows.append(
                 SweepRow(
                     ranking=name,
                     budget=budget,
                     answers_spent=spent,
-                    diversity=diversity,
-                    diversity_fraction=1.0 if max_diversity == 0 else diversity / max_diversity,
+                    diversity=captured / scale,
+                    diversity_fraction=fraction,
                     cost_usd=spent * ANSWER_COST_USD,
                     labor_hours=spent * SECONDS_PER_ANSWER / 3600.0,
                 )

@@ -1,13 +1,10 @@
 """Answer normalization, agreement labels, and crowd agreement statistics.
 
-A label is one bool per question, True for disagreement. AgreementLabel
-names the two values for single pools and for the predictions.csv label
-column; it is an IntEnum, so a sequence of its members converts to 0/1.
+A label is one bool per question, True for disagreement.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 import string
 from dataclasses import dataclass
@@ -57,13 +54,6 @@ def rows_by_stratum(answer_types: Sequence[str | None]) -> dict[str, list[int]]:
     return {s: groups[s] for s in (*ANSWER_TYPES, "unknown") if s in groups}
 
 
-class AgreementLabel(enum.IntEnum):
-    """Whether a crowd converges on a single answer for a question."""
-
-    AGREEMENT = 0
-    DISAGREEMENT = 1
-
-
 def _normalize_pass(text: str) -> str:
     # Order matters: articles and number words are matched token-wise, so
     # case folding and digit-comma stripping must come first.
@@ -97,8 +87,7 @@ class AnswerTable:
     """Equal-size answer pools, coded once; row i is pool i.
 
     raw_codes[i, j] indexes `raw_vocabulary` (distinct raw answers, in the
-    order they were read; a corpus subset keeps its parent's) for pool
-    i's j-th answer. The normalized view is
+    order they were read) for pool i's j-th answer. The normalized view is
     derived on first use, normalizing each distinct raw answer once:
     codes[i, j] indexes `vocabulary` (distinct normalized answers, first
     met first in raw_vocabulary), and counts[i, j] is how often pool i
@@ -151,9 +140,8 @@ class AnswerTable:
 def disagreement_mask(labels) -> np.ndarray:
     """Labels as an (n,) bool array, True for disagreement.
 
-    Accepts a bool array, 0/1 integers or AgreementLabel members; anything
-    else (strings, floats, plain objects) raises ValueError rather than
-    being read by truthiness.
+    Accepts bools or 0/1 integers; anything else (strings, floats, plain
+    objects) raises ValueError rather than being read by truthiness.
     """
     y = np.asarray(labels)
     if y.ndim != 1:
@@ -161,12 +149,13 @@ def disagreement_mask(labels) -> np.ndarray:
     if y.size == 0 or y.dtype == bool:
         return y.astype(bool)
     if y.dtype.kind not in "iu" or not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be bools, 0/1 integers or AgreementLabel members")
+        raise ValueError("labels must be bools or 0/1 integers")
     return y == 1
 
 
-def agreement_label(raw_answers: Sequence[str]) -> AgreementLabel:
-    """Agreement iff all but at most one of the answers match exactly.
+def agreement_label(raw_answers: Sequence[str]) -> bool:
+    """One pool's label, True for disagreement: agreement iff all but at
+    most one of the answers match exactly.
 
     With A stored answers the rule is: modal normalized-answer count
     >= A - 1, which tolerates a single careless or spam response.
@@ -174,7 +163,7 @@ def agreement_label(raw_answers: Sequence[str]) -> AgreementLabel:
     code_of_raw: dict[str, int] = {}
     raw_codes = [[code_of_raw.setdefault(raw, len(code_of_raw)) for raw in raw_answers]]
     [disagrees] = AnswerTable(tuple(code_of_raw), np.array(raw_codes, dtype=np.int32)).labels()
-    return AgreementLabel(bool(disagrees))
+    return bool(disagrees)
 
 
 def diversity_histogram(corpus: Corpus, m: int) -> dict[int, int]:

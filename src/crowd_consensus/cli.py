@@ -25,7 +25,7 @@ from .allocation import (
     status_quo_ranking,
     sweep,
 )
-from .answers import AgreementLabel, agreement_by_answer_type, diversity_histogram
+from .answers import agreement_by_answer_type, diversity_histogram
 from .corpus import load_corpus, load_image_features
 from .errors import CrowdConsensusError, DimensionMismatch, EmptyTrainingSet
 from .evalmetrics import stratified_eval
@@ -254,8 +254,8 @@ def cmd_predict(args) -> None:
         Path(args.out_dir) / "predictions.csv",
         ["question_id", "p_disagreement", "label"],
         [
-            [qid, _fmt(p), AgreementLabel(p > 0.5).name.lower()]
-            for qid, p in zip(corpus.question_ids(), scores.tolist())
+            [qid, _fmt(p), "disagreement" if p > 0.5 else "agreement"]
+            for qid, p in zip(corpus.ids.tolist(), scores.tolist())
         ],
     )
 
@@ -294,7 +294,7 @@ def cmd_allocate(args) -> None:
         ["question_id", "answer_count", "p_disagreement"],
         [
             [qid, count, _fmt(p)]
-            for qid, count, p in zip(corpus.question_ids(), counts.tolist(), scores.tolist())
+            for qid, count, p in zip(corpus.ids.tolist(), counts.tolist(), scores.tolist())
         ],
     )
 

@@ -29,7 +29,6 @@ from .errors import (
     AnswerCountMismatch,
     CrowdConsensusError,
     InvalidProbability,
-    KeyMismatch,
     MissingAnnotation,
     ParseError,
 )
@@ -66,10 +65,10 @@ class Corpus:
     The questions are held as columns; row i is the question with the
     i-th smallest id. ids and image_ids are int64 arrays, texts the
     question texts, answer_types a name in ANSWER_TYPES or None per row,
-    and answer_table codes each row's raw answers. Indexing or iterating
-    a corpus builds VisualQuestion rows on demand. It records nothing of
-    where its questions came from; a CLI run names its input files in
-    run_config.json.
+    and answer_table codes each row's raw answers. Indexing a corpus
+    builds a VisualQuestion row on demand, and iterating it indexes each
+    row in turn. It records nothing of where its questions came from; a
+    CLI run names its input files in run_config.json.
     """
 
     ids: np.ndarray  # (n,) int64, strictly increasing
@@ -111,40 +110,12 @@ class Corpus:
         )
 
     def __iter__(self) -> Iterator[VisualQuestion]:
-        answer = self.answer_table.raw_vocabulary.__getitem__
-        rows = zip(map(int, self.ids), map(int, self.image_ids), self.texts,
-                   self.answer_table.raw_codes, self.answer_types)
-        for qid, image_id, text, codes, answer_type in rows:
-            yield VisualQuestion(qid, image_id, text, tuple(map(answer, codes.tolist())), answer_type)
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
         return self.answers_per_question == other.answers_per_question and list(self) == list(other)
-
-    def question_ids(self) -> tuple[int, ...]:
-        return tuple(self.ids.tolist())
-
-    def subset(self, question_ids: Iterable[int]) -> "Corpus":
-        """New corpus of the given ids, re-sorted ascending.
-
-        Raises KeyMismatch if an id repeats or is not in this corpus.
-        """
-        ids = list(question_ids)
-        wanted = set(ids)
-        if len(wanted) != len(ids):
-            raise KeyMismatch("subset lists a question id more than once")
-        rows = [i for i, qid in enumerate(self.ids.tolist()) if qid in wanted]
-        if len(rows) != len(wanted):
-            raise KeyMismatch(f"{len(wanted) - len(rows)} subset ids are not in the corpus")
-        table = self.answer_table
-        return Corpus(
-            self.ids[rows],
-            self.image_ids[rows],
-            tuple(self.texts[i] for i in rows),
-            tuple(self.answer_types[i] for i in rows),
-            AnswerTable(table.raw_vocabulary, table.raw_codes[rows]),
-        )
 
 
 class _Columns:

@@ -51,6 +51,8 @@ def _grouped_counts(scores, labels):
     if n_pos == 0:
         raise NoPositives("no disagreement-labeled items to rank")
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores hold NaN or infinite values")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     cum_tp = np.cumsum(pos[order])

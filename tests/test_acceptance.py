@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from crowd_consensus import (
-    AgreementLabel,
+    Corpus,
     ForestConfig,
     FeatureMode,
     agreement_label,
@@ -38,7 +38,7 @@ from crowd_consensus.cli import main
 from test_answers import NORMALIZATION_TABLE, RANDOM_ALPHABET
 from test_evalmetrics import reference_average_precision
 
-A, D = AgreementLabel.AGREEMENT, AgreementLabel.DISAGREEMENT
+A, D = False, True
 
 
 @contextmanager
@@ -83,7 +83,7 @@ def test_criterion_2_average_precision_oracle_equivalence():
 
 
 def test_criterion_3_hypergeometric_correctness():
-    from crowd_consensus import Corpus, VisualQuestion
+    from crowd_consensus import VisualQuestion
 
     with criterion("3 hypergeometric correctness", limit_seconds=5.0):
         corpus = Corpus.from_questions(
@@ -101,9 +101,9 @@ def test_criterion_3_hypergeometric_correctness():
 @lru_cache(maxsize=1)
 def _planted_pipeline():
     corpus = make_planted_corpus(2000, seed=20)
-    ids = corpus.question_ids()
-    train_split = corpus.subset(ids[:1500])
-    test_split = corpus.subset(ids[1500:])
+    rows = list(corpus)
+    train_split = Corpus.from_questions(rows[:1500])
+    test_split = Corpus.from_questions(rows[1500:])
     vocab = build_vocabularies(train_split)
     X_train = extract_matrix(train_split, vocab, mode=FeatureMode.Q)
     y_train = [agreement_label(q.raw_answers) for q in train_split]

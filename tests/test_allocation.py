@@ -1,10 +1,13 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowd_consensus import (
     Corpus,
@@ -30,6 +33,10 @@ from conftest import (
 def test_rank_by_disagreement():
     assert rank_by_disagreement([0.2, 0.9, 0.5]) == [1, 2, 0]
     assert rank_by_disagreement(np.array([0.2, 0.9, 0.5])) == [1, 2, 0]
+    # NaN was once ranked last, behind every real score, without an error.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            rank_by_disagreement([0.2, bad, 0.5])
 
 
 def test_rank_ties_break_by_ascending_id():
@@ -114,6 +121,13 @@ def test_make_plan_validation():
         with pytest.raises(InvalidCounts):
             make_plan([1, 0], budget=2, s=s, r=r)
     assert make_plan([1, 0], np.int64(1), np.int64(2), np.int64(6)).tolist() == [2, 6]
+    # A bool is an Integral: make_plan(range(6), True, True, 5) once gave counts [5, 1, 1, 1, 1, 1].
+    for budget in (True, False):
+        with pytest.raises(InvalidBudget):
+            make_plan(range(6), budget)
+    for s, r in ((True, 5), (1, True), (np.True_, 5)):
+        with pytest.raises(InvalidCounts):
+            make_plan(range(6), 1, s, r)
 
 
 def test_make_plan_refuses_a_ranking_that_is_not_a_permutation():
@@ -236,7 +250,7 @@ def test_sweep_on_an_empty_corpus_gives_its_budget_zero_rows():
 
 
 def _sizes(corpus, counts):
-    return dict(zip(corpus.question_ids(), counts.tolist()))
+    return dict(zip(corpus.ids.tolist(), counts.tolist()))
 
 
 def test_exact_sweep_is_the_correctly_rounded_rational():
@@ -255,10 +269,45 @@ def test_exact_sweep_is_the_correctly_rounded_rational():
                 for rk in variants
             ) / len(variants)
             assert row.diversity == float(want)
-            assert row.diversity_fraction == row.diversity / max_div
+            assert row.diversity_fraction == float(want / max_div)
         assert _scored(corpus, orderings[0], 7, 2, 6).diversity == float(
             reference_exact_capture(corpus, _sizes(corpus, make_plan(orderings[0], 7, 2, 6)))
         )
+
+
+@given(
+    n=st.integers(0, 8),
+    corpus_seed=st.integers(0, 2**32 - 1),
+    order_seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 3),
+    s_r=st.sampled_from([(1, 5), (2, 6), (1, 10), (3, 4), (1, 2)]),
+    mode=st.sampled_from(["exact", "mc"]),
+)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_diversity_fraction_is_the_correctly_rounded_rational(
+    n, corpus_seed, order_seed, count, s_r, mode
+):
+    # diversity_fraction was diversity / max_diversity, a second rounding of an
+    # already rounded float, and so sometimes one ulp off.
+    s, r = s_r
+    trials = 7
+    corpus = make_random_corpus(n, seed=corpus_seed)
+    orderings = [status_quo_ranking(n, [order_seed, k]) for k in range(count)]
+    rows = sweep(corpus, {"x": orderings}, range(n + 1), s, r, mode=mode, trials=trials,
+                 seed=order_seed)
+    max_div = sum(reference_truth_counts(corpus).values())
+
+    def capture(ordering, budget):
+        sizes = _sizes(corpus, make_plan(ordering, budget, s, r))
+        if mode == "exact":
+            return reference_exact_capture(corpus, sizes)
+        # reference_mc's hit total is an int, so its float total / trials reads back exactly.
+        return Fraction(round(reference_mc(corpus, sizes, trials, order_seed) * trials), trials)
+
+    for row in rows:
+        want = sum(capture(ordering, row.budget) for ordering in orderings) / count
+        assert row.diversity == float(want)
+        assert row.diversity_fraction == (1.0 if max_div == 0 else float(want / max_div))
 
 
 def test_exact_diversity_depends_only_on_the_top_b_set():
@@ -285,6 +334,12 @@ def test_sweep_validation():
         sweep(corpus, {"x": [rows]}, [1], s=3, r=3)
     with pytest.raises(InvalidCounts):
         sweep(corpus, {"x": [rows]}, [1], r=11)
+    # At budget True, prefix[True] once indexed by mask and gave a 2-D diversity.
+    for budget in (True, False):
+        with pytest.raises(InvalidBudget):
+            sweep(corpus, {"x": [rows]}, [budget])
+    with pytest.raises(InvalidCounts):
+        sweep(corpus, {"x": [rows]}, [1], s=True)
     bad = [
         [rows[:-1] + rows[:1]],  # a repeated row
         [rows, rows[:-1]],  # one ordering too short
@@ -334,8 +389,8 @@ def test_monte_carlo_follows_the_documented_stream():
 
 def test_monte_carlo_terms_do_not_depend_on_the_other_questions():
     corpus = make_random_corpus(30, seed=6)
-    ids = corpus.question_ids()
-    halves = [corpus.subset(ids[0::2]), corpus.subset(ids[1::2])]
+    rows = list(corpus)
+    halves = [Corpus.from_questions(rows[0::2]), Corpus.from_questions(rows[1::2])]
     trials = 200
 
     def boundary_hits(c):
@@ -398,7 +453,7 @@ def test_monte_carlo_memory_does_not_grow_with_trials():
 
 def test_rows_and_ids_agree_with_an_id_keyed_reference():
     corpus = scattered_ids(make_random_corpus(30, seed=8), seed=1)
-    ids = corpus.question_ids()
+    ids = corpus.ids.tolist()
     n = len(ids)
     assert all(qid != row for row, qid in enumerate(ids))
     rng = np.random.default_rng(4)

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowd_consensus import (
-    AgreementLabel,
     Corpus,
     agreement_by_answer_type,
     agreement_label,
@@ -147,13 +146,13 @@ def test_valid_answers_threshold_validation():
 
 
 def test_agreement_label_rule():
-    assert agreement_label(["yes"] * 9 + ["no"]) is AgreementLabel.AGREEMENT
-    assert agreement_label(["yes"] * 8 + ["no"] * 2) is AgreementLabel.DISAGREEMENT
-    assert agreement_label(["2"] * 10) is AgreementLabel.AGREEMENT
+    assert agreement_label(["yes"] * 9 + ["no"]) is False
+    assert agreement_label(["yes"] * 8 + ["no"] * 2) is True
+    assert agreement_label(["2"] * 10) is False
 
 
 def test_agreement_label_normalizes_before_matching():
-    assert agreement_label(["Yes!", "yes"] * 5) is AgreementLabel.AGREEMENT
+    assert agreement_label(["Yes!", "yes"] * 5) is False
 
 
 def test_agreement_label_needs_two_answers():
@@ -176,7 +175,7 @@ def test_agreement_label_matches_the_corpus_table(pool):
         with pytest.raises(type(exc)):
             agreement_label(pool)
     else:
-        assert agreement_label(pool) is AgreementLabel(bool(disagrees))
+        assert agreement_label(pool) is bool(disagrees)
 
 
 @given(
@@ -205,7 +204,7 @@ def test_valid_answers_monotone_in_threshold(pool):
 @given(st.lists(st.sampled_from(["x", "y"]), min_size=10, max_size=10))
 @settings(max_examples=100, deadline=None)
 def test_agreement_implies_single_valid_answer_at_two(pool):
-    if agreement_label(pool) is AgreementLabel.AGREEMENT:
+    if agreement_label(pool) is False:
         assert len(valid_answers(pool, 2)) == 1
 
 
@@ -284,7 +283,7 @@ def test_answer_table_matches_single_pool_functions(corpus):
     assert labels.dtype == bool and labels.shape == (len(corpus),)
     buckets = {m: table.distinct_at_least(m).tolist() for m in range(1, a + 1)}
     for row, q in enumerate(corpus):
-        assert AgreementLabel(labels[row]) is agreement_label(q.raw_answers)
+        assert bool(labels[row]) is agreement_label(q.raw_answers)
         tally = Counter(normalize_answer(ans) for ans in q.raw_answers).values()
         assert table.counts[row].max() == max(tally)
         for m in range(1, a + 1):

@@ -286,7 +286,7 @@ def test_sweep_outputs_and_boundaries(planted_path, tmp_path):
 
 def test_allocate_and_sweep_key_rows_by_question_id(tmp_path):
     corpus = scattered_ids(make_planted_corpus(120, seed=5), seed=2)
-    ids = sorted(corpus.question_ids())
+    ids = sorted(corpus.ids.tolist())
     path = tmp_path / "scattered.jsonl"
     save_corpus_jsonl(corpus, path)
     out = tmp_path / "run"

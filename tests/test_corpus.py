@@ -19,7 +19,6 @@ from crowd_consensus.corpus import UNIFORM_SALIENCY
 from crowd_consensus.errors import (
     AnswerCountMismatch,
     InvalidProbability,
-    KeyMismatch,
     MissingAnnotation,
     ParseError,
 )
@@ -55,7 +54,7 @@ def test_load_jsonl_orders_by_question_id(tmp_path):
     records.reverse()
     path = write_jsonl(tmp_path / "corpus.jsonl", records)
     corpus = load_corpus(path)
-    assert corpus.question_ids() == (0, 1, 2)
+    assert corpus.ids.tolist() == [0, 1, 2]
 
 
 def test_load_is_deterministic(tmp_path):
@@ -145,8 +144,8 @@ def test_load_vqa_v1_json(tmp_path, mixed_corpus):
     q_path, a_path = _write_vqa_pair(tmp_path, mixed_corpus)
     corpus = load_corpus(q_path, a_path, format="vqa_v1_json")
     assert len(corpus) == len(mixed_corpus)
-    assert corpus.question_ids() == mixed_corpus.question_ids()
-    row = corpus.question_ids().index(3)
+    assert corpus.ids.tolist() == mixed_corpus.ids.tolist()
+    row = corpus.ids.tolist().index(3)
     assert corpus[row].raw_answers == mixed_corpus[row].raw_answers
     assert corpus[row].answer_type == "number"
 
@@ -214,16 +213,6 @@ def test_analyze_jsonl_with_annotations_exits_two(tmp_path, mixed_corpus, capsys
                  "--out-dir", str(out)]) == 2
     assert f"{missing}: an annotations file needs format vqa_v1_json" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_corpus_subset(mixed_corpus):
-    sub = mixed_corpus.subset([5, 2])
-    assert sub.question_ids() == (2, 5)
-    assert sub.answers_per_question == mixed_corpus.answers_per_question
-    with pytest.raises(KeyMismatch, match="more than once"):
-        mixed_corpus.subset([2, 5, 2])
-    with pytest.raises(KeyMismatch, match="not in the corpus"):
-        mixed_corpus.subset([2, 10**6])
 
 
 def test_duplicate_question_ids_rejected():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowd_consensus import (
+    Corpus,
     FeatureMode,
     ForestConfig,
     ImageFeatureTable,
@@ -59,7 +60,7 @@ def _saliency_table(corpus, seed):
 def test_encoding_matches_its_dense_matrix(tmp_path_factory, n, corpus_seed, forest_seed, mode):
     corpus = make_random_corpus(n, seed=corpus_seed)
     # Vocabularies from the first half, so later rows carry unseen words.
-    train_split = corpus.subset(corpus.question_ids()[: max(2, n // 2)])
+    train_split = Corpus.from_questions(list(corpus)[: max(2, n // 2)])
     vocab = build_vocabularies(train_split)
     table = _saliency_table(corpus, corpus_seed)
     X = extract_matrix(train_split, vocab, table, mode)

@@ -1,17 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowd_consensus import (
-    AgreementLabel,
     average_precision,
     pr_curve,
     stratified_eval,
 )
 from crowd_consensus.errors import LengthMismatch, NoPositives
 
-A, D = AgreementLabel.AGREEMENT, AgreementLabel.DISAGREEMENT
+A, D = False, True
 
 
 def reference_average_precision(scores, labels):
@@ -68,6 +69,15 @@ def test_pr_errors():
             pr_curve([0.9, 0.1], labels)
         with pytest.raises(ValueError, match="labels"):
             stratified_eval([0.9, 0.1], labels, ["other", "other"])
+    # A NaN score was once ranked: stratified_eval([nan, 0.5, 1.0], [D, A, D], ...) gave AP 0.8333.
+    for bad in (math.nan, math.inf, -math.inf):
+        scores, labels = [bad, 0.5, 1.0], [D, A, D]
+        for metric in (pr_curve, average_precision):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                metric(scores, labels)
+        for types in ([None] * 3, ["yes/no", "other", "other"]):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                stratified_eval(scores, labels, types)
 
 
 def test_label_forms_give_identical_metrics():

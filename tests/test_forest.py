@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from crowd_consensus import (
-    AgreementLabel,
     DecisionTree,
     FeatureMode,
     ForestConfig,
@@ -37,7 +36,7 @@ from crowd_consensus import forest
 from crowd_consensus.features import SALIENCY_DIM, FeatureMatrix
 from crowd_consensus.forest import WorkerFailed, _best_split, _grow_forest
 
-A, D = AgreementLabel.AGREEMENT, AgreementLabel.DISAGREEMENT
+A, D = False, True
 
 
 def test_config_validation():

@@ -182,7 +182,7 @@ def test_chunked_load_gives_the_same_corpus(tmp_path):
         for qid in (12345, 7, 8)
     ]}, ensure_ascii=False, indent=1))
     whole = load_corpus(q_path, a_path, format="vqa_v1_json")
-    assert whole.question_ids() == (7, 8, 12345)
+    assert whole.ids.tolist() == [7, 8, 12345]
     for chunk in (1, 2, 3, 5):
         with mock.patch.object(corpus, "_CHUNK_BYTES", chunk):
             assert load_corpus(q_path, a_path, format="vqa_v1_json") == whole
