@@ -43,7 +43,6 @@ from .features import (
     build_vocabularies,
     extract_matrix,
     feature_dimension,
-    tokenize_question,
 )
 from .forest import (
     DecisionTree,
@@ -95,6 +94,5 @@ __all__ = [
     "status_quo_ranking",
     "stratified_eval",
     "sweep",
-    "tokenize_question",
     "train_forest",
 ]

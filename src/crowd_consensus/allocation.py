@@ -126,8 +126,8 @@ def sweep(
         raise InvalidCounts(f"R={r} exceeds the {a} stored answers")
     if mode not in SIMULATION_MODES:
         raise ValueError(f"mode must be one of {SIMULATION_MODES}, got {mode!r}")
-    if mode == "mc" and trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if mode == "mc" and not 1 <= trials < 2**31:
+        raise ValueError(f"trials must be in [1, 2**31), got {trials}")
 
     # terms[k][row]: the row's capture under k answers, times D, as Python ints.
     table = corpus.answer_table

@@ -1,11 +1,13 @@
 """Answer normalization, agreement labels, and crowd agreement statistics.
 
+words() is the one word rule, shared by answers and questions: lowercase,
+strip ASCII punctuation, split on whitespace. An answer is normalized in
+one ordered pass over its words: number words to digits, articles dropped.
 A label is one bool per question, True for disagreement.
 """
 
 from __future__ import annotations
 
-import re
 import string
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,7 +42,6 @@ ARTICLES = frozenset({"a", "an", "the"})
 
 # The 32 ASCII punctuation characters, removed outright.
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
-_DIGIT_COMMA = re.compile(r"(?<=\d),(?=\d)")
 
 
 def rows_by_stratum(answer_types: Sequence[str | None]) -> dict[str, list[int]]:
@@ -54,32 +55,21 @@ def rows_by_stratum(answer_types: Sequence[str | None]) -> dict[str, list[int]]:
     return {s: groups[s] for s in (*ANSWER_TYPES, "unknown") if s in groups}
 
 
-def _normalize_pass(text: str) -> str:
-    # Order matters: articles and number words are matched token-wise, so
-    # case folding and digit-comma stripping must come first.
-    text = text.lower()
-    text = _DIGIT_COMMA.sub("", text)
-    text = " ".join(NUMBER_WORDS.get(tok, tok) for tok in text.split())
-    text = text.translate(_PUNCT_TABLE)
-    return " ".join(tok for tok in text.split() if tok not in ARTICLES)
+def words(text: str) -> list[str]:
+    """Lowercase, strip ASCII punctuation, and split on whitespace."""
+    return text.lower().translate(_PUNCT_TABLE).split()
 
 
 def normalize_answer(raw: str) -> str:
     """Canonicalize one crowd answer for exact-string comparison.
 
-    A pass lowercases, strips commas between digits, maps whole-token
-    number words ("zero".."ten") to digits, removes ASCII punctuation,
-    drops standalone articles, and collapses whitespace. Because removing
-    punctuation can expose new article or number-word tokens ("o!ne" ->
-    "one"), the pass repeats until the string stops changing; the result
-    is therefore always a fixed point of normalization.
+    One ordered pass: lowercase, strip ASCII punctuation, split on
+    whitespace (words()), map whole-word number words ("zero".."ten") to
+    digits, drop standalone articles, and join with single spaces.
+    Punctuation goes before words are matched, so "o!ne" is "1", and the
+    result is a fixed point of normalization.
     """
-    out = _normalize_pass(raw)
-    while True:
-        again = _normalize_pass(out)
-        if again == out:
-            return out
-        out = again
+    return " ".join(NUMBER_WORDS.get(w, w) for w in words(raw) if w not in ARTICLES)
 
 
 @dataclass(frozen=True, eq=False)

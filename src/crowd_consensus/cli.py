@@ -300,10 +300,10 @@ def cmd_allocate(args) -> None:
 
 
 def cmd_sweep(args) -> dict:
-    if args.status_quo_seeds < 1:
-        raise ValueError(f"--status-quo-seeds must be >= 1, got {args.status_quo_seeds}")
-    if args.sim == "mc" and args.trials < 1:
-        raise ValueError(f"--trials must be >= 1 with --sim mc, got {args.trials}")
+    if not 1 <= args.status_quo_seeds < 2**31:
+        raise ValueError(f"--status-quo-seeds must be in [1, 2**31), got {args.status_quo_seeds}")
+    if args.sim == "mc" and not 1 <= args.trials < 2**31:
+        raise ValueError(f"--trials must be in [1, 2**31) with --sim mc, got {args.trials}")
     _check_seed(args)
     budgets = None if args.budgets is None else _parse_budgets(args.budgets)
     corpus, scores = _model_predictions(args)

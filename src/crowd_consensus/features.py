@@ -1,6 +1,7 @@
 """Question tokenization, first/second-word vocabularies, and feature encoding.
 
-A question is described by its token count plus one-hot encodings of its
+A question is split by answers.words, the word rule answer normalization
+also uses, and described by its token count plus one-hot encodings of its
 first and second words against vocabularies learned from training data;
 an image contributes its five salient-object-count probabilities. The
 descriptor is [length | first-word one-hot | second-word one-hot |
@@ -26,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .answers import _PUNCT_TABLE
+from .answers import words
 from .corpus import Corpus, ImageFeatureTable, UNIFORM_SALIENCY
 from .errors import EmptyQuestion
 
@@ -41,21 +42,13 @@ class FeatureMode(enum.Enum):
     QI = "qi"  # both
 
 
-def tokenize_question(question_text: str) -> list[str]:
-    """Lowercase, strip ASCII punctuation, and split on whitespace."""
-    tokens = question_text.lower().translate(_PUNCT_TABLE).split()
-    if not tokens:
-        raise EmptyQuestion(f"question has no tokens: {question_text!r}")
-    return tokens
-
-
 def _question_tokens(corpus: Corpus) -> Iterator[list[str]]:
-    """tokenize_question on each corpus question; EmptyQuestion names its id."""
+    """words() of each corpus question; EmptyQuestion names its id."""
     for i, text in enumerate(corpus.texts):
-        try:
-            yield tokenize_question(text)
-        except EmptyQuestion as exc:
-            raise EmptyQuestion(f"question {corpus.ids[i]}: {exc}") from exc
+        tokens = words(text)
+        if not tokens:
+            raise EmptyQuestion(f"question {corpus.ids[i]}: question has no tokens: {text!r}")
+        yield tokens
 
 
 @dataclass(frozen=True)

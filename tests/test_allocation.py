@@ -358,8 +358,9 @@ def test_sweep_validation():
             sweep(corpus, {"x": orderings}, [1])
     with pytest.raises(ValueError):
         sweep(corpus, {"x": [rows]}, [1], mode="bogus")
-    with pytest.raises(ValueError):
-        sweep(corpus, {"x": [rows]}, [1], mode="mc", trials=0)
+    for trials in (0, 2**31, 99999999999999999999):  # a huge count once ran until stopped
+        with pytest.raises(ValueError, match=r"trials must be in \[1, 2\*\*31\)"):
+            sweep(corpus, {"x": [rows]}, [1], mode="mc", trials=trials)
 
 
 def test_monte_carlo_follows_the_documented_stream():

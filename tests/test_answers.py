@@ -1,4 +1,6 @@
 import random
+import re
+import string
 import tracemalloc
 from collections import Counter
 
@@ -14,7 +16,7 @@ from crowd_consensus import (
     diversity_histogram,
     normalize_answer,
 )
-from crowd_consensus.answers import AnswerTable
+from crowd_consensus.answers import ARTICLES, NUMBER_WORDS, AnswerTable
 from crowd_consensus.errors import AnswerCountMismatch, InvalidThreshold
 
 from conftest import vq
@@ -71,9 +73,10 @@ NORMALIZATION_TABLE = [
     ("  multiple   spaces  here ", "multiple spaces here"),
     ("tab\there", "tab here"),
     ("The  Quick   Brown Fox", "quick brown fox"),
-    ("o!ne", "1"),  # punctuation removal exposes a number word; re-normalized
+    ("o!ne", "1"),  # punctuation goes before number words are matched
     ("t;he cat", "cat"),
     ("café", "café"),
+    ("١,٢", "١٢"),
 ]
 
 RANDOM_ALPHABET = (
@@ -101,6 +104,39 @@ def test_normalization_idempotent_on_random_strings():
 def test_normalization_idempotent_property(s):
     once = normalize_answer(s)
     assert normalize_answer(once) == once
+
+
+def reference_normalize_answer(raw: str) -> str:
+    """normalize_answer as first defined: a five-step pass, repeated until
+    the string stops changing."""
+    punct, digit_comma = str.maketrans("", "", string.punctuation), re.compile(r"(?<=\d),(?=\d)")
+
+    def one_pass(text):
+        text = digit_comma.sub("", text.lower())
+        text = " ".join(NUMBER_WORDS.get(tok, tok) for tok in text.split())
+        text = text.translate(punct)
+        return " ".join(tok for tok in text.split() if tok not in ARTICLES)
+
+    out = one_pass(raw)
+    while (again := one_pass(out)) != out:
+        out = again
+    return out
+
+
+EQUIVALENCE_ALPHABET = st.sampled_from(
+    [*string.punctuation, ",", ",", *"0123456789", *"١٢٣٤٥٦٧٨٩٠", "²", " ", "  ", "\t", "\n",
+     "\u00a0", *"aAbBoOnNeEtThH", "İ", "ﬀ", "é", "ß", "Σ", *NUMBER_WORDS, "ONE", "Ten", *ARTICLES,
+     "The", "AN"]
+)
+
+
+@given(st.lists(EQUIVALENCE_ALPHABET, max_size=20).map("".join))
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@example("o!ne")
+@example("1,000 t,he")
+@example("١,٢")
+def test_normalization_equals_the_repeated_pass(raw):
+    assert normalize_answer(raw) == reference_normalize_answer(raw)
 
 
 def _table(*pools):

@@ -437,11 +437,17 @@ def test_seed_env_var_default(planted_path, tmp_path, monkeypatch):
     ({"train": ["--trees", "99999999999999999999"], "sweep": ["--status-quo-seeds", "0"]}, None),
     ({"train": ["--trees", "9223372036854775809"], "sweep": ["--trials", "0", "--sim", "mc"]},
      None),
+    # Such --status-quo-seeds and --trials values once ran until stopped.
+    ({"train": ["--trees", str(2**31)], "sweep": ["--status-quo-seeds", "99999999999999999999"]},
+     None),
+    ({"train": ["--trees", "0"], "sweep": ["--trials", "99999999999999999999", "--sim", "mc"]},
+     None),
     ([], "abc"),
     ([], "-1"),
     ([], str(2**64)),
 ], ids=["flag-negative", "flag-too-large", "trees-or-budgets", "trees-past-int64",
-        "trees-past-2**63", "env-not-an-integer", "env-negative", "env-too-large"])
+        "trees-past-2**63", "trees-or-status-quo-seeds-huge", "trees-or-trials-huge",
+        "env-not-an-integer", "env-negative", "env-too-large"])
 def test_seed_is_checked_before_loading(tmp_path, monkeypatch, capsys, command, flags, env):
     if isinstance(flags, dict):
         flags = flags[command]

@@ -11,21 +11,22 @@ from crowd_consensus import (
     build_vocabularies,
     extract_matrix,
     feature_dimension,
-    tokenize_question,
 )
+from crowd_consensus.answers import words
 from crowd_consensus.errors import EmptyQuestion
 
 from conftest import vq
 
 
 def test_tokenize_question():
-    assert tokenize_question("What is this?") == ["what", "is", "this"]
-    assert tokenize_question("Why?") == ["why"]
+    assert words("What is this?") == ["what", "is", "this"]
+    assert words("Why?") == ["why"]
 
 
 def test_tokenize_empty_question():
-    with pytest.raises(EmptyQuestion):
-        tokenize_question("  ?? ")
+    corpus = Corpus.from_questions([vq(7, "  ?? ", ["a1"] * 10)])
+    with pytest.raises(EmptyQuestion, match="question 7: question has no tokens"):
+        build_vocabularies(corpus)
 
 
 def extract_features(vq, vocab, table=None, mode=FeatureMode.QI):

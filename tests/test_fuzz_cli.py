@@ -4,9 +4,10 @@ directory.
 
 The corpora, saliency CSVs and model files are written once per module.
 Each example draws a command, its inputs and its flag values, among them
-extreme integers that must be refused before any work is done. Values of
---trees, --trials and --status-quo-seeds that would be accepted are drawn
-small only, so no example scales into real work. derandomize=True makes
+extreme integers that must be refused before any work is done, among
+them --trees, --trials and --status-quo-seeds of 2**31 and more. Values of
+those three flags that would be accepted are drawn small only, so no
+example scales into real work. derandomize=True makes
 every run draw the same examples.
 """
 
@@ -59,8 +60,8 @@ FLAGS = {
         "--s": S,
         "--r": R,
         "--sim": ([None, "exact", "mc"], ["x"]),
-        "--trials": ([None, "1", "2"], ["0", "-1"]),
-        "--status-quo-seeds": ([None, "1", "2"], ["0", "-1"]),
+        "--trials": ([None, "1", "2"], ["0", "-1", str(2**31), *HUGE]),
+        "--status-quo-seeds": ([None, "1", "2"], ["0", "-1", str(2**31), *HUGE]),
         "--seed": SEED,
     },
 }
