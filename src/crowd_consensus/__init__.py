@@ -31,7 +31,6 @@ from .corpus import (
 )
 from .evalmetrics import (
     EvalReport,
-    PrCurve,
     average_precision,
     pr_curve,
     stratified_eval,
@@ -67,7 +66,6 @@ __all__ = [
     "ForestConfig",
     "ForestModel",
     "ImageFeatureTable",
-    "PrCurve",
     "SweepRow",
     "VisualQuestion",
     "Vocabularies",

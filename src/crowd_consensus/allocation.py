@@ -126,8 +126,11 @@ def sweep(
         raise InvalidCounts(f"R={r} exceeds the {a} stored answers")
     if mode not in SIMULATION_MODES:
         raise ValueError(f"mode must be one of {SIMULATION_MODES}, got {mode!r}")
-    if mode == "mc" and not 1 <= trials < 2**31:
-        raise ValueError(f"trials must be in [1, 2**31), got {trials}")
+    if mode == "mc" and not (isinstance(trials, Integral) and not isinstance(trials, bool)
+                             and 1 <= trials < 2**31):
+        raise ValueError(f"trials must be in [1, 2**31), got {trials!r}")
+    if mode == "mc" and (type(seed) is not int or not 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
     # terms[k][row]: the row's capture under k answers, times D, as Python ints.
     table = corpus.answer_table
@@ -148,7 +151,7 @@ def sweep(
         denominator, terms = trials, {k: np.zeros(n, dtype=object) for k in (s, r)}
         ids = corpus.ids.tolist()
         for row in np.flatnonzero(table.distinct_at_least(TRUTH_MIN_COUNT)).tolist():
-            rng = np.random.default_rng([seed & _SEED_MASK, ids[row] & _SEED_MASK])
+            rng = np.random.default_rng([seed, ids[row] & _SEED_MASK])
             codes = table.codes[row]
             # truth[j, u]: slot j gives the question's u-th truth answer.
             truth = codes[:, None] == codes[table.counts[row] >= TRUTH_MIN_COUNT]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -157,10 +158,11 @@ def agreement_label(raw_answers: Sequence[str]) -> bool:
 
 
 def diversity_histogram(corpus: Corpus, m: int) -> dict[int, int]:
-    """Count questions by number of unique valid answers, k = 0..A."""
+    """Count questions by number of unique valid answers, k = 0..A; m is an
+    integer, as a float or bool would be read as another one (1.5 as 2)."""
     a = corpus.answers_per_question
-    if m < 1 or m > a:
-        raise InvalidThreshold(f"m must be in [1, {a}], got {m}")
+    if not (isinstance(m, Integral) and not isinstance(m, bool) and 1 <= m <= a):
+        raise InvalidThreshold(f"m must be in [1, {a}], got {m!r}")
     distinct = corpus.answer_table.distinct_at_least(m)
     return dict(enumerate(np.bincount(distinct, minlength=a + 1).tolist()))
 

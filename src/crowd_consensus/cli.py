@@ -282,7 +282,7 @@ def _write_curve(path: Path, curve) -> None:
     _write_csv(
         path,
         ["threshold", "recall", "precision"],
-        [[_fmt(pt.threshold), _fmt(pt.recall), _fmt(pt.precision)] for pt in curve.points],
+        [[_fmt(pt.threshold), _fmt(pt.recall), _fmt(pt.precision)] for pt in curve],
     )
 
 

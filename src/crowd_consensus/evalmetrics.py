@@ -26,20 +26,13 @@ class PrPoint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PrCurve:
-    points: tuple[PrPoint, ...]
-    n_positive: int
-    n_total: int
-
-
-@dataclass(frozen=True)
 class EvalReport:
     ap_overall: float
     ap_by_type: Mapping[str, float]
     n_by_type: Mapping[str, int]
-    curve_overall: PrCurve
+    curve_overall: tuple[PrPoint, ...]
     #: The PR curve of each stratum in ap_by_type.
-    curve_by_type: Mapping[str, PrCurve]
+    curve_by_type: Mapping[str, tuple[PrPoint, ...]]
 
 
 def _grouped_counts(scores, labels):
@@ -61,13 +54,12 @@ def _grouped_counts(scores, labels):
     return sorted_scores[last], cum_tp[last], last + 1, n_pos
 
 
-def _curve(thresholds, tp, predicted, n_pos) -> PrCurve:
+def _curve(thresholds, tp, predicted, n_pos) -> tuple[PrPoint, ...]:
     """The PR curve of _grouped_counts' groups; the last group ends at the last item."""
-    points = tuple(
+    return tuple(
         PrPoint(recall=t / n_pos, precision=t / p, threshold=float(thr))
         for thr, t, p in zip(thresholds, tp, predicted)
     )
-    return PrCurve(points=points, n_positive=n_pos, n_total=int(predicted[-1]))
 
 
 def _average_precision(tp, predicted, n_pos) -> float:
@@ -76,7 +68,7 @@ def _average_precision(tp, predicted, n_pos) -> float:
     return float(np.sum((tp / predicted) * pos_in_group) / n_pos)
 
 
-def pr_curve(scores: Sequence[float], labels) -> PrCurve:
+def pr_curve(scores: Sequence[float], labels) -> tuple[PrPoint, ...]:
     """Precision/recall at every distinct score threshold, descending."""
     return _curve(*_grouped_counts(scores, labels))
 
@@ -107,14 +99,14 @@ def stratified_eval(
             f"{len(answer_types)} answer types"
         )
 
-    def evaluate(rows) -> tuple[float, PrCurve]:
+    def evaluate(rows) -> tuple[float, tuple[PrPoint, ...]]:
         thresholds, tp, predicted, n_pos = _grouped_counts(scores[rows], labels[rows])
         return _average_precision(tp, predicted, n_pos), _curve(thresholds, tp, predicted, n_pos)
 
     ap_overall, curve_overall = evaluate(slice(None))
     ap_by_type: dict[str, float] = {}
     n_by_type: dict[str, int] = {}
-    curve_by_type: dict[str, PrCurve] = {}
+    curve_by_type: dict[str, tuple[PrPoint, ...]] = {}
     if any(t is not None for t in answer_types):
         for stratum, rows in rows_by_stratum(answer_types).items():
             n_by_type[stratum] = len(rows)

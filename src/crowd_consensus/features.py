@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -77,14 +76,6 @@ class Vocabularies:
                 raise ValueError("vocabularies must be lists of distinct strings")
         return cls(tuple(doc["first"]), tuple(doc["second"]))
 
-    @cached_property
-    def first_index(self) -> dict[str, int]:
-        return {word: i for i, word in enumerate(self.first_words)}
-
-    @cached_property
-    def second_index(self) -> dict[str, int]:
-        return {word: i for i, word in enumerate(self.second_words)}
-
 
 def build_vocabularies(training_corpus: Corpus) -> Vocabularies:
     """Collect distinct first and second words over a training corpus.
@@ -104,13 +95,20 @@ def build_vocabularies(training_corpus: Corpus) -> Vocabularies:
     return Vocabularies(first_words=tuple(first), second_words=tuple(second))
 
 
+def _blocks(mode: FeatureMode) -> tuple[bool, bool]:
+    """(reads the question, reads the image); ValueError unless mode is a FeatureMode."""
+    if not isinstance(mode, FeatureMode):
+        raise ValueError(f"mode must be a FeatureMode, got {mode!r}")
+    return mode is not FeatureMode.I, mode is not FeatureMode.Q
+
+
 def _column_map(vocab: Vocabularies, mode: FeatureMode) -> np.ndarray:
     """The mode's descriptor columns in order, as FeatureMatrix.source.
 
     The values rows are length, first word and second word when the mode
     reads the question, then p0..p4 when it reads the image.
     """
-    question, image = mode is not FeatureMode.I, mode is not FeatureMode.Q
+    question, image = _blocks(mode)
     source = []
     if question:
         source.append((0, -1))
@@ -182,17 +180,17 @@ def extract_matrix(
     one-hot block all zero, as does a missing second word. Images absent
     from the table get the uniform saliency fallback.
     """
-    question, image = mode is not FeatureMode.I, mode is not FeatureMode.Q
+    question, image = _blocks(mode)
     values = np.empty((3 * question + SALIENCY_DIM * image, len(corpus)))
 
     if question:
-        unseen = (len(vocab.first_words), len(vocab.second_words))
+        first, second = vocab.first_words, vocab.second_words
+        first_id = {word: i for i, word in enumerate(first)}
+        second_id = {word: i for i, word in enumerate(second)}
         for i, tokens in enumerate(_question_tokens(corpus)):
             values[0, i] = len(tokens)
-            values[1, i] = vocab.first_index.get(tokens[0], unseen[0])
-            values[2, i] = (
-                vocab.second_index.get(tokens[1], unseen[1]) if len(tokens) > 1 else unseen[1]
-            )
+            values[1, i] = first_id.get(tokens[0], len(first))
+            values[2, i] = second_id.get(tokens[1], len(second)) if len(tokens) > 1 else len(second)
 
     if image:
         probs = table.lookup(corpus.image_ids) if table is not None else np.array([UNIFORM_SALIENCY])

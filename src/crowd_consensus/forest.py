@@ -112,6 +112,8 @@ def train_forest(
     config the result is identical, and a FeatureMatrix grows the same
     trees as its dense np.asarray form.
     """
+    if not isinstance(feature_mode, FeatureMode):
+        raise ValueError(f"feature_mode must be a FeatureMode, got {feature_mode!r}")
     X = _encoded(X)
     n, d = X.shape
     if n < 2:
@@ -127,8 +129,7 @@ def train_forest(
             raise DimensionMismatch(
                 f"vocabularies imply {expected} features but X has {d}"
             )
-    k = max(1, math.ceil(math.sqrt(d)))
-    trees = _grow_forest(X, y01, k, config.seed, config.n_trees)
+    trees = _grow_forest(X, y01, config.seed, config.n_trees)
     return ForestModel(
         trees=trees,
         config=config,
@@ -173,7 +174,7 @@ def _available_cpus() -> int:
 
 
 def _grow_forest(
-    X: FeatureMatrix, y: np.ndarray, k: int, seed: int, n_trees: int
+    X: FeatureMatrix, y: np.ndarray, seed: int, n_trees: int
 ) -> tuple[DecisionTree, ...]:
     """Trees 0..n_trees-1, grown by w processes.
 
@@ -188,15 +189,12 @@ def _grow_forest(
     does not depend on w. A worker that fails or dies raises WorkerFailed
     here, after every worker has been killed and reaped.
     """
-    # Bincounts of a word row need width bins to count every word a one-hot column reads.
-    width = int(X.source[:, 1].max(initial=-1)) + 1
-
     def grow(trees: range) -> list[DecisionTree]:
-        return [_grow_tree(X, y, np.random.default_rng([seed, t]), k, width) for t in trees]
+        return [_grow_tree(X, y, np.random.default_rng([seed, t])) for t in trees]
 
     rng = np.random.default_rng([seed, 0])  # off the clock: the first call imports numpy.random
     start = time.perf_counter()
-    first = [_grow_tree(X, y, rng, k, width)]
+    first = [_grow_tree(X, y, rng)]
     pace = time.perf_counter() - start
     workers = min(_available_cpus(), n_trees)
     handed_out = n_trees - len(range(0, n_trees, workers))  # 0 for one CPU or one tree
@@ -262,15 +260,12 @@ def _work(grow, trees: range, r: int, write: int) -> NoReturn:
         os._exit(code)
 
 
-def _grow_tree(
-    X: FeatureMatrix,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    k: int,
-    width: int,
-) -> DecisionTree:
+def _grow_tree(X: FeatureMatrix, y: np.ndarray, rng: np.random.Generator) -> DecisionTree:
     n = y.size
     d = len(X.source)
+    k = max(1, math.ceil(math.sqrt(d)))  # features drawn at each node
+    # Bincounts of a word row need width bins to count every word a one-hot column reads.
+    width = int(X.source[:, 1].max(initial=-1)) + 1
     # The bootstrap draw is the generator's first use, so a tree's sample
     # is reproducible from (seed, tree index) alone.
     bootstrap = rng.integers(0, n, size=n)

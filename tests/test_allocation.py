@@ -358,14 +358,24 @@ def test_sweep_validation():
             sweep(corpus, {"x": orderings}, [1])
     with pytest.raises(ValueError):
         sweep(corpus, {"x": [rows]}, [1], mode="bogus")
-    for trials in (0, 2**31, 99999999999999999999):  # a huge count once ran until stopped
+    # A huge count once ran until stopped; True ran one trial.
+    for trials in (0, 2**31, 99999999999999999999, True, 1.5, 50.0):
         with pytest.raises(ValueError, match=r"trials must be in \[1, 2\*\*31\)"):
             sweep(corpus, {"x": [rows]}, [1], mode="mc", trials=trials)
+    # The stream was seeded with seed mod 2**64, so 2**64 drew seed 0's trials
+    # and -1 drew 2**64 - 1's; 1.5 raised a bare TypeError.
+    for seed in (2**64, -1, 1.5, True, "1"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            sweep(corpus, {"x": [rows]}, [1], mode="mc", trials=5, seed=seed)
+    # The exact mode reads neither.
+    assert sweep(corpus, {"x": [rows]}, [1], trials=True, seed=-1) == sweep(
+        corpus, {"x": [rows]}, [1]
+    )
 
 
 def test_monte_carlo_follows_the_documented_stream():
     random12 = make_random_corpus(12, seed=4)
-    # A negative seed and a negative id pin the mod-2**64 wrap of both.
+    # A negative id pins its mod-2**64 wrap; seed 2**64 - 5 is the top of the seed range.
     pools = [["a"] * 3 + ["b"] * 3 + ["c"] * 2 + ["d", "e"], ["x"] * 5 + ["y"] * 5]
     wrapped = Corpus.from_questions(
         [vq(qid, "what is it", pool) for qid, pool in zip((7, -3), pools)]
@@ -374,7 +384,7 @@ def test_monte_carlo_follows_the_documented_stream():
     chunked = 2 * _MC_TRIAL_CHUNK + 7
     cases = [
         (random12, status_quo_ranking(12, seed=2), [0, 5, 12], 8, 30),
-        (wrapped, [0, 1], [0, 1, 2], -5, 30),  # ids -3, then 7
+        (wrapped, [0, 1], [0, 1, 2], 2**64 - 5, 30),  # ids -3, then 7
         (wrapped, [1, 0], [0, 1, 2], 3, chunked),
     ]
     for corpus, ranking, budgets, seed, trials in cases:

@@ -179,6 +179,11 @@ def test_valid_answers_threshold_validation():
         diversity_histogram(corpus, m=0)
     with pytest.raises(InvalidThreshold):
         diversity_histogram(corpus, m=11)
+    # 1.5 once gave the m = 2 histogram, 2.5 the m = 3 one and True the m = 1 one.
+    for m in (1.5, 2.5, 2.0, True):
+        with pytest.raises(InvalidThreshold, match="m must be in"):
+            diversity_histogram(corpus, m)
+    assert diversity_histogram(corpus, np.int64(2)) == diversity_histogram(corpus, 2)
 
 
 def test_agreement_label_rule():

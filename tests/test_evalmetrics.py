@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from crowd_consensus import (
     pr_curve,
     stratified_eval,
 )
+from crowd_consensus.cli import main
 from crowd_consensus.errors import LengthMismatch, NoPositives
 
 A, D = False, True
@@ -28,27 +30,25 @@ def reference_average_precision(scores, labels):
 
 def test_pr_curve_hand_enumeration():
     curve = pr_curve([0.9, 0.8, 0.7], [D, A, D])
-    assert curve.n_positive == 2
-    assert curve.n_total == 3
     expected = [(0.5, 1.0, 0.9), (0.5, 0.5, 0.8), (1.0, 2 / 3, 0.7)]
-    assert [tuple(pt) for pt in curve.points] == pytest.approx(expected)
+    assert [tuple(pt) for pt in curve] == pytest.approx(expected)
 
 
 def test_pr_curve_perfect_ranking_reaches_top_right():
     curve = pr_curve([0.9, 0.8, 0.2, 0.1], [D, D, A, A])
-    assert (1.0, 1.0) in {(pt.recall, pt.precision) for pt in curve.points}
+    assert (1.0, 1.0) in {(pt.recall, pt.precision) for pt in curve}
 
 
 def test_pr_curve_all_positive():
     curve = pr_curve([0.3, 0.2, 0.1], [D, D, D])
-    assert all(pt.precision == 1.0 for pt in curve.points)
+    assert all(pt.precision == 1.0 for pt in curve)
 
 
 def test_pr_curve_recall_non_decreasing():
     rng = np.random.default_rng(5)
     scores = rng.choice([0.1, 0.3, 0.5, 0.9], size=40)
     labels = [D if v else A for v in rng.random(40) < 0.4]
-    recalls = [pt.recall for pt in pr_curve(scores, labels).points]
+    recalls = [pt.recall for pt in pr_curve(scores, labels)]
     assert recalls == sorted(recalls)
 
 
@@ -188,3 +188,18 @@ def test_stratified_eval_untyped_items():
 def test_stratified_eval_length_check():
     with pytest.raises(LengthMismatch):
         stratified_eval([0.5], [D], ["yes/no", "other"])
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def test_golden_pr_curves_byte_for_byte(tmp_path):
+    # Written by `eval` with the golden model on the golden corpus. report.json is
+    # not pinned: its AP goes through np.sum, which can differ by an ulp between
+    # numpy versions.
+    assert main(["eval", "--corpus", str(GOLDEN / "corpus.jsonl"),
+                 "--model", str(GOLDEN / "model.json"), "--out-dir", str(tmp_path)]) == 0
+    written = sorted(path.name for path in tmp_path.glob("pr_*.csv"))
+    assert written == ["pr_other.csv", "pr_overall.csv", "pr_yes_no.csv"]
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

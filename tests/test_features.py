@@ -6,11 +6,14 @@ import pytest
 from crowd_consensus import (
     Corpus,
     FeatureMode,
+    ForestConfig,
     ImageFeatureTable,
     Vocabularies,
     build_vocabularies,
     extract_matrix,
     feature_dimension,
+    make_planted_corpus,
+    train_forest,
 )
 from crowd_consensus.answers import words
 from crowd_consensus.errors import EmptyQuestion
@@ -121,6 +124,23 @@ def test_truncated_layout_drops_blocks(small_corpus):
     assert feature_dimension(vocab, FeatureMode.Q) == 6
     assert feature_dimension(vocab, FeatureMode.I) == 5
     assert feature_dimension(vocab, FeatureMode.QI) == 11
+
+
+def test_a_mode_must_be_a_feature_mode():
+    # The string "q" was neither FeatureMode.I nor FeatureMode.Q, so it built
+    # the 19-column qi matrix here, and save_model then failed on "q".value.
+    corpus = make_planted_corpus(40, seed=1)
+    vocab = build_vocabularies(corpus)
+    assert feature_dimension(vocab, FeatureMode.Q) == 14
+    X = extract_matrix(corpus, vocab, mode=FeatureMode.Q)
+    y = corpus.answer_table.labels()
+    for mode in ("q", "qi", None):
+        with pytest.raises(ValueError, match="mode must be a FeatureMode"):
+            feature_dimension(vocab, mode)
+        with pytest.raises(ValueError, match="mode must be a FeatureMode"):
+            extract_matrix(corpus, vocab, mode=mode)
+        with pytest.raises(ValueError, match="mode must be a FeatureMode"):
+            train_forest(X, y, ForestConfig(n_trees=1), vocab=vocab, feature_mode=mode)
 
 
 def test_ablation_nesting(small_corpus):

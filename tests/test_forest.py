@@ -510,14 +510,13 @@ def forks(monkeypatch):
 def test_trees_do_not_depend_on_the_worker_count(training_sets, monkeypatch, forks, kind,
                                                   n_trees):
     X, y = training_sets[kind]
-    k = math.ceil(math.sqrt(X.shape[1]))
     _on_cpus(monkeypatch, 1)
-    one = _tree_arrays(_grow_forest(X, y, k, 11, n_trees))
+    one = _tree_arrays(_grow_forest(X, y, 11, n_trees))
     assert len(one) == n_trees and not forks
     for cpus in (2, 3):  # 3 workers for 1 or 2 trees leaves a worker without trees
         _on_cpus(monkeypatch, cpus)
         del forks[:]
-        assert _tree_arrays(_grow_forest(X, y, k, 11, n_trees)) == one
+        assert _tree_arrays(_grow_forest(X, y, 11, n_trees)) == one
         assert len(forks) == min(cpus, n_trees) - 1
     if n_trees % 2:
         for cpus in (1, 2, 3):
@@ -568,7 +567,7 @@ def test_forking_leaves_the_callers_gc_freeze_as_it_was(training_sets, monkeypat
     if caller_froze:
         gc.freeze()
     try:
-        _grow_forest(X, y, 3, 11, 3)
+        _grow_forest(X, y, 11, 3)
         assert (gc.get_freeze_count() > 0) == caller_froze
     finally:
         gc.unfreeze()

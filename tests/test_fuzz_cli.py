@@ -8,11 +8,15 @@ extreme integers that must be refused before any work is done, among
 them --trees, --trials and --status-quo-seeds of 2**31 and more. Values of
 those three flags that would be accepted are drawn small only, so no
 example scales into real work. derandomize=True makes
-every run draw the same examples.
+every run draw the same examples. The draws need not pair a refused count
+with otherwise valid inputs, so each refused value of those three flags
+also runs once with the valid planted corpus and a trained model, under a
+deadline: a count that escaped its bound would run there until stopped.
 """
 
 import itertools
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -163,3 +167,36 @@ def test_every_command_exits_zero_or_two(inputs, run):
         code = exc.code
     assert code in (0, 2), argv
     assert code == 0 or not out.exists(), argv
+
+
+#: Each refused --trees, --trials and --status-quo-seeds value, with the command that reads it.
+REFUSED_COUNTS = [
+    (command, flag, value)
+    for command, flag in [("train", "--trees"), ("sweep", "--trials"),
+                          ("sweep", "--status-quo-seeds")]
+    for value in FLAGS[command][flag][1]
+]
+
+
+@pytest.mark.parametrize("command, flag, value", REFUSED_COUNTS)
+def test_a_refused_count_with_valid_inputs_exits_two_at_once(inputs, capsys, command, flag,
+                                                             value):
+    words, out_dirs = inputs
+    out = next(out_dirs)
+    argv = [command, "--out-dir", str(out), *words["corpus"]["planted"], flag, value]
+    if command == "sweep":
+        argv += words["model"]["q"] + ["--sim", "mc"] * (flag == "--trials")
+
+    def expire(signum, frame):  # pytest.fail is a BaseException, which main does not catch
+        pytest.fail(f"{argv} still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2, argv
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
