@@ -17,7 +17,6 @@ from .allocation import (
 from .answers import (
     AgreementRates,
     agreement_by_answer_type,
-    agreement_label,
     diversity_histogram,
     normalize_answer,
 )
@@ -52,7 +51,7 @@ from .forest import (
     save_model,
     train_forest,
 )
-from .synthetic import make_planted_corpus, make_random_corpus
+from .synthetic import make_planted_corpus
 
 __version__ = "0.1.0"
 
@@ -70,7 +69,6 @@ __all__ = [
     "VisualQuestion",
     "Vocabularies",
     "agreement_by_answer_type",
-    "agreement_label",
     "average_precision",
     "build_vocabularies",
     "diversity_histogram",
@@ -81,7 +79,6 @@ __all__ = [
     "load_model",
     "make_plan",
     "make_planted_corpus",
-    "make_random_corpus",
     "normalize_answer",
     "oracle_ranking",
     "pr_curve",

@@ -50,7 +50,11 @@ def rank_by_disagreement(scores: Sequence[float]) -> list[int]:
 
 
 def status_quo_ranking(n: int, seed) -> list[int]:
-    """Uniform random priority order of n corpus rows, deterministic given the seed."""
+    """Uniform random priority order of n corpus rows, deterministic given the
+    seed: an integer in [0, 2**64) or a list of them, like the CLI's [seed, k]."""
+    # type(), unlike isinstance, refuses a bool as well as a float.
+    if not all(type(x) is int and 0 <= x < 2**64 for x in (seed if type(seed) is list else [seed])):
+        raise ValueError(f"seed must be an integer in [0, 2**64) or a list of them, got {seed!r}")
     return np.random.default_rng(seed).permutation(n).tolist()
 
 

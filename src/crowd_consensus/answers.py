@@ -3,7 +3,8 @@
 words() is the one word rule, shared by answers and questions: lowercase,
 strip ASCII punctuation, split on whitespace. An answer is normalized in
 one ordered pass over its words: number words to digits, articles dropped.
-A label is one bool per question, True for disagreement.
+AnswerTable.labels() is the one labeler. A label is one bool per
+question, True for disagreement, and disagreement_mask reads only bools.
 """
 
 from __future__ import annotations
@@ -117,7 +118,11 @@ class AnswerTable:
         return counts
 
     def distinct_at_least(self, m: int) -> np.ndarray:
-        """Per pool: number of distinct normalized answers given at least m times."""
+        """Per pool: number of distinct normalized answers given at least m times;
+        m is an integer >= 1 (a float or bool would be read as another m), and
+        m > A counts 0."""
+        if not (isinstance(m, Integral) and not isinstance(m, bool) and m >= 1):
+            raise InvalidThreshold(f"m must be an integer >= 1, got {m!r}")
         return (self.counts >= m).sum(axis=1)
 
     def labels(self) -> np.ndarray:
@@ -131,30 +136,15 @@ class AnswerTable:
 def disagreement_mask(labels) -> np.ndarray:
     """Labels as an (n,) bool array, True for disagreement.
 
-    Accepts bools or 0/1 integers; anything else (strings, floats, plain
-    objects) raises ValueError rather than being read by truthiness.
+    Only bools are labels; 0/1 integers, strings, floats and plain objects
+    raise ValueError rather than being read by value or truthiness.
     """
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ValueError(f"labels must be one-dimensional, got shape {y.shape}")
-    if y.size == 0 or y.dtype == bool:
-        return y.astype(bool)
-    if y.dtype.kind not in "iu" or not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be bools or 0/1 integers")
-    return y == 1
-
-
-def agreement_label(raw_answers: Sequence[str]) -> bool:
-    """One pool's label, True for disagreement: agreement iff all but at
-    most one of the answers match exactly.
-
-    With A stored answers the rule is: modal normalized-answer count
-    >= A - 1, which tolerates a single careless or spam response.
-    """
-    code_of_raw: dict[str, int] = {}
-    raw_codes = [[code_of_raw.setdefault(raw, len(code_of_raw)) for raw in raw_answers]]
-    [disagrees] = AnswerTable(tuple(code_of_raw), np.array(raw_codes, dtype=np.int32)).labels()
-    return bool(disagrees)
+    if y.size and y.dtype != bool:
+        raise ValueError(f"labels must be bools, got dtype {y.dtype}")
+    return y.astype(bool)
 
 
 def diversity_histogram(corpus: Corpus, m: int) -> dict[int, int]:

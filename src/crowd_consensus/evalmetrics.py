@@ -1,7 +1,7 @@
 """Precision-recall curves, average precision, and stratified reports.
 
-Disagreement is the positive class throughout; labels are read by
-answers.disagreement_mask, so True or 1 is disagreement. Precision
+Disagreement is the positive class throughout: labels are bools, read by
+answers.disagreement_mask, and True is disagreement. Precision
 guards against wasting redundant answer collection, recall against
 missing questions that genuinely elicit diverse answers. Items sharing
 a score enter the ranking as one threshold group, which makes every

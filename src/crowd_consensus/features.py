@@ -14,8 +14,8 @@ each question's vocabulary id (the block's vocabulary size when the word
 is unseen or missing), plus a map from every descriptor column to its
 row, so a question costs at most 64 bytes (eight floats) however large
 the vocabularies are. The forest trains and predicts on this encoding in
-place; np.asarray(matrix) builds the dense descriptor matrix when one is
-needed (for code that expects a plain array).
+place, and it is the forest's only input: FeatureMatrix.from_dense wraps
+a plain all-numeric array.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .answers import words
 from .corpus import Corpus, ImageFeatureTable, UNIFORM_SALIENCY
-from .errors import EmptyQuestion
+from .errors import DimensionMismatch, EmptyQuestion
 
 SALIENCY_DIM = 5
 
@@ -134,16 +134,18 @@ class FeatureMatrix:
     unseen or missing word is coded as the block's vocabulary size, a
     word no one-hot column reads. source maps each descriptor column f to
     (r, -1), numeric row r, or to (r, w), the one-hot column that is 1
-    where values[r] == w. np.asarray(matrix) gives the dense float64
-    descriptor matrix.
+    where values[r] == w.
     """
 
     values: np.ndarray  # (rows, n) float64, C-contiguous
     source: np.ndarray  # (d, 2) int64
 
     @classmethod
-    def from_dense(cls, X: np.ndarray) -> "FeatureMatrix":
-        """Treat every column of a 2-d float64 array as numeric."""
+    def from_dense(cls, X) -> "FeatureMatrix":
+        """Every column of X, an (n, d) array or a sequence of d-vectors, as numeric."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise DimensionMismatch(f"X must be 2-dimensional, got shape {X.shape}")
         d = X.shape[1]
         source = np.column_stack([np.arange(d), np.full(d, -1)])
         return cls(np.ascontiguousarray(X.T), source)
@@ -158,12 +160,6 @@ class FeatureMatrix:
 
     def __len__(self) -> int:
         return self.values.shape[1]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        row, word = self.source.T
-        values = self.values[row].T
-        dense = np.where(word < 0, values, values == word)
-        return dense if dtype is None else dense.astype(dtype, copy=False)
 
 
 def extract_matrix(

@@ -21,9 +21,7 @@ per-node bincounts of its word row. Prediction sends all rows down each
 tree together, one numpy step per tree level, and returns one float64
 array: each row's share of trees voting disagreement. Turning a share
 into a label is left to the caller (the CLI labels p > 0.5 as
-disagreement). A plain dense array is accepted everywhere and treated as
-all-numeric columns; it gives the same trees and predictions as its
-encoded form.
+disagreement).
 """
 
 from __future__ import annotations
@@ -94,7 +92,7 @@ class ForestModel:
 
 
 def train_forest(
-    X,
+    X: FeatureMatrix,
     y,
     config: ForestConfig,
     *,
@@ -103,18 +101,15 @@ def train_forest(
 ) -> ForestModel:
     """Fit the ensemble.
 
-    X is a FeatureMatrix from extract_matrix, or any (n, d) array (or
-    sequence of d-vectors), whose columns are then all numeric; y holds
-    one label per row, read by answers.disagreement_mask (True or 1 is
-    disagreement). Each tree draws its own bootstrap sample of size n and
-    grows until its leaves are pure or no split of the ceil(sqrt(d))
-    features drawn at a node reduces impurity. Given identical data and
-    config the result is identical, and a FeatureMatrix grows the same
-    trees as its dense np.asarray form.
+    X is a FeatureMatrix, from extract_matrix or FeatureMatrix.from_dense;
+    y holds one bool label per row, True for disagreement. Each tree draws
+    its own bootstrap sample of size n and grows until its leaves are pure
+    or no split of the ceil(sqrt(d)) features drawn at a node reduces
+    impurity. Given identical data and config the result is identical.
     """
     if not isinstance(feature_mode, FeatureMode):
         raise ValueError(f"feature_mode must be a FeatureMode, got {feature_mode!r}")
-    X = _encoded(X)
+    _check_matrix(X)
     n, d = X.shape
     if n < 2:
         raise EmptyTrainingSet(f"need at least 2 training examples, got {n}")
@@ -139,20 +134,13 @@ def train_forest(
     )
 
 
-def _encoded(X) -> FeatureMatrix:
-    """X itself if encoded; a dense (n, d) array becomes d numeric columns.
-
-    Raises ValueError on a NaN or infinite value, which no cut separates
-    from its neighbours.
-    """
+def _check_matrix(X) -> None:
+    """ValueError unless X is a FeatureMatrix of finite values: no cut
+    separates a NaN or infinite value from its neighbours."""
     if not isinstance(X, FeatureMatrix):
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise DimensionMismatch(f"X must be 2-dimensional, got shape {X.shape}")
-        X = FeatureMatrix.from_dense(X)
+        raise ValueError(f"X must be a FeatureMatrix (see from_dense), got {type(X).__name__}")
     if not np.isfinite(X.values).all():
         raise ValueError("X holds NaN or infinite values")
-    return X
 
 
 class WorkerFailed(RuntimeError):
@@ -425,10 +413,9 @@ def _leaves(tree: DecisionTree, X: FeatureMatrix) -> np.ndarray:
     return node
 
 
-def predict_many(model: ForestModel, X) -> np.ndarray:
-    """The (n,) float64 vote shares of every row of X (a FeatureMatrix or a
-    dense (n, d) array); each is a multiple of 1 / n_trees."""
-    X = _encoded(X)
+def predict_many(model: ForestModel, X: FeatureMatrix) -> np.ndarray:
+    """The (n,) float64 vote shares of every row of X; each is a multiple of 1 / n_trees."""
+    _check_matrix(X)
     if X.shape[1] != model.n_features:
         raise DimensionMismatch(
             f"model expects (n, {model.n_features}) features, got shape {X.shape}"

@@ -1,4 +1,4 @@
-"""Seeded synthetic corpora for desk-scale experiments and benchmarks.
+"""A seeded synthetic corpus for desk-scale experiments and benchmarks.
 
 The planted corpus carries a text signal: questions opening with "why"
 get diverse answer pools (disagreement), questions opening with "is" get
@@ -119,33 +119,6 @@ def _answer_type_of(pool: list[str]) -> str:
     if modal.isdigit():
         return "number"
     return "other"
-
-
-def make_random_corpus(n_questions: int, seed: int = 0) -> Corpus:
-    """Random questions with A = 10 answers of varied repetition, for property tests."""
-    rng = np.random.default_rng(seed)
-    openers = ("what", "why", "is", "how", "where", "does")
-    questions = []
-    for i in range(n_questions):
-        n_words = int(rng.integers(1, 5))
-        words = [_pick(rng, openers)] + [
-            _pick(rng, _SUBJECTS) for _ in range(n_words - 1)
-        ]
-        # Small answer banks force repeats (some truth); large ones force spread.
-        bank_size = int(rng.integers(2, 16))
-        bank = rng.choice(len(_DIVERSE_ANSWERS), size=bank_size, replace=False)
-        pool = tuple(
-            _DIVERSE_ANSWERS[bank[k]] for k in rng.integers(0, bank_size, size=A)
-        )
-        questions.append(
-            VisualQuestion(
-                question_id=i,
-                image_id=int(rng.integers(0, 1000)),
-                question_text=" ".join(words),
-                raw_answers=pool,
-            )
-        )
-    return Corpus.from_questions(questions)
 
 
 def _pick(rng: np.random.Generator, options):

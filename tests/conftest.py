@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from crowd_consensus import Corpus, VisualQuestion, normalize_answer
+from crowd_consensus.corpus import DEFAULT_ANSWERS_PER_QUESTION
+from crowd_consensus.synthetic import _DIVERSE_ANSWERS, _SUBJECTS, _pick
 
 
 def vq(qid, text, answers, answer_type=None, image_id=None):
@@ -32,6 +34,42 @@ def mixed_corpus():
             vq(6, "what is on the table", ["lamp"] * 8 + ["light", "bulb"]),
         ]
     )
+
+
+def make_random_corpus(n_questions: int, seed: int = 0) -> Corpus:
+    """Random questions with A = 10 answers of varied repetition, for property tests."""
+    rng = np.random.default_rng(seed)
+    openers = ("what", "why", "is", "how", "where", "does")
+    questions = []
+    for i in range(n_questions):
+        n_words = int(rng.integers(1, 5))
+        words = [_pick(rng, openers)] + [
+            _pick(rng, _SUBJECTS) for _ in range(n_words - 1)
+        ]
+        # Small answer banks force repeats (some truth); large ones force spread.
+        bank_size = int(rng.integers(2, 16))
+        bank = rng.choice(len(_DIVERSE_ANSWERS), size=bank_size, replace=False)
+        pool = tuple(
+            _DIVERSE_ANSWERS[bank[k]]
+            for k in rng.integers(0, bank_size, size=DEFAULT_ANSWERS_PER_QUESTION)
+        )
+        questions.append(
+            VisualQuestion(
+                question_id=i,
+                image_id=int(rng.integers(0, 1000)),
+                question_text=" ".join(words),
+                raw_answers=pool,
+            )
+        )
+    return Corpus.from_questions(questions)
+
+
+def dense(X):
+    """X, a FeatureMatrix, as its (n, d) float64 descriptor matrix: numeric
+    columns as stored, a one-hot column 1.0 where its word row holds its word."""
+    row, word = X.source.T
+    values = X.values[row].T
+    return np.where(word < 0, values, values == word)
 
 
 def write_jsonl(path, records):

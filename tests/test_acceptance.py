@@ -15,14 +15,13 @@ import numpy as np
 
 from crowd_consensus import (
     Corpus,
+    FeatureMatrix,
     ForestConfig,
     FeatureMode,
-    agreement_label,
     average_precision,
     build_vocabularies,
     extract_matrix,
     make_planted_corpus,
-    make_random_corpus,
     normalize_answer,
     oracle_ranking,
     predict_many,
@@ -35,6 +34,7 @@ from crowd_consensus import (
 )
 from crowd_consensus.cli import main
 
+from conftest import make_random_corpus
 from test_answers import NORMALIZATION_TABLE, RANDOM_ALPHABET
 from test_evalmetrics import reference_average_precision
 
@@ -106,7 +106,7 @@ def _planted_pipeline():
     test_split = Corpus.from_questions(rows[1500:])
     vocab = build_vocabularies(train_split)
     X_train = extract_matrix(train_split, vocab, mode=FeatureMode.Q)
-    y_train = [agreement_label(q.raw_answers) for q in train_split]
+    y_train = train_split.answer_table.labels()
     model = train_forest(
         X_train,
         y_train,
@@ -122,7 +122,7 @@ def test_criterion_4_end_to_end_planted_signal():
         corpus, test_split, vocab, model = _planted_pipeline()
         X_test = extract_matrix(test_split, vocab, mode=FeatureMode.Q)
         scores = predict_many(model, X_test)
-        labels = [agreement_label(q.raw_answers) for q in test_split]
+        labels = test_split.answer_table.labels().tolist()
         ap = average_precision(scores, labels)
         assert ap >= 0.95, f"held-out AP {ap:.4f}"
         # Planted-signal sanity: disagreement questions score higher on average.
@@ -188,11 +188,11 @@ def test_criterion_6_determinism(tmp_path):
 
         # Tree t depends only on (seed, t): a smaller forest is a prefix.
         X = np.random.default_rng(3).normal(size=(120, 6))
-        y = (X[:, 0] > 0).astype(int)
+        features, y = FeatureMatrix.from_dense(X), X[:, 0] > 0
         trees = {}
         for n_trees in (3, 5):
             path = tmp_path / f"forest{n_trees}.json"
-            save_model(train_forest(X, y, ForestConfig(n_trees=n_trees, seed=5)), path)
+            save_model(train_forest(features, y, ForestConfig(n_trees=n_trees, seed=5)), path)
             trees[n_trees] = json.loads(path.read_text())["trees"]
         assert json.dumps(trees[3]) == json.dumps(trees[5][:3])
 

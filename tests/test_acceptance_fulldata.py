@@ -17,7 +17,6 @@ from crowd_consensus import (
     ForestConfig,
     FeatureMode,
     agreement_by_answer_type,
-    agreement_label,
     build_vocabularies,
     diversity_histogram,
     extract_matrix,
@@ -92,7 +91,7 @@ def test_criterion_12_allocation_gain():
     train_split, val_split = _split("train"), _split("val")
     vocab = build_vocabularies(train_split)
     X_train = extract_matrix(train_split, vocab, mode=FeatureMode.Q)
-    y_train = [agreement_label(q.raw_answers) for q in train_split]
+    y_train = train_split.answer_table.labels()
     model = train_forest(
         X_train, y_train, ForestConfig(n_trees=25, seed=11),
         vocab=vocab, feature_mode=FeatureMode.Q,

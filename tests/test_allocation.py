@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from crowd_consensus import (
     Corpus,
     make_plan,
-    make_random_corpus,
     oracle_ranking,
     rank_by_disagreement,
     status_quo_ranking,
@@ -22,6 +21,7 @@ from crowd_consensus.allocation import _MC_TRIAL_CHUNK, TRUTH_MIN_COUNT
 from crowd_consensus.errors import InvalidBudget, InvalidCounts, KeyMismatch
 
 from conftest import (
+    make_random_corpus,
     reference_exact_capture,
     reference_mc,
     reference_truth_counts,
@@ -56,6 +56,16 @@ def test_status_quo_ranking_deterministic():
     assert sorted(status_quo_ranking(50, seed=4)) == rows
     assert status_quo_ranking(1, seed=0) == [0]
     assert all(type(row) is int for row in status_quo_ranking(50, seed=4))
+
+
+def test_status_quo_seed_must_be_an_integer_in_range():
+    # 1.5 gave numpy's bare TypeError, -1 and [0, -1] its bare ValueError,
+    # True was read as seed 1, and None drew fresh entropy.
+    for seed in (1.5, -1, 2**64, [0, -1], [0, 2**64], [0, True], True, None, np.int64(4), (4, 0)):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            status_quo_ranking(5, seed)
+    for seed in (0, 2**64 - 1, [2**64 - 1, 3]):
+        assert status_quo_ranking(5, seed) == np.random.default_rng(seed).permutation(5).tolist()
 
 
 def _diversity_corpus():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from crowd_consensus import (
     Corpus,
     agreement_by_answer_type,
-    agreement_label,
     diversity_histogram,
+    make_planted_corpus,
     normalize_answer,
 )
 from crowd_consensus.answers import ARTICLES, NUMBER_WORDS, AnswerTable
@@ -144,6 +144,17 @@ def _table(*pools):
     return Corpus.from_questions([vq(i, "what is it", pool) for i, pool in enumerate(pools)]).answer_table
 
 
+def label_of(pool):
+    """One pool's label, read from its AnswerTable."""
+    [disagrees] = _table(pool).labels()
+    return bool(disagrees)
+
+
+def reference_label(pool):
+    """The rule by hand: disagreement unless one normalized answer covers A - 1 of A."""
+    return max(Counter(normalize_answer(ans) for ans in pool).values()) < len(pool) - 1
+
+
 def valid_answers(pool, m):
     """The normalized answers one pool gives at least m times, read from its AnswerTable."""
     table = _table(pool)
@@ -186,19 +197,29 @@ def test_valid_answers_threshold_validation():
     assert diversity_histogram(corpus, np.int64(2)) == diversity_histogram(corpus, 2)
 
 
+def test_distinct_at_least_reads_only_integers_from_one():
+    table = make_planted_corpus(40, seed=1).answer_table
+    # 1.5 once counted as 2 and True as 1, and m <= 0 counted every answer.
+    for m in (1.5, 2.0, True, False, 0, -1):
+        with pytest.raises(InvalidThreshold, match=r"m must be an integer >= 1"):
+            table.distinct_at_least(m)
+    assert table.distinct_at_least(np.int64(2)).tolist() == table.distinct_at_least(2).tolist()
+    assert table.distinct_at_least(11).tolist() == [0] * 40  # past A: legal, counts none
+
+
 def test_agreement_label_rule():
-    assert agreement_label(["yes"] * 9 + ["no"]) is False
-    assert agreement_label(["yes"] * 8 + ["no"] * 2) is True
-    assert agreement_label(["2"] * 10) is False
+    assert label_of(["yes"] * 9 + ["no"]) is False
+    assert label_of(["yes"] * 8 + ["no"] * 2) is True
+    assert label_of(["2"] * 10) is False
 
 
 def test_agreement_label_normalizes_before_matching():
-    assert agreement_label(["Yes!", "yes"] * 5) is False
+    assert label_of(["Yes!", "yes"] * 5) is False
 
 
 def test_agreement_label_needs_two_answers():
     with pytest.raises(AnswerCountMismatch):
-        agreement_label(["yes"])
+        label_of(["yes"])
 
 
 @given(st.lists(st.sampled_from(POOL_WORDS + ["", " ", "a", "Two!"]) | st.text(max_size=3),
@@ -209,14 +230,11 @@ def test_agreement_label_needs_two_answers():
 @example(["Yes!", "no"])
 @settings(max_examples=300, deadline=None)
 def test_agreement_label_matches_the_corpus_table(pool):
-    # agreement_label codes its pool itself; a corpus codes it through _Columns.
-    try:
-        [disagrees] = _table(pool).labels()
-    except Exception as exc:
-        with pytest.raises(type(exc)):
-            agreement_label(pool)
+    if len(pool) < 2:
+        with pytest.raises(AnswerCountMismatch):
+            label_of(pool)
     else:
-        assert agreement_label(pool) is bool(disagrees)
+        assert label_of(pool) is reference_label(pool)
 
 
 @given(
@@ -227,7 +245,7 @@ def test_agreement_label_matches_the_corpus_table(pool):
 def test_agreement_and_valid_answers_permutation_invariant(pool, rnd):
     shuffled = list(pool)
     rnd.shuffle(shuffled)
-    assert agreement_label(shuffled) is agreement_label(pool)
+    assert label_of(shuffled) is label_of(pool)
     assert valid_answers(shuffled, 2) == valid_answers(pool, 2)
 
 
@@ -245,7 +263,7 @@ def test_valid_answers_monotone_in_threshold(pool):
 @given(st.lists(st.sampled_from(["x", "y"]), min_size=10, max_size=10))
 @settings(max_examples=100, deadline=None)
 def test_agreement_implies_single_valid_answer_at_two(pool):
-    if agreement_label(pool) is False:
+    if label_of(pool) is False:
         assert len(valid_answers(pool, 2)) == 1
 
 
@@ -324,7 +342,7 @@ def test_answer_table_matches_single_pool_functions(corpus):
     assert labels.dtype == bool and labels.shape == (len(corpus),)
     buckets = {m: table.distinct_at_least(m).tolist() for m in range(1, a + 1)}
     for row, q in enumerate(corpus):
-        assert bool(labels[row]) is agreement_label(q.raw_answers)
+        assert bool(labels[row]) is reference_label(q.raw_answers)
         tally = Counter(normalize_answer(ans) for ans in q.raw_answers).values()
         assert table.counts[row].max() == max(tally)
         for m in range(1, a + 1):

@@ -237,6 +237,15 @@ def test_predict_and_allocate(planted_path, tmp_path, capsys):
     assert not (tmp_path / "big-r").exists()
 
 
+def test_golden_plan_byte_for_byte(tmp_path):
+    # Written by `allocate --budget 20` with the golden model on the golden
+    # corpus of 40 questions, the inputs of the golden predictions.csv.
+    golden = GOLDEN_MODEL.parent
+    assert main(["allocate", "--corpus", str(golden / "corpus.jsonl"), "--model", str(GOLDEN_MODEL),
+                 "--budget", "20", "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "plan.csv").read_bytes() == (golden / "plan.csv").read_bytes()
+
+
 def test_eval_reports_high_ap_on_planted_signal(planted_path, tmp_path):
     out = tmp_path / "run"
     model_path = train(planted_path, out)
@@ -401,10 +410,10 @@ def test_train_and_eval_with_image_features(planted_path, tmp_path):
 def test_model_without_vocab_is_input_error(planted_path, tmp_path, capsys):
     import numpy as np
 
-    from crowd_consensus import ForestConfig, save_model, train_forest
+    from crowd_consensus import FeatureMatrix, ForestConfig, save_model, train_forest
 
     X = np.random.default_rng(0).normal(size=(20, 3))
-    model = train_forest(X, (X[:, 0] > 0).astype(int), ForestConfig(seed=1))
+    model = train_forest(FeatureMatrix.from_dense(X), X[:, 0] > 0, ForestConfig(seed=1))
     bare = tmp_path / "bare.json"
     save_model(model, bare)
     assert main(["predict", "--corpus", str(planted_path), "--model", str(bare),

@@ -1,8 +1,9 @@
 """The compact feature encoding against its dense form.
 
-Training on a FeatureMatrix must grow the trees that training on
-np.asarray(matrix) grows, and the batched traversal in predict_many must
-agree with a plain per-row walk of every tree (reference_p_disagreement).
+Training on a FeatureMatrix must grow the trees that training on its
+dense descriptor matrix, wrapped by FeatureMatrix.from_dense, grows, and
+the batched traversal in predict_many must agree with a plain per-row
+walk of every tree (reference_p_disagreement).
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from crowd_consensus import (
     build_vocabularies,
     extract_matrix,
     make_planted_corpus,
-    make_random_corpus,
     predict_many,
     save_corpus_jsonl,
     save_model,
@@ -26,6 +26,8 @@ from crowd_consensus import (
 )
 from crowd_consensus.cli import main
 from crowd_consensus.features import FeatureMatrix, feature_dimension
+
+from conftest import dense, make_random_corpus
 
 
 def reference_p_disagreement(model, x) -> float:
@@ -70,7 +72,7 @@ def test_encoding_matches_its_dense_matrix(tmp_path_factory, n, corpus_seed, for
     config = ForestConfig(n_trees=3, seed=forest_seed)
     model, from_dense = (
         train_forest(features, y, config, vocab=vocab, feature_mode=mode)
-        for features in (X, np.asarray(X))
+        for features in (X, FeatureMatrix.from_dense(dense(X)))
     )
     out = tmp_path_factory.mktemp("models")
     save_model(model, out / "encoded.json")
@@ -78,11 +80,11 @@ def test_encoding_matches_its_dense_matrix(tmp_path_factory, n, corpus_seed, for
     assert (out / "encoded.json").read_bytes() == (out / "dense.json").read_bytes()
 
     every = extract_matrix(corpus, vocab, table, mode)
-    dense = np.asarray(every)
-    assert every.shape == dense.shape == (n, feature_dimension(vocab, mode))
+    rows = dense(every)
+    assert every.shape == rows.shape == (n, feature_dimension(vocab, mode))
     batched = predict_many(model, every).tolist()
-    assert batched == [reference_p_disagreement(model, row) for row in dense]
-    assert batched == predict_many(model, dense).tolist()
+    assert batched == [reference_p_disagreement(model, row) for row in rows]
+    assert batched == predict_many(model, FeatureMatrix.from_dense(rows)).tolist()
 
 
 def test_feature_matrix_holds_codes_not_one_hot_columns():
@@ -94,9 +96,9 @@ def test_feature_matrix_holds_codes_not_one_hot_columns():
     # Length, first word, second word and five saliency probabilities.
     assert X.values.shape == (8, 50) and X.values.flags.c_contiguous
     assert X.nbytes == X.values.nbytes + X.source.nbytes
-    dense = np.asarray(X)
-    assert dense.dtype == np.float64
-    one_hot = dense[:, 1 : 1 + len(vocab.first_words)]
+    rows = dense(X)
+    assert rows.dtype == np.float64
+    one_hot = rows[:, 1 : 1 + len(vocab.first_words)]
     assert one_hot.sum(axis=1).tolist() == [1.0] * 50  # every first word is in vocabulary
     assert one_hot.argmax(axis=1).tolist() == X.values[1].tolist()
 
@@ -105,12 +107,13 @@ def test_cli_never_builds_the_dense_matrix(tmp_path, monkeypatch):
     corpus_path = tmp_path / "corpus.jsonl"
     save_corpus_jsonl(make_planted_corpus(300, seed=5), corpus_path)
 
-    def refuse(self, dtype=None, copy=None):
-        raise AssertionError("the dense feature matrix was built")
+    def refuse(X):
+        raise AssertionError("a dense feature matrix was wrapped")
 
-    monkeypatch.setattr(FeatureMatrix, "__array__", refuse)
+    # from_dense is the one way to turn a dense array into forest input.
+    monkeypatch.setattr(FeatureMatrix, "from_dense", refuse)
     with pytest.raises(AssertionError):
-        np.asarray(FeatureMatrix.from_dense(np.zeros((1, 1))))
+        FeatureMatrix.from_dense(np.zeros((1, 1)))
     out = tmp_path / "run"
     base = ["--corpus", str(corpus_path), "--out-dir", str(out)]
     model = ["--model", str(out / "model.json")]

@@ -18,7 +18,7 @@ from crowd_consensus import (
 from crowd_consensus.answers import words
 from crowd_consensus.errors import EmptyQuestion
 
-from conftest import vq
+from conftest import dense, vq
 
 
 def test_tokenize_question():
@@ -34,7 +34,7 @@ def test_tokenize_empty_question():
 
 def extract_features(vq, vocab, table=None, mode=FeatureMode.QI):
     """One question's dense descriptor: a one-row extract_matrix."""
-    return np.asarray(extract_matrix(Corpus.from_questions([vq]), vocab, table, mode))[0]
+    return dense(extract_matrix(Corpus.from_questions([vq]), vocab, table, mode))[0]
 
 
 @pytest.fixture
@@ -105,9 +105,9 @@ def test_unseen_and_missing_words_are_coded_as_the_vocabulary_size(small_corpus)
         mode=FeatureMode.Q,
     )
     assert X.values.tolist() == [[2, 1], [1, 2], [2, 3]]  # length, first word, second word
-    dense = np.asarray(X)
-    assert dense[0].tolist() == [2, 0, 1, 0, 0, 1]
-    assert dense[1].tolist() == [1, 0, 0, 0, 0, 0]  # "how" unseen, no second word
+    rows = dense(X)
+    assert rows[0].tolist() == [2, 0, 1, 0, 0, 1]
+    assert rows[1].tolist() == [1, 0, 0, 0, 0, 0]  # "how" unseen, no second word
 
 
 def test_extract_image_mode_uses_table(small_corpus):

@@ -17,15 +17,19 @@ from crowd_consensus import (
     ForestConfig,
     ForestModel,
     Vocabularies,
+    average_precision,
     build_vocabularies,
     extract_matrix,
     load_model,
     make_planted_corpus,
+    pr_curve,
     predict_many,
     save_corpus_jsonl,
     save_model,
+    stratified_eval,
     train_forest,
 )
+from crowd_consensus.answers import disagreement_mask
 from crowd_consensus.cli import main
 from crowd_consensus.errors import (
     DimensionMismatch,
@@ -36,7 +40,14 @@ from crowd_consensus import forest
 from crowd_consensus.features import SALIENCY_DIM, FeatureMatrix
 from crowd_consensus.forest import WorkerFailed, _best_split, _grow_forest
 
+from conftest import dense
+
 A, D = False, True
+
+
+def numeric(rows):
+    """rows, a list of d-vectors or an (n, d) array, as d numeric feature columns."""
+    return FeatureMatrix.from_dense(rows)
 
 
 def test_config_validation():
@@ -64,9 +75,8 @@ def separable_data(n=100, seed=3):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=n)
     x = x[np.abs(x) > 0.05]
-    X = x.reshape(-1, 1)
     y = [D if value > 0 else A for value in x]
-    return X, y
+    return numeric(x.reshape(-1, 1)), y
 
 
 def test_separable_training_accuracy():
@@ -79,12 +89,12 @@ def test_separable_training_accuracy():
 def test_separable_held_out():
     X, y = separable_data()
     model = train_forest(X, y, ForestConfig(seed=1))
-    low, high = predict_many(model, [[-0.5], [0.5]])
+    low, high = predict_many(model, numeric([[-0.5], [0.5]]))
     assert low <= 0.1 and high >= 0.9
 
 
 def test_single_class_training():
-    X = np.arange(20, dtype=float).reshape(-1, 1)
+    X = numeric(np.arange(20, dtype=float).reshape(-1, 1))
     model = train_forest(X, [A] * 20, ForestConfig(seed=1))
     assert predict_many(model, X).tolist() == [0.0] * 20
 
@@ -93,7 +103,7 @@ def test_seed_determinism():
     X, y = separable_data(seed=5)
     first = train_forest(X, y, ForestConfig(seed=42))
     second = train_forest(X, y, ForestConfig(seed=42))
-    probe = np.random.default_rng(0).uniform(-1, 1, size=(50, 1))
+    probe = numeric(np.random.default_rng(0).uniform(-1, 1, size=(50, 1)))
     assert predict_many(first, probe).tolist() == predict_many(second, probe).tolist()
 
 
@@ -111,16 +121,16 @@ def test_vote_quantization_and_label_coherence():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(80, 3))
     y = [D if row[0] + 0.3 * row[1] > 0 else A for row in X]
-    model = train_forest(X, y, ForestConfig(seed=2))
+    model = train_forest(numeric(X), y, ForestConfig(seed=2))
     T = model.config.n_trees
     probe = rng.normal(size=(40, 3))
-    scores = predict_many(model, probe)
+    scores = predict_many(model, numeric(probe))
     assert scores.dtype == np.float64 and scores.shape == (40,)
     for row, p in zip(probe, scores.tolist()):
         votes = p * T
         assert votes == pytest.approx(round(votes), abs=1e-12)
         assert 0.0 <= p <= 1.0
-        assert predict_many(model, row[None, :]).tolist() == [p]
+        assert predict_many(model, numeric(row[None, :])).tolist() == [p]
 
 
 def test_each_tree_fits_its_own_bootstrap():
@@ -129,11 +139,11 @@ def test_each_tree_fits_its_own_bootstrap():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(60, 4))
     y01 = (rng.random(60) < 0.5).astype(int)
-    model = train_forest(X, y01, ForestConfig(n_trees=5, seed=31))
+    model = train_forest(numeric(X), y01 == 1, ForestConfig(n_trees=5, seed=31))
     n = len(X)
     for t, tree in enumerate(model.trees):
         boot = np.random.default_rng([31, t]).integers(0, n, size=n)
-        votes = predict_many(_one_tree_model(tree, 4), X[boot]).tolist()
+        votes = predict_many(_one_tree_model(tree, 4), numeric(X[boot])).tolist()
         assert votes == y01[boot].tolist()
 
 
@@ -158,7 +168,7 @@ def _one_tree_model(tree, n_features):
 
 
 def test_leaf_tie_votes_disagreement():
-    assert predict_many(_one_tree_model(_leaf_tree(1, 2), 1), [[0.0]]).tolist() == [1.0]
+    assert predict_many(_one_tree_model(_leaf_tree(1, 2), 1), numeric([[0.0]])).tolist() == [1.0]
 
 
 @pytest.mark.parametrize("votes", [(2**62, 2**62), (2**62, 2**62 + 1)])
@@ -169,66 +179,85 @@ def test_huge_leaf_votes_in_a_loaded_model_do_not_overflow(tmp_path, votes):
     doc["trees"][0]["votes_disagreement"], doc["trees"][0]["votes_total"] = [votes[0]], [votes[1]]
     path.write_text(json.dumps(doc))
     # A tie test written as 2 * votes_disagreement >= votes_total wraps to -2**63 here.
-    assert predict_many(load_model(path), [[0.0]]).tolist() == [1.0]
+    assert predict_many(load_model(path), numeric([[0.0]])).tolist() == [1.0]
 
 
 def test_vote_share_arithmetic():
     model = _hand_model([_leaf_tree(1, 1)] * 20 + [_leaf_tree(0, 1)] * 5)
-    assert predict_many(model, [[0.0]]).tolist() == [0.8]
+    assert predict_many(model, numeric([[0.0]])).tolist() == [0.8]
 
     model = _hand_model([_leaf_tree(0, 1)] * 25)
-    assert predict_many(model, [[0.0]]).tolist() == [0.0]
+    assert predict_many(model, numeric([[0.0]])).tolist() == [0.0]
 
 
 def test_label_forms_grow_identical_trees(tmp_path):
     X, y = separable_data(n=120, seed=11)
     as_bool = np.array([label is D for label in y])
     written = []
-    for labels in (y, as_bool, as_bool.astype(int).tolist()):
+    for labels in (y, as_bool):
         path = tmp_path / f"model{len(written)}.json"
         save_model(train_forest(X, labels, ForestConfig(n_trees=5, seed=4)), path)
         written.append(path.read_bytes())
-    assert written[0] == written[1] == written[2]
+    assert written[0] == written[1]
 
 
 def test_training_set_errors():
     with pytest.raises(EmptyTrainingSet):
-        train_forest(np.empty((0, 2)), [], ForestConfig())
+        train_forest(numeric(np.empty((0, 2))), [], ForestConfig())
     with pytest.raises(EmptyTrainingSet):
-        train_forest(np.empty((0, 2)), np.array([], dtype=bool), ForestConfig())
+        train_forest(numeric(np.empty((0, 2))), np.array([], dtype=bool), ForestConfig())
     with pytest.raises(EmptyTrainingSet):
-        train_forest([[1.0]], [A], ForestConfig())
+        train_forest(numeric([[1.0]]), [A], ForestConfig())
     with pytest.raises(DimensionMismatch):
-        train_forest([[1.0], [2.0]], [A], ForestConfig())
+        train_forest(numeric([[1.0], [2.0]]), [A], ForestConfig())
     with pytest.raises(DimensionMismatch, match="no feature columns"):
-        train_forest(np.zeros((4, 0)), [A, D, A, D], ForestConfig())
+        train_forest(numeric(np.zeros((4, 0))), [A, D, A, D], ForestConfig())
     for labels in (["agreement", "disagreement"], [0.0, 1.0], [0, 2]):
         with pytest.raises(ValueError, match="labels"):
-            train_forest([[1.0], [2.0]], labels, ForestConfig())
+            train_forest(numeric([[1.0], [2.0]]), labels, ForestConfig())
+
+
+def test_only_a_feature_matrix_and_bool_labels_are_read():
+    X, y = separable_data()
+    model = train_forest(X, y, ForestConfig(n_trees=3, seed=1))
+    for plain in (dense(X), dense(X).tolist()):
+        with pytest.raises(ValueError, match="must be a FeatureMatrix"):
+            train_forest(plain, y, ForestConfig(n_trees=3, seed=1))
+        with pytest.raises(ValueError, match="must be a FeatureMatrix"):
+            predict_many(model, plain)
+    # 0/1 integers were once read as labels; every label reader refuses them.
+    scores = predict_many(model, X)
+    as_int = [int(label) for label in y]
+    for ints in (as_int, np.array(as_int), np.array(as_int, dtype=np.uint8)):
+        for read in (
+            lambda: train_forest(X, ints, ForestConfig(n_trees=3, seed=1)),
+            lambda: pr_curve(scores, ints),
+            lambda: average_precision(scores, ints),
+            lambda: stratified_eval(scores, ints, [None] * len(ints)),
+            lambda: disagreement_mask(ints),
+        ):
+            with pytest.raises(ValueError, match="labels must be bools"):
+                read()
 
 
 @pytest.mark.parametrize("X,y,seed", [
     # A cut next to NaN, or between -inf and a finite value, would be NaN.
-    ([[math.nan], [1.0], [2.0], [math.nan], [0.5], [3.0]], [1, 0, 1, 0, 1, 0], 1),
-    ([[-math.inf], [1.0], [1.0], [1.0]], [1, 0, 0, 0], 2),
-    ([[math.inf, 0.0], [1.0, 1.0]], [1, 0], 0),
+    ([[math.nan], [1.0], [2.0], [math.nan], [0.5], [3.0]], [D, A, D, A, D, A], 1),
+    ([[-math.inf], [1.0], [1.0], [1.0]], [D, A, A, A], 2),
+    ([[math.inf, 0.0], [1.0, 1.0]], [D, A], 0),
 ], ids=["nan", "minus-inf", "plus-inf"])
 def test_non_finite_features_are_rejected(X, y, seed):
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        train_forest(X, y, ForestConfig(n_trees=1, seed=seed))
-    encoded = FeatureMatrix.from_dense(np.array(X))
+    encoded = numeric(X)
     with pytest.raises(ValueError, match="NaN or infinite"):
         train_forest(encoded, y, ForestConfig(n_trees=1, seed=seed))
-    model = train_forest(np.nan_to_num(X), y, ForestConfig(n_trees=1, seed=seed))
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        predict_many(model, X)
+    model = train_forest(numeric(np.nan_to_num(X)), y, ForestConfig(n_trees=1, seed=seed))
     with pytest.raises(ValueError, match="NaN or infinite"):
         predict_many(model, encoded)
 
 
 def test_vocab_dimension_check():
     vocab = Vocabularies(first_words=("what",), second_words=("is",))
-    X = np.zeros((4, 9))  # vocab implies 1 + 1 + 1 + 5 = 8
+    X = numeric(np.zeros((4, 9)))  # vocab implies 1 + 1 + 1 + 5 = 8
     with pytest.raises(DimensionMismatch):
         train_forest(X, [A, D, A, D], ForestConfig(), vocab=vocab)
 
@@ -237,9 +266,9 @@ def test_predict_dimension_check():
     X, y = separable_data()
     model = train_forest(X, y, ForestConfig(seed=1))
     with pytest.raises(DimensionMismatch):
-        predict_many(model, [[1.0, 2.0]])
+        predict_many(model, numeric([[1.0, 2.0]]))
     with pytest.raises(DimensionMismatch):
-        predict_many(model, [1.0])  # one row must still be 2-dimensional
+        predict_many(model, numeric([1.0]))  # one row must still be 2-dimensional
 
 
 def test_save_load_round_trip(tmp_path):
@@ -248,7 +277,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     restored = load_model(path)
-    probe = np.random.default_rng(17).uniform(-2, 2, size=(1000, 1))
+    probe = numeric(np.random.default_rng(17).uniform(-2, 2, size=(1000, 1)))
     assert predict_many(model, probe).tolist() == predict_many(restored, probe).tolist()
     assert restored.config == model.config
 
@@ -458,7 +487,7 @@ def test_split_ties_go_to_the_earliest_sampled_feature_and_lowest_cut():
     for feat_ids, expected in (([3, 1, 2, 4], 3), ([2, 4, 1, 3], 2), ([0, 4, 1], 4)):
         f, threshold, goes_left = _best_split(X, y, 2, rows, np.array(feat_ids), 2)
         assert (f, threshold) == (expected, 0.5)
-        assert goes_left.tolist() == (np.asarray(X)[:, f] <= 0.5).tolist()
+        assert goes_left.tolist() == (dense(X)[:, f] <= 0.5).tolist()
     # On the numeric column the cuts at 1.5 and 3.5 gain the same: the lower wins.
     f, threshold, goes_left = _best_split(X, y, 2, rows, np.array([0]), 2)
     assert (f, threshold, goes_left.tolist()) == (0, 1.5, [True, False, False, False])
@@ -473,12 +502,11 @@ def training_sets():
     """A dense matrix and a FeatureMatrix with numeric columns and both code blocks."""
     corpus = make_planted_corpus(300, seed=5)
     X = extract_matrix(corpus, build_vocabularies(corpus), mode=FeatureMode.QI)
-    assert np.asarray(X)[:, 1:-SALIENCY_DIM].any(axis=0).all() and X.values.shape[0] == 8
-    y = corpus.answer_table.labels().astype(np.uint8)
-    dense = np.random.default_rng(4).normal(size=(120, 5))
+    assert dense(X)[:, 1:-SALIENCY_DIM].any(axis=0).all() and X.values.shape[0] == 8
+    rows = np.random.default_rng(4).normal(size=(120, 5))
     return {
-        "dense": (FeatureMatrix.from_dense(dense), (dense[:, 0] + dense[:, 1] > 0).astype(np.uint8)),
-        "encoded": (X, y),
+        "dense": (numeric(rows), rows[:, 0] + rows[:, 1] > 0),
+        "encoded": (X, corpus.answer_table.labels()),
     }
 
 
@@ -511,12 +539,12 @@ def test_trees_do_not_depend_on_the_worker_count(training_sets, monkeypatch, for
                                                   n_trees):
     X, y = training_sets[kind]
     _on_cpus(monkeypatch, 1)
-    one = _tree_arrays(_grow_forest(X, y, 11, n_trees))
+    one = _tree_arrays(_grow_forest(X, y.astype(np.uint8), 11, n_trees))
     assert len(one) == n_trees and not forks
     for cpus in (2, 3):  # 3 workers for 1 or 2 trees leaves a worker without trees
         _on_cpus(monkeypatch, cpus)
         del forks[:]
-        assert _tree_arrays(_grow_forest(X, y, 11, n_trees)) == one
+        assert _tree_arrays(_grow_forest(X, y.astype(np.uint8), 11, n_trees)) == one
         assert len(forks) == min(cpus, n_trees) - 1
     if n_trees % 2:
         for cpus in (1, 2, 3):
@@ -532,9 +560,9 @@ def test_a_slow_forest_forks_on_two_cpus(monkeypatch, forks):
     # the cost of a fork.
     rng = np.random.default_rng(0)
     X = rng.normal(size=(700, 16))
-    y = (X[:, 0] + rng.normal(size=700) > 0).astype(np.uint8)
+    y = X[:, 0] + rng.normal(size=700) > 0
     monkeypatch.setattr(forest, "_available_cpus", lambda: 2)
-    assert len(train_forest(X, y, ForestConfig(n_trees=25)).trees) == 25
+    assert len(train_forest(numeric(X), y, ForestConfig(n_trees=25)).trees) == 25
     assert len(forks) == 1
 
 
@@ -567,7 +595,7 @@ def test_forking_leaves_the_callers_gc_freeze_as_it_was(training_sets, monkeypat
     if caller_froze:
         gc.freeze()
     try:
-        _grow_forest(X, y, 11, 3)
+        _grow_forest(X, y.astype(np.uint8), 11, 3)
         assert (gc.get_freeze_count() > 0) == caller_froze
     finally:
         gc.unfreeze()
