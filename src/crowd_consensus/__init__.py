@@ -30,8 +30,6 @@ from .corpus import (
 )
 from .evalmetrics import (
     EvalReport,
-    average_precision,
-    pr_curve,
     stratified_eval,
 )
 from .features import (
@@ -69,7 +67,6 @@ __all__ = [
     "VisualQuestion",
     "Vocabularies",
     "agreement_by_answer_type",
-    "average_precision",
     "build_vocabularies",
     "diversity_histogram",
     "extract_matrix",
@@ -81,7 +78,6 @@ __all__ = [
     "make_planted_corpus",
     "normalize_answer",
     "oracle_ranking",
-    "pr_curve",
     "predict_many",
     "rank_by_disagreement",
     "save_corpus_jsonl",

@@ -84,12 +84,24 @@ class Corpus:
         The answer count A is taken from the question with the smallest
         id; another question with a different count raises
         AnswerCountMismatch. Duplicate question ids, unknown answer types
-        and ids outside the int64 range raise ParseError.
+        and ids outside the int64 range raise ParseError, and so does a
+        field of another type than a JSONL file allows: ids are ints (a
+        bool is not one), the text a str, the answers a list or tuple of
+        strs.
         """
         columns = _Columns()
         for vq in questions:
-            columns.add_question(vq.question_id, vq.image_id, vq.question_text, "Corpus")
-            columns.add_answers(vq.raw_answers, vq.answer_type)
+            qid, answers = vq.question_id, vq.raw_answers
+            # type() tests, and isinstance(a, str) mapped over the answers in C.
+            if not (type(qid) is int and type(vq.image_id) is int
+                    and type(vq.question_text) is str and type(answers) in (list, tuple)
+                    and all(map(str.__instancecheck__, answers))):
+                raise ParseError(
+                    f"Corpus question {qid!r}: expected int ids, a str question_text "
+                    f"and a list or tuple of str raw_answers, got {vq!r}"
+                )
+            columns.add_question(qid, vq.image_id, vq.question_text, "Corpus")
+            columns.add_answers(answers, vq.answer_type)
         return _corpus(columns, columns)
 
     @property

@@ -1,11 +1,8 @@
-"""Precision-recall curves, average precision, and stratified reports.
+"""Average precision and PR curves, overall and per answer type.
 
-Disagreement is the positive class throughout: labels are bools, read by
-answers.disagreement_mask, and True is disagreement. Precision
-guards against wasting redundant answer collection, recall against
-missing questions that genuinely elicit diverse answers. Items sharing
-a score enter the ranking as one threshold group, which makes every
-metric independent of input order.
+Disagreement (label True) is the positive class. Items sharing a score
+enter the ranking as one threshold group, so every metric is independent
+of input order.
 """
 
 from __future__ import annotations
@@ -35,48 +32,26 @@ class EvalReport:
     curve_by_type: Mapping[str, tuple[PrPoint, ...]]
 
 
-def _grouped_counts(scores, labels):
-    """Per threshold group (descending score): threshold, cum TP, cum predicted."""
-    pos = disagreement_mask(labels)
-    if len(scores) != len(pos):
-        raise LengthMismatch(f"{len(scores)} scores vs {len(pos)} labels")
-    n_pos = int(pos.sum())
-    if n_pos == 0:
-        raise NoPositives("no disagreement-labeled items to rank")
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise ValueError("scores hold NaN or infinite values")
+def _ranked(scores: np.ndarray, pos: np.ndarray) -> tuple[float, tuple[PrPoint, ...]]:
+    """(AP, PR curve) of checked scores and labels holding a positive.
+
+    AP is the mean precision over positives, each taken at its tie group
+    (non-interpolated). The curve has one point per group, highest score
+    first; the last ends at the last item.
+    """
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     cum_tp = np.cumsum(pos[order])
     # Last index of each tie group = positions where the score changes.
     last = np.nonzero(np.append(sorted_scores[:-1] != sorted_scores[1:], True))[0]
-    return sorted_scores[last], cum_tp[last], last + 1, n_pos
-
-
-def _curve(thresholds, tp, predicted, n_pos) -> tuple[PrPoint, ...]:
-    """The PR curve of _grouped_counts' groups; the last group ends at the last item."""
-    return tuple(
+    tp, predicted = cum_tp[last], last + 1
+    n_pos = int(tp[-1])
+    ap = float(np.sum((tp / predicted) * np.diff(tp, prepend=0)) / n_pos)
+    curve = tuple(
         PrPoint(recall=t / n_pos, precision=t / p, threshold=float(thr))
-        for thr, t, p in zip(thresholds, tp, predicted)
+        for thr, t, p in zip(sorted_scores[last], tp, predicted)
     )
-
-
-def _average_precision(tp, predicted, n_pos) -> float:
-    """average_precision from _grouped_counts' cumulative counts."""
-    pos_in_group = np.diff(tp, prepend=0)
-    return float(np.sum((tp / predicted) * pos_in_group) / n_pos)
-
-
-def pr_curve(scores: Sequence[float], labels) -> tuple[PrPoint, ...]:
-    """Precision/recall at every distinct score threshold, descending."""
-    return _curve(*_grouped_counts(scores, labels))
-
-
-def average_precision(scores: Sequence[float], labels) -> float:
-    """Mean precision over positives, each taken at its tie group (non-interpolated)."""
-    _, tp, predicted, n_pos = _grouped_counts(scores, labels)
-    return _average_precision(tp, predicted, n_pos)
+    return ap, curve
 
 
 def stratified_eval(
@@ -86,10 +61,10 @@ def stratified_eval(
 ) -> EvalReport:
     """Overall and per-answer-type average precision and PR curves.
 
+    For one ranking alone, pass [None] * len(scores) as answer_types.
     Untyped items form an "unknown" stratum; when nothing is typed at all
     only the overall numbers are reported. Strata without a positive item
     are left out of ap_by_type and curve_by_type rather than scored zero.
-    Each curve and its AP come from one sort of the stratum's scores.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = disagreement_mask(labels)
@@ -98,12 +73,12 @@ def stratified_eval(
             f"{len(scores)} scores vs {len(labels)} labels vs "
             f"{len(answer_types)} answer types"
         )
+    if not labels.any():
+        raise NoPositives("no disagreement-labeled items to rank")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores hold NaN or infinite values")
 
-    def evaluate(rows) -> tuple[float, tuple[PrPoint, ...]]:
-        thresholds, tp, predicted, n_pos = _grouped_counts(scores[rows], labels[rows])
-        return _average_precision(tp, predicted, n_pos), _curve(thresholds, tp, predicted, n_pos)
-
-    ap_overall, curve_overall = evaluate(slice(None))
+    ap_overall, curve_overall = _ranked(scores, labels)
     ap_by_type: dict[str, float] = {}
     n_by_type: dict[str, int] = {}
     curve_by_type: dict[str, tuple[PrPoint, ...]] = {}
@@ -111,5 +86,5 @@ def stratified_eval(
         for stratum, rows in rows_by_stratum(answer_types).items():
             n_by_type[stratum] = len(rows)
             if labels[rows].any():
-                ap_by_type[stratum], curve_by_type[stratum] = evaluate(rows)
+                ap_by_type[stratum], curve_by_type[stratum] = _ranked(scores[rows], labels[rows])
     return EvalReport(ap_overall, ap_by_type, n_by_type, curve_overall, curve_by_type)

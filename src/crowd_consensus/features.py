@@ -140,6 +140,27 @@ class FeatureMatrix:
     values: np.ndarray  # (rows, n) float64, C-contiguous
     source: np.ndarray  # (d, 2) int64
 
+    def __post_init__(self) -> None:
+        """DimensionMismatch unless source only reads rows of values, and a
+        word row holds only non-negative whole numbers (split search counts
+        them with bincount)."""
+        values, source = self.values, self.source
+        if not (isinstance(values, np.ndarray) and values.ndim == 2
+                and values.dtype == np.float64):
+            raise DimensionMismatch("values must be a 2-d float64 array")
+        if not (isinstance(source, np.ndarray) and source.ndim == 2 and source.shape[1] == 2
+                and np.issubdtype(source.dtype, np.integer)):
+            raise DimensionMismatch("source must be a (d, 2) integer array")
+        row, word = source.T
+        if ((row < 0) | (row >= len(values))).any():
+            raise DimensionMismatch(f"source rows must lie in [0, {len(values)})")
+        if (word < -1).any():
+            raise DimensionMismatch("source words must be -1 (numeric) or >= 0")
+        for r in sorted(set(row[word >= 0].tolist())):  # np.unique would import numpy.ma
+            codes = values[r]
+            if not (np.isfinite(codes) & (codes >= 0) & (np.trunc(codes) == codes)).all():
+                raise DimensionMismatch(f"word row {r} holds an entry that is not a whole number >= 0")
+
     @classmethod
     def from_dense(cls, X) -> "FeatureMatrix":
         """Every column of X, an (n, d) array or a sequence of d-vectors, as numeric."""

@@ -18,7 +18,6 @@ from crowd_consensus import (
     FeatureMatrix,
     ForestConfig,
     FeatureMode,
-    average_precision,
     build_vocabularies,
     extract_matrix,
     make_planted_corpus,
@@ -36,7 +35,7 @@ from crowd_consensus.cli import main
 
 from conftest import make_random_corpus
 from test_answers import NORMALIZATION_TABLE, RANDOM_ALPHABET
-from test_evalmetrics import reference_average_precision
+from test_evalmetrics import average_precision, reference_average_precision
 
 A, D = False, True
 

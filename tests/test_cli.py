@@ -11,8 +11,8 @@ import pytest
 
 import numpy as np
 
-from crowd_consensus import make_planted_corpus, save_corpus_jsonl
-from crowd_consensus.cli import main
+from crowd_consensus import make_planted_corpus, save_corpus_jsonl, status_quo_ranking
+from crowd_consensus.cli import _StatusQuoOrderings, main
 
 from conftest import (
     reference_exact_capture,
@@ -244,6 +244,34 @@ def test_golden_plan_byte_for_byte(tmp_path):
     assert main(["allocate", "--corpus", str(golden / "corpus.jsonl"), "--model", str(GOLDEN_MODEL),
                  "--budget", "20", "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "plan.csv").read_bytes() == (golden / "plan.csv").read_bytes()
+
+
+def test_status_quo_orderings_are_counted_drawn_and_bounded():
+    orderings = _StatusQuoOrderings(9, 4, 3)
+    assert len(orderings) == 3
+    assert list(orderings) == [status_quo_ranking(9, [4, k]) for k in range(3)]
+    with pytest.raises(IndexError):
+        orderings[3]
+    with pytest.raises(IndexError):
+        orderings[-1]
+
+
+def test_golden_sweep_byte_for_byte(tmp_path):
+    # Written by `sweep` with its defaults, the golden model and the golden corpus.
+    golden = GOLDEN_MODEL.parent
+    assert main(["sweep", "--corpus", str(golden / "corpus.jsonl"), "--model", str(GOLDEN_MODEL),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == (golden / "sweep.csv").read_bytes()
+
+
+def test_golden_analysis_byte_for_byte(tmp_path):
+    # Written by `analyze` with its defaults on the golden corpus.
+    golden = GOLDEN_MODEL.parent
+    assert main(["analyze", "--corpus", str(golden / "corpus.jsonl"), "--out-dir", str(tmp_path)]) == 0
+    written = sorted(path.name for path in tmp_path.glob("*.csv"))
+    assert written == ["answer_types.csv", "histogram_m1.csv", "histogram_m2.csv", "histogram_m3.csv"]
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_eval_reports_high_ap_on_planted_signal(planted_path, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from crowd_consensus import (
     Corpus,
+    VisualQuestion,
     load_corpus,
     load_image_features,
     save_corpus_jsonl,
@@ -188,6 +190,16 @@ def test_vqa_orphan_annotation_rejected(tmp_path, capsys):
     assert main(["analyze", "--corpus", str(q_path), "--annotations", str(a_path),
                  "--format", "vqa_v1_json", "--out-dir", str(tmp_path / "out")]) == 2
     assert "match no question" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '"q"', "null", ' [{"questions": []}]\n'])
+def test_vqa_file_that_is_not_a_json_object_is_rejected(tmp_path, mixed_corpus, text):
+    q_path, a_path = _write_vqa_pair(tmp_path, mixed_corpus)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for questions, annotations in ((bad, a_path), (q_path, bad)):
+        with pytest.raises(ParseError, match=re.escape(f"{bad}: expected a JSON object")):
+            load_corpus(questions, annotations, format="vqa_v1_json")
 
 
 def test_vqa_requires_annotations_file(tmp_path, mixed_corpus):
@@ -557,6 +569,26 @@ def test_image_ids_outside_int64_are_parse_errors(tmp_path, image_id):
         load_image_features(path)
     with pytest.raises(ParseError, match="question_id 9223372036854775808 is outside"):
         Corpus.from_questions([vq(2**63, "what is it", ["a"] * 10)])
+
+
+def test_from_questions_applies_the_jsonl_type_rule():
+    # True was once read as id 1; question_text=5 and answers (1,) * 10 were
+    # accepted and failed later with a bare AttributeError, and question_id=1.0
+    # with a bare TypeError.
+    good = VisualQuestion(1, 1, "what is it", ("a",) * 10)
+    for key, value in [
+        ("question_id", True), ("question_id", 1.0), ("question_id", np.int64(1)),
+        ("image_id", False), ("question_text", 5), ("question_text", b"what"),
+        ("raw_answers", (1,) * 10), ("raw_answers", ("a",) * 9 + (None,)),
+        ("raw_answers", "a" * 10), ("raw_answers", None),
+    ]:
+        bad = dataclasses.replace(good, **{key: value})
+        message = f"Corpus question {bad.question_id!r}: expected int ids"
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            Corpus.from_questions([vq(0, "is it", ["b"] * 10), bad])
+        assert f"{key}={value!r}" in str(exc.value)
+    as_list = dataclasses.replace(good, raw_answers=list(good.raw_answers))
+    assert Corpus.from_questions([as_list]) == Corpus.from_questions([good])
 
 
 def test_first_failing_saliency_row_is_reported(tmp_path):

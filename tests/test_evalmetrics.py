@@ -6,15 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowd_consensus import (
-    average_precision,
-    pr_curve,
-    stratified_eval,
-)
+from crowd_consensus import evalmetrics, stratified_eval
+from crowd_consensus.answers import disagreement_mask
 from crowd_consensus.cli import main
 from crowd_consensus.errors import LengthMismatch, NoPositives
 
 A, D = False, True
+
+
+def average_precision(scores, labels):
+    """AP of one untyped ranking."""
+    return stratified_eval(scores, labels, [None] * len(scores)).ap_overall
+
+
+def pr_curve(scores, labels):
+    """PR curve of one untyped ranking."""
+    return stratified_eval(scores, labels, [None] * len(scores)).curve_overall
 
 
 def reference_average_precision(scores, labels):
@@ -63,21 +70,32 @@ def test_pr_errors():
         pr_curve([], np.array([], dtype=bool))
     # Labels of another kind are refused, not read by truthiness.
     for labels in (["agreement", "disagreement"], [0.0, 1.0], [0, 2], [[0, 1]]):
-        with pytest.raises(ValueError, match="labels"):
-            average_precision([0.9, 0.1], labels)
-        with pytest.raises(ValueError, match="labels"):
-            pr_curve([0.9, 0.1], labels)
-        with pytest.raises(ValueError, match="labels"):
-            stratified_eval([0.9, 0.1], labels, ["other", "other"])
+        for types in ([None] * 2, ["other", "other"]):
+            with pytest.raises(ValueError, match="labels"):
+                stratified_eval([0.9, 0.1], labels, types)
     # A NaN score was once ranked: stratified_eval([nan, 0.5, 1.0], [D, A, D], ...) gave AP 0.8333.
     for bad in (math.nan, math.inf, -math.inf):
         scores, labels = [bad, 0.5, 1.0], [D, A, D]
-        for metric in (pr_curve, average_precision):
-            with pytest.raises(ValueError, match="NaN or infinite"):
-                metric(scores, labels)
         for types in ([None] * 3, ["yes/no", "other", "other"]):
             with pytest.raises(ValueError, match="NaN or infinite"):
                 stratified_eval(scores, labels, types)
+
+
+def test_inputs_are_checked_once_in_order(monkeypatch):
+    # Bad labels go before a length mismatch, which goes before no positives,
+    # which goes before a NaN score.
+    with pytest.raises(ValueError, match="labels must be bools"):
+        stratified_eval([math.nan], [0, 1], ["other"])
+    with pytest.raises(LengthMismatch):
+        stratified_eval([math.nan], [A, A], ["other"])
+    with pytest.raises(NoPositives):
+        stratified_eval([math.nan, 0.5], [A, A], ["other", "number"])
+    # The labels are read once per call, not again for each stratum.
+    reads = []
+    monkeypatch.setattr(evalmetrics, "disagreement_mask",
+                        lambda y: reads.append(y) or disagreement_mask(y))
+    report = stratified_eval([0.9, 0.5, 0.1], [D, A, D], ["yes/no", "number", "other"])
+    assert len(reads) == 1 and set(report.ap_by_type) == {"yes/no", "other"}
 
 
 def test_label_forms_give_identical_metrics():
@@ -86,10 +104,8 @@ def test_label_forms_give_identical_metrics():
     as_bool = rng.random(60) < 0.4
     types = rng.choice(["yes/no", "number", "other"], size=60).tolist()
     forms = ([D if v else A for v in as_bool], as_bool)
-    results = [
-        (average_precision(scores, y), pr_curve(scores, y), stratified_eval(scores, y, types))
-        for y in forms
-    ]
+    results = [(stratified_eval(scores, y, [None] * 60), stratified_eval(scores, y, types))
+               for y in forms]
     assert results[0] == results[1]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from crowd_consensus import (
     Corpus,
+    FeatureMatrix,
     FeatureMode,
     ForestConfig,
     ImageFeatureTable,
@@ -16,7 +17,7 @@ from crowd_consensus import (
     train_forest,
 )
 from crowd_consensus.answers import words
-from crowd_consensus.errors import EmptyQuestion
+from crowd_consensus.errors import DimensionMismatch, EmptyQuestion
 
 from conftest import dense, vq
 
@@ -163,3 +164,44 @@ def test_matrix_dimension_constancy(small_corpus):
 def test_vocabularies_json_round_trip(small_corpus):
     vocab = build_vocabularies(small_corpus)
     assert Vocabularies.from_doc(json.loads(json.dumps(vocab.to_doc()))) == vocab
+
+
+def test_a_feature_matrix_is_checked_where_it_is_built():
+    # Source row 3 of a one-row values array once reached split search and
+    # ended in a bare IndexError from train_forest.
+    with pytest.raises(DimensionMismatch, match="source rows"):
+        FeatureMatrix(values=np.array([[0.0, 1.0, 2.0, 3.0]]), source=np.array([[3, -1]]))
+    values = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0]])
+    source = np.array([[0, -1], [1, 0], [1, 2]])
+    FeatureMatrix(values, source)
+    bad = [
+        (values.astype(np.float32), source, "2-d float64"),
+        (values.tolist(), source, "2-d float64"),
+        (values[0], source, "2-d float64"),
+        (values, source.astype(np.float64), "integer array"),
+        (values, source[:, :1], "integer array"),
+        (values, source.ravel(), "integer array"),
+        (values, np.array([[-1, -1]]), "source rows"),
+        (values, np.array([[2, 0]]), "source rows"),
+        (values, np.array([[1, -2]]), "source words"),
+    ]
+    for entry in (-1.0, 0.5, np.nan, np.inf):
+        coded = values.copy()
+        coded[1, 1] = entry
+        bad.append((coded, source, "word row 1"))
+    for v, s, message in bad:
+        with pytest.raises(DimensionMismatch, match=message):
+            FeatureMatrix(v, s)
+    # A numeric row may hold any float; the forest refuses NaN itself.
+    numeric = values.copy()
+    numeric[0, 0] = np.nan
+    FeatureMatrix(numeric, source)
+
+
+def test_built_matrices_pass_their_own_check():
+    corpus = make_planted_corpus(60, seed=4)
+    vocab = build_vocabularies(corpus)
+    for mode in FeatureMode:
+        X = extract_matrix(corpus, vocab, mode=mode)
+        assert FeatureMatrix(X.values.copy(), X.source.copy()).shape == X.shape
+    assert FeatureMatrix.from_dense(np.zeros((4, 0))).shape == (4, 0)

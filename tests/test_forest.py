@@ -17,12 +17,10 @@ from crowd_consensus import (
     ForestConfig,
     ForestModel,
     Vocabularies,
-    average_precision,
     build_vocabularies,
     extract_matrix,
     load_model,
     make_planted_corpus,
-    pr_curve,
     predict_many,
     save_corpus_jsonl,
     save_model,
@@ -231,8 +229,6 @@ def test_only_a_feature_matrix_and_bool_labels_are_read():
     for ints in (as_int, np.array(as_int), np.array(as_int, dtype=np.uint8)):
         for read in (
             lambda: train_forest(X, ints, ForestConfig(n_trees=3, seed=1)),
-            lambda: pr_curve(scores, ints),
-            lambda: average_precision(scores, ints),
             lambda: stratified_eval(scores, ints, [None] * len(ints)),
             lambda: disagreement_mask(ints),
         ):
@@ -491,6 +487,18 @@ def test_split_ties_go_to_the_earliest_sampled_feature_and_lowest_cut():
     # On the numeric column the cuts at 1.5 and 3.5 gain the same: the lower wins.
     f, threshold, goes_left = _best_split(X, y, 2, rows, np.array([0]), 2)
     assert (f, threshold, goes_left.tolist()) == (0, 1.5, [True, False, False, False])
+
+
+def test_a_midpoint_that_rounds_up_to_the_upper_value_cuts_at_the_lower():
+    lo = 1 + 2**-52
+    hi = np.nextafter(lo, 2)
+    assert lo + (hi - lo) / 2.0 == hi  # the midpoint ties to even, which is hi
+    X = FeatureMatrix.from_dense([[lo], [hi], [hi], [lo]])
+    y = np.array([0, 1, 1, 0], dtype=np.uint8)
+    f, threshold, goes_left = _best_split(X, y, 2, np.arange(4), np.array([0]), 0)
+    assert (f, threshold, goes_left.tolist()) == (0, lo, [True, False, False, True])
+    model = train_forest(X, y.astype(bool), ForestConfig(n_trees=3, seed=0))
+    assert predict_many(model, FeatureMatrix.from_dense([[lo], [hi]])).tolist() == [0.0, 1.0]
 
 
 def _tree_arrays(trees):
