@@ -11,12 +11,28 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import re
 import sys
 from collections.abc import Sequence
 from pathlib import Path
+
+# A command process pays only for its command; a library import of the
+# package does none of this. Nothing in this package calls BLAS (no @, dot,
+# matmul, linalg or einsum), so numpy's OpenBLAS gets one thread instead of
+# a pool per core, unless the caller set OPENBLAS_NUM_THREADS. The variable
+# is only read while numpy loads, and is removed again so that later code
+# and child processes see the caller's environment. Every object created
+# while importing lives until the process exits, so the imports run without
+# garbage collection and their heap is then frozen out of later collections.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy  # noqa: F401
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .allocation import (
     make_plan,
@@ -31,6 +47,10 @@ from .errors import CrowdConsensusError, DimensionMismatch, EmptyTrainingSet
 from .evalmetrics import stratified_eval
 from .features import FeatureMode, build_vocabularies, extract_matrix
 from .forest import ForestConfig, load_model, predict_many, save_model, train_forest
+
+gc.freeze()
+if _gc_was_enabled:
+    gc.enable()
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2

@@ -26,6 +26,7 @@ disagreement).
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 import math
@@ -192,7 +193,8 @@ def _grow_forest(
     children: dict[int, tuple[int, BinaryIO]] = {}  # worker -> (pid, pipe)
     # Frozen objects are never touched by a garbage collection, so a
     # worker's collections do not copy the pages it shares with this process.
-    # A caller's own freeze stays in force, now holding these objects too.
+    # A caller's own freeze stays in force, now holding these objects too;
+    # under the CLI, which freezes its import-time heap, that is the rule.
     caller_froze = gc.get_freeze_count() > 0
     gc.freeze()
     try:
@@ -351,7 +353,10 @@ def _best_split(
         positive = ysub.view(bool)
         nr, r1 = np.empty((2, at.size), dtype=np.intp)  # rows and positive rows with the word
         for r in set(rows.tolist()):
-            codes = coded[r] = X.values[r][idx].astype(np.intp)
+            # Codes above width, a word no column reads, count as width, so a
+            # huge code cannot size the bincounts; no count that is read changes.
+            values = X.values[r][idx]
+            codes = coded[r] = np.minimum(values, width, out=values).astype(np.intp)
             here = rows == r
             nr[here] = np.bincount(codes, minlength=width)[words[here]]
             r1[here] = np.bincount(codes[positive], minlength=width)[words[here]]
@@ -431,22 +436,31 @@ def predict_many(model: ForestModel, X: FeatureMatrix) -> np.ndarray:
 
 
 def save_model(model: ForestModel, path: str | Path) -> None:
-    """Write a self-describing, versioned JSON model file."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
+    """Write a self-describing, versioned JSON model file.
+
+    The text is json.dump(doc, ensure_ascii=False, sort_keys=True) of the
+    whole document, written one tree at a time: json.dumps encodes in C,
+    and only one tree's text is held at once.
+    """
+    head = {
         "config": asdict(model.config),
-        "n_features": model.n_features,
         "feature_mode": model.feature_mode.value,
-        "vocab": None if model.vocab is None else model.vocab.to_doc(),
-        "trees": [
-            {name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}
-            for tree in model.trees
-        ],
+        "format": MODEL_FORMAT,
+        "n_features": model.n_features,
     }
+    tail = {
+        "version": MODEL_VERSION,
+        "vocab": None if model.vocab is None else model.vocab.to_doc(),
+    }
+    encode = functools.partial(json.dumps, ensure_ascii=False, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+        # "trees" sorts after every key of head and before every key of tail.
+        fh.write(encode(head)[:-1] + ', "trees": [')
+        for t, tree in enumerate(model.trees):
+            if t:
+                fh.write(", ")
+            fh.write(encode({name: getattr(tree, name).tolist() for name in _TREE_ARRAYS}))
+        fh.write("], " + encode(tail)[1:] + "\n")
 
 
 def load_model(path: str | Path) -> ForestModel:

@@ -276,6 +276,10 @@ def test_save_load_round_trip(tmp_path):
     probe = numeric(np.random.default_rng(17).uniform(-2, 2, size=(1000, 1)))
     assert predict_many(model, probe).tolist() == predict_many(restored, probe).tolist()
     assert restored.config == model.config
+    # The file is json.dump's layout of its whole document; the golden model
+    # pins it with a vocabulary, this model has none.
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), ensure_ascii=False, sort_keys=True) + "\n"
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -501,6 +505,20 @@ def test_a_midpoint_that_rounds_up_to_the_upper_value_cuts_at_the_lower():
     assert predict_many(model, FeatureMatrix.from_dense([[lo], [hi]])).tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("huge", [1e13, 1e300])
+def test_a_huge_word_code_trains_as_a_word_no_column_reads(huge):
+    # Word row 0 codes words 0-2 for columns 0-2. Split search bincounts the
+    # codes; 1e13 once sized those counts (72.8 TiB), and 1e300 overflows intp.
+    def matrix(code):
+        return FeatureMatrix(values=np.tile([0.0, 1.0, 2.0, code], 10)[None, :],
+                             source=np.array([[0, 0], [0, 1], [0, 2]]))
+
+    y = np.random.default_rng(0).random(40) < 0.5
+    config = ForestConfig(n_trees=3, seed=0)
+    model = train_forest(matrix(huge), y, config)
+    assert _tree_arrays(model.trees) == _tree_arrays(train_forest(matrix(3.0), y, config).trees)
+
+
 def _tree_arrays(trees):
     return [[getattr(t, name).tolist() for name in forest._TREE_ARRAYS] for t in trees]
 
@@ -600,6 +618,7 @@ def test_forking_leaves_the_callers_gc_freeze_as_it_was(training_sets, monkeypat
                                                          caller_froze):
     X, y = training_sets["dense"]
     _on_cpus(monkeypatch, 2)
+    gc.unfreeze()  # importing crowd_consensus.cli, as other tests do, freezes the heap
     if caller_froze:
         gc.freeze()
     try:
