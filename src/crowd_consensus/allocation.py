@@ -28,10 +28,6 @@ from .errors import InvalidBudget, InvalidCounts, KeyMismatch
 #: Minimum occurrences for an answer to count as ground truth.
 TRUTH_MIN_COUNT = 2
 
-#: Cost assumptions attached to sweep output for convenience.
-ANSWER_COST_USD = 0.02
-SECONDS_PER_ANSWER = 30.0
-
 SIMULATION_MODES = ("exact", "mc")
 
 _SEED_MASK = (1 << 64) - 1
@@ -92,8 +88,6 @@ class SweepRow:
     answers_spent: int
     diversity: float
     diversity_fraction: float
-    cost_usd: float
-    labor_hours: float
 
 
 def sweep(
@@ -184,16 +178,13 @@ def sweep(
         for budget in budgets:
             captured, scale = base * count + prefix[budget], denominator * count
             fraction = 1.0 if max_diversity == 0 else captured / (scale * max_diversity)
-            spent = budget * r + (n - budget) * s
             rows.append(
                 SweepRow(
                     ranking=name,
                     budget=budget,
-                    answers_spent=spent,
+                    answers_spent=budget * r + (n - budget) * s,
                     diversity=captured / scale,
                     diversity_fraction=fraction,
-                    cost_usd=spent * ANSWER_COST_USD,
-                    labor_hours=spent * SECONDS_PER_ANSWER / 3600.0,
                 )
             )
     return rows

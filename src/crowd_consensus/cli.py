@@ -35,6 +35,7 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .allocation import (
+    SIMULATION_MODES,
     make_plan,
     oracle_ranking,
     rank_by_disagreement,
@@ -42,7 +43,7 @@ from .allocation import (
     sweep,
 )
 from .answers import agreement_by_answer_type, diversity_histogram
-from .corpus import load_corpus, load_image_features
+from .corpus import CORPUS_FORMATS, load_corpus, load_image_features
 from .errors import CrowdConsensusError, DimensionMismatch, EmptyTrainingSet
 from .evalmetrics import stratified_eval
 from .features import FeatureMode, build_vocabularies, extract_matrix
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", help="comma-separated budgets (default: 11 even steps)")
     p.add_argument("--s", type=integer, default=1)
     p.add_argument("--r", type=integer, default=5)
-    p.add_argument("--sim", choices=["exact", "mc"], default="exact")
+    p.add_argument("--sim", choices=SIMULATION_MODES, default="exact")
     p.add_argument("--trials", type=integer, default=1000)
     p.add_argument("--status-quo-seeds", type=integer, default=1,
                    help="random orderings averaged into the status-quo rows")
@@ -146,7 +147,7 @@ def _command(sub, name, func, help_text):
 def _corpus_flags(p) -> None:
     p.add_argument("--corpus", required=True, help="questions file")
     p.add_argument("--annotations", help="annotations file (vqa_v1_json only)")
-    p.add_argument("--format", choices=["jsonl", "vqa_v1_json"], default="jsonl")
+    p.add_argument("--format", choices=CORPUS_FORMATS, default="jsonl")
 
 
 def _model_flags(p) -> None:
@@ -273,10 +274,10 @@ def cmd_predict(args) -> None:
     _write_csv(
         Path(args.out_dir) / "predictions.csv",
         ["question_id", "p_disagreement", "label"],
-        [
+        (
             [qid, _fmt(p), "disagreement" if p > 0.5 else "agreement"]
             for qid, p in zip(corpus.ids.tolist(), scores.tolist())
-        ],
+        ),
     )
 
 
@@ -312,10 +313,10 @@ def cmd_allocate(args) -> None:
     _write_csv(
         Path(args.out_dir) / "plan.csv",
         ["question_id", "answer_count", "p_disagreement"],
-        [
+        (
             [qid, count, _fmt(p)]
             for qid, count, p in zip(corpus.ids.tolist(), counts.tolist(), scores.tolist())
-        ],
+        ),
     )
 
 
@@ -346,11 +347,10 @@ def cmd_sweep(args) -> dict:
     )
     _write_csv(
         Path(args.out_dir) / "sweep.csv",
-        ["ranking", "budget", "answers_spent", "diversity",
-         "diversity_fraction", "cost_usd", "labor_hours"],
+        ["ranking", "budget", "answers_spent", "diversity", "diversity_fraction"],
         [
             [row.ranking, row.budget, row.answers_spent, _fmt(row.diversity),
-             _fmt(row.diversity_fraction), _fmt(row.cost_usd), _fmt(row.labor_hours)]
+             _fmt(row.diversity_fraction)]
             for row in rows
         ],
     )

@@ -72,6 +72,35 @@ def dense(X):
     return np.where(word < 0, values, values == word)
 
 
+def reference_predict(model, X):
+    """predict_many's vote shares, one row at a time down each tree in Python.
+
+    A node reads its feature's (row, word) through X.source; a one-hot
+    feature (word >= 0) is 1.0 where the row holds that word, else 0.0.
+    Rows go left when that value is <= the threshold, and a leaf votes
+    disagreement on ties.
+    """
+    values = X.values.T.tolist()  # values[i][r]: question i's entry of row r
+    source = X.source.tolist()
+    trees = [
+        (t.feature.tolist(), t.threshold.tolist(), t.left.tolist(), t.right.tolist(),
+         t.votes_disagreement.tolist(), t.votes_total.tolist())
+        for t in model.trees
+    ]
+    shares = []
+    for entries in values:
+        votes = 0
+        for feature, threshold, left, right, vd, vt in trees:
+            node = 0
+            while feature[node] >= 0:
+                r, w = source[feature[node]]
+                value = entries[r] if w < 0 else float(entries[r] == w)
+                node = left[node] if value <= threshold[node] else right[node]
+            votes += vd[node] >= vt[node] - vd[node]
+        shares.append(votes / model.config.n_trees)
+    return np.array(shares, dtype=np.float64)
+
+
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:

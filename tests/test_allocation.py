@@ -246,8 +246,6 @@ def test_sweep_rows_and_averaging():
         assert status_quo.diversity == pytest.approx(ours.diversity)  # identical orders
     for row in rows:
         assert row.answers_spent == row.budget * 5 + (10 - row.budget) * 1
-        assert row.cost_usd == pytest.approx(row.answers_spent * 0.02)
-        assert row.labor_hours == pytest.approx(row.answers_spent * 30 / 3600)
         assert 0.0 <= row.diversity_fraction <= 1.0
 
 
