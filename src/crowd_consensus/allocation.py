@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .errors import InvalidBudget, InvalidCounts, KeyMismatch
+from .errors import InvalidArgument, KeyMismatch
 
 #: Minimum occurrences for an answer to count as ground truth.
 TRUTH_MIN_COUNT = 2
@@ -38,10 +38,10 @@ _MC_TRIAL_CHUNK = 1024
 
 def rank_by_disagreement(scores: Sequence[float]) -> list[int]:
     """Corpus rows by descending predicted disagreement, ties to the lower row;
-    a NaN or infinite score, which has no place in the order, raises ValueError."""
+    a NaN or infinite score, which has no place in the order, raises InvalidArgument."""
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
-        raise ValueError("scores hold NaN or infinite values")
+        raise InvalidArgument("scores hold NaN or infinite values")
     return np.argsort(-scores, kind="stable").tolist()
 
 
@@ -50,7 +50,7 @@ def status_quo_ranking(n: int, seed) -> list[int]:
     seed: an integer in [0, 2**64) or a list of them, like the CLI's [seed, k]."""
     # type(), unlike isinstance, refuses a bool as well as a float.
     if not all(type(x) is int and 0 <= x < 2**64 for x in (seed if type(seed) is list else [seed])):
-        raise ValueError(f"seed must be an integer in [0, 2**64) or a list of them, got {seed!r}")
+        raise InvalidArgument(f"seed must be an integer in [0, 2**64) or a list of them, got {seed!r}")
     return np.random.default_rng(seed).permutation(n).tolist()
 
 
@@ -65,9 +65,9 @@ def _check_plan(n: int, budget, s, r) -> None:
     # and so is a bool, which would index by mask.
     budget_ok, s_ok, r_ok = (isinstance(x, Integral) and not isinstance(x, bool) for x in (budget, s, r))
     if not (budget_ok and 0 <= budget <= n):
-        raise InvalidBudget(f"budget must be an integer in [0, {n}], got {budget!r}")
+        raise InvalidArgument(f"budget must be an integer in [0, {n}], got {budget!r}")
     if not (s_ok and r_ok and 1 <= s < r < 2**63):
-        raise InvalidCounts(f"need integers 1 <= S < R < 2**63, got S={s!r}, R={r!r}")
+        raise InvalidArgument(f"need integers 1 <= S < R < 2**63, got S={s!r}, R={r!r}")
 
 
 def make_plan(ranking: Sequence[int], budget: int, s: int = 1, r: int = 5) -> np.ndarray:
@@ -121,14 +121,14 @@ def sweep(
         _check_plan(n, budget, s, r)
     a = corpus.answers_per_question
     if r > a:
-        raise InvalidCounts(f"R={r} exceeds the {a} stored answers")
+        raise InvalidArgument(f"R={r} exceeds the {a} stored answers")
     if mode not in SIMULATION_MODES:
-        raise ValueError(f"mode must be one of {SIMULATION_MODES}, got {mode!r}")
+        raise InvalidArgument(f"mode must be one of {SIMULATION_MODES}, got {mode!r}")
     if mode == "mc" and not (isinstance(trials, Integral) and not isinstance(trials, bool)
                              and 1 <= trials < 2**31):
-        raise ValueError(f"trials must be in [1, 2**31), got {trials!r}")
+        raise InvalidArgument(f"trials must be in [1, 2**31), got {trials!r}")
     if mode == "mc" and (type(seed) is not int or not 0 <= seed < 2**64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise InvalidArgument(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
     # terms[k][row]: the row's capture under k answers, times D, as Python ints.
     table = corpus.answer_table

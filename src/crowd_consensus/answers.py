@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import AnswerCountMismatch, InvalidThreshold
+from .errors import AnswerCountMismatch, InvalidArgument
 
 if TYPE_CHECKING:
     from .corpus import Corpus
@@ -122,7 +122,7 @@ class AnswerTable:
         m is an integer >= 1 (a float or bool would be read as another m), and
         m > A counts 0."""
         if not (isinstance(m, Integral) and not isinstance(m, bool) and m >= 1):
-            raise InvalidThreshold(f"m must be an integer >= 1, got {m!r}")
+            raise InvalidArgument(f"m must be an integer >= 1, got {m!r}")
         return (self.counts >= m).sum(axis=1)
 
     def labels(self) -> np.ndarray:
@@ -137,13 +137,13 @@ def disagreement_mask(labels) -> np.ndarray:
     """Labels as an (n,) bool array, True for disagreement.
 
     Only bools are labels; 0/1 integers, strings, floats and plain objects
-    raise ValueError rather than being read by value or truthiness.
+    raise InvalidArgument rather than being read by value or truthiness.
     """
     y = np.asarray(labels)
     if y.ndim != 1:
-        raise ValueError(f"labels must be one-dimensional, got shape {y.shape}")
+        raise InvalidArgument(f"labels must be one-dimensional, got shape {y.shape}")
     if y.size and y.dtype != bool:
-        raise ValueError(f"labels must be bools, got dtype {y.dtype}")
+        raise InvalidArgument(f"labels must be bools, got dtype {y.dtype}")
     return y.astype(bool)
 
 
@@ -152,7 +152,7 @@ def diversity_histogram(corpus: Corpus, m: int) -> dict[int, int]:
     integer, as a float or bool would be read as another one (1.5 as 2)."""
     a = corpus.answers_per_question
     if not (isinstance(m, Integral) and not isinstance(m, bool) and 1 <= m <= a):
-        raise InvalidThreshold(f"m must be in [1, {a}], got {m!r}")
+        raise InvalidArgument(f"m must be in [1, {a}], got {m!r}")
     distinct = corpus.answer_table.distinct_at_least(m)
     return dict(enumerate(np.bincount(distinct, minlength=a + 1).tolist()))
 

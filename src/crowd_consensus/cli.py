@@ -3,8 +3,9 @@
 A command computes all of its outputs, then writes them into --out-dir,
 creating it, so one that fails on its input creates no directory. main
 then writes the resolved run configuration (run_config.json) next to
-them, so a finished run can be reproduced exactly. Exit codes: 0
-success, 2 input error, 3 internal error.
+them, so a finished run can be reproduced exactly. Exit codes: 0 success;
+2 for a CrowdConsensusError (bad input, or a flag refused as InvalidArgument)
+or an OSError; 3 for any other exception, a bare ValueError included.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .allocation import (
 )
 from .answers import agreement_by_answer_type, diversity_histogram
 from .corpus import CORPUS_FORMATS, load_corpus, load_image_features
-from .errors import CrowdConsensusError, DimensionMismatch, EmptyTrainingSet
+from .errors import CrowdConsensusError, DimensionMismatch, EmptyTrainingSet, InvalidArgument
 from .evalmetrics import stratified_eval
 from .features import FeatureMode, build_vocabularies, extract_matrix
 from .forest import ForestConfig, load_model, predict_many, save_model, train_forest
@@ -67,7 +68,7 @@ def main(argv=None) -> int:
         config.update(args.func(args) or {})
         _write_json(Path(args.out_dir) / "run_config.json", config)
         return EXIT_OK
-    except (CrowdConsensusError, OSError, ValueError) as exc:
+    except (CrowdConsensusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # invariant violations and the unexpected
@@ -133,7 +134,7 @@ def integer(text: str) -> int:
     non-ASCII digits; every integer flag refuses them.
     """
     if not _INTEGER.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
+        raise InvalidArgument(f"not an integer: {text!r}")
     return int(text)
 
 
@@ -164,7 +165,7 @@ def _load(args):
 def _check_seed(args) -> None:
     """--seed must lie in [0, 2**64), like ForestConfig.seed."""
     if not 0 <= args.seed < 2**64:
-        raise ValueError(f"--seed must be an integer in [0, 2**64), got {args.seed}")
+        raise InvalidArgument(f"--seed must be an integer in [0, 2**64), got {args.seed}")
 
 
 def _atomic_write(path: Path, write) -> None:
@@ -240,8 +241,8 @@ def cmd_train(args) -> dict:
     _check_seed(args)
     try:
         config = ForestConfig(n_trees=args.trees, seed=args.seed)
-    except ValueError as exc:
-        raise ValueError(f"bad --trees value {args.trees}: {exc}") from exc
+    except InvalidArgument as exc:
+        raise InvalidArgument(f"bad --trees value {args.trees}: {exc}") from exc
     corpus = _load(args)
     if len(corpus) == 0:
         raise EmptyTrainingSet(f"no questions in {args.corpus}")
@@ -322,9 +323,9 @@ def cmd_allocate(args) -> None:
 
 def cmd_sweep(args) -> dict:
     if not 1 <= args.status_quo_seeds < 2**31:
-        raise ValueError(f"--status-quo-seeds must be in [1, 2**31), got {args.status_quo_seeds}")
+        raise InvalidArgument(f"--status-quo-seeds must be in [1, 2**31), got {args.status_quo_seeds}")
     if args.sim == "mc" and not 1 <= args.trials < 2**31:
-        raise ValueError(f"--trials must be in [1, 2**31) with --sim mc, got {args.trials}")
+        raise InvalidArgument(f"--trials must be in [1, 2**31) with --sim mc, got {args.trials}")
     _check_seed(args)
     budgets = None if args.budgets is None else _parse_budgets(args.budgets)
     corpus, scores = _model_predictions(args)
@@ -380,8 +381,8 @@ class _StatusQuoOrderings(Sequence):
 def _parse_budgets(raw: str) -> list[int]:
     try:
         return [integer(b) for b in raw.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"bad --budgets value {raw!r}: {exc}") from exc
+    except InvalidArgument as exc:
+        raise InvalidArgument(f"bad --budgets value {raw!r}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -19,8 +19,9 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -539,15 +540,6 @@ class ImageFeatureTable:
     image_ids: np.ndarray  # (m,) int64, strictly increasing
     probabilities: np.ndarray  # (m, 5) float64
 
-    @classmethod
-    def from_rows(cls, rows: Mapping[int, Sequence[float]]) -> "ImageFeatureTable":
-        """A table of the given image_id -> 5-vector rows, stored as given."""
-        ids = sorted(rows)
-        return cls(
-            np.array(ids, dtype=np.int64),
-            np.array([rows[i] for i in ids], dtype=np.float64).reshape(len(ids), 5),
-        )
-
     def lookup(self, image_ids: np.ndarray) -> np.ndarray:
         """(n, 5) rows of the given image ids, the uniform fallback for unknown ones."""
         rows = np.empty((len(image_ids), 5))
@@ -572,7 +564,7 @@ def load_image_features(path: str | Path) -> ImageFeatureTable:
     it is the same float on every Python version. The first failing row
     in the file is the one reported.
     """
-    ids, probabilities, lines = array("q"), array("d"), array("q")
+    ids, probabilities = array("q"), array("d")
     reader = _read_text(path, csv.reader)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != _SALIENCY_HEADER:
@@ -595,7 +587,6 @@ def load_image_features(path: str | Path) -> ImageFeatureTable:
             except ValueError as exc:
                 raise ParseError(f"{where}: {exc}") from exc
             _append_int64(ids, image_id, "image_id", where)
-            lines.append(lineno)
             total = p0 + p1 + p2 + p3 + p4  # finite if every component is
             if not math.isfinite(total) and not all(map(math.isfinite, probs)):
                 raise InvalidProbability(f"{where}: non-finite probability component")
@@ -606,23 +597,25 @@ def load_image_features(path: str | Path) -> ImageFeatureTable:
                     f"{where}: probabilities sum to {total}, outside 1 +/- {_SUM_BAND}"
                 )
         except CrowdConsensusError:
-            _id_order(ids, lines, path)  # a repeated id on an earlier row fails first
+            _id_order(ids, path)  # a repeated id on an earlier row fails first
             raise
         probabilities.extend([p / total for p in probs])
-    order = _id_order(ids, lines, path)
+    order = _id_order(ids, path)
     return ImageFeatureTable(
         np.array(ids, dtype=np.int64)[order],
         np.frombuffer(probabilities, dtype=np.float64).reshape(len(ids), 5)[order],
     )
 
 
-def _id_order(ids: array, lines: array, path) -> np.ndarray:
-    """The stable order that sorts ids; ParseError names the first row
-    (in file order) whose image_id an earlier row holds."""
+def _id_order(ids: array, path) -> np.ndarray:
+    """The stable order that sorts ids; ParseError names the first row (in
+    file order) whose image_id an earlier row holds, read again for its line."""
     image_ids = np.array(ids, dtype=np.int64)
     order = np.argsort(image_ids, kind="stable")
     repeats = order[1:][image_ids[order[1:]] == image_ids[order[:-1]]]
     if repeats.size:
         k = repeats.min()
-        raise ParseError(f"{path}:{lines[k]}: duplicate image_id {image_ids[k]}")
+        rows = enumerate(_read_text(path, csv.reader), start=1)  # row 1 is the header
+        lineno = next(islice((n for n, row in rows if row and n > 1), k, None))
+        raise ParseError(f"{path}:{lineno}: duplicate image_id {image_ids[k]}")
     return order

@@ -5,6 +5,10 @@ class CrowdConsensusError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
+class InvalidArgument(CrowdConsensusError, ValueError):
+    """A caller's argument or a CLI flag's value is refused; also a ValueError."""
+
+
 class ParseError(CrowdConsensusError):
     """An input file is malformed for its declared format."""
 
@@ -19,10 +23,6 @@ class AnswerCountMismatch(CrowdConsensusError):
 
 class InvalidProbability(CrowdConsensusError):
     """A saliency row has a negative component or sums too far from 1."""
-
-
-class InvalidThreshold(CrowdConsensusError):
-    """Agreement threshold outside [1, answers-per-question]."""
 
 
 class EmptyQuestion(CrowdConsensusError):
@@ -47,14 +47,6 @@ class NoPositives(CrowdConsensusError):
 
 class LengthMismatch(CrowdConsensusError):
     """Parallel input lists have different lengths."""
-
-
-class InvalidBudget(CrowdConsensusError):
-    """Budget outside [0, number of questions]."""
-
-
-class InvalidCounts(CrowdConsensusError):
-    """Per-question answer counts violate 1 <= S < R <= answers available."""
 
 
 class KeyMismatch(CrowdConsensusError):

@@ -13,7 +13,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .answers import disagreement_mask, rows_by_stratum
-from .errors import LengthMismatch, NoPositives
+from .errors import InvalidArgument, LengthMismatch, NoPositives
 
 
 class PrPoint(NamedTuple):
@@ -76,7 +76,7 @@ def stratified_eval(
     if not labels.any():
         raise NoPositives("no disagreement-labeled items to rank")
     if not np.isfinite(scores).all():
-        raise ValueError("scores hold NaN or infinite values")
+        raise InvalidArgument("scores hold NaN or infinite values")
 
     ap_overall, curve_overall = _ranked(scores, labels)
     ap_by_type: dict[str, float] = {}

@@ -28,7 +28,7 @@ import numpy as np
 
 from .answers import words
 from .corpus import Corpus, ImageFeatureTable, UNIFORM_SALIENCY
-from .errors import DimensionMismatch, EmptyQuestion
+from .errors import DimensionMismatch, EmptyQuestion, InvalidArgument
 
 SALIENCY_DIM = 5
 
@@ -64,16 +64,16 @@ class Vocabularies:
     @classmethod
     def from_doc(cls, doc: dict) -> "Vocabularies":
         """Inverse of to_doc; doc must hold just the two word lists, each a
-        list of distinct strings, or ValueError is raised."""
+        list of distinct strings, or InvalidArgument is raised."""
         if set(doc) != {"first", "second"}:
-            raise ValueError(f"vocab keys {sorted(doc)}, expected ['first', 'second']")
+            raise InvalidArgument(f"vocab keys {sorted(doc)}, expected ['first', 'second']")
         for block in (doc["first"], doc["second"]):
             if (
                 type(block) is not list
                 or not all(type(w) is str for w in block)
                 or len(set(block)) != len(block)
             ):
-                raise ValueError("vocabularies must be lists of distinct strings")
+                raise InvalidArgument("vocabularies must be lists of distinct strings")
         return cls(tuple(doc["first"]), tuple(doc["second"]))
 
 
@@ -82,23 +82,28 @@ def build_vocabularies(training_corpus: Corpus) -> Vocabularies:
 
     The second-word vocabulary only sees questions with two or more
     tokens. Nothing else about the corpus is kept. Raises EmptyQuestion
-    (with the offending question id) if any question tokenizes to nothing.
+    (with the offending question id) if any question tokenizes to nothing,
+    and InvalidArgument for a kept word that UTF-8 cannot encode, such as
+    a lone surrogate read from a JSON escape: the model file could not store it.
     """
     if len(training_corpus) == 0:
-        raise ValueError("cannot build vocabularies from an empty corpus")
+        raise InvalidArgument("cannot build vocabularies from an empty corpus")
     first: dict[str, None] = {}
     second: dict[str, None] = {}
     for tokens in _question_tokens(training_corpus):
         first.setdefault(tokens[0])
         if len(tokens) > 1:
             second.setdefault(tokens[1])
+    for word in (*first, *second):  # surrogates are the only code points UTF-8 cannot encode
+        if not word.isascii() and any("\ud800" <= c <= "\udfff" for c in word):
+            raise InvalidArgument(f"question word {word!r} is not UTF-8 text")
     return Vocabularies(first_words=tuple(first), second_words=tuple(second))
 
 
 def _blocks(mode: FeatureMode) -> tuple[bool, bool]:
-    """(reads the question, reads the image); ValueError unless mode is a FeatureMode."""
+    """(reads the question, reads the image); InvalidArgument unless mode is a FeatureMode."""
     if not isinstance(mode, FeatureMode):
-        raise ValueError(f"mode must be a FeatureMode, got {mode!r}")
+        raise InvalidArgument(f"mode must be a FeatureMode, got {mode!r}")
     return mode is not FeatureMode.I, mode is not FeatureMode.Q
 
 

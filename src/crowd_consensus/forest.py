@@ -46,6 +46,7 @@ from .errors import (
     DimensionMismatch,
     EmptyTrainingSet,
     FormatVersionMismatch,
+    InvalidArgument,
 )
 from .features import FeatureMatrix, FeatureMode, Vocabularies, feature_dimension
 
@@ -64,9 +65,9 @@ class ForestConfig:
         # type(), unlike isinstance, refuses a bool as well as a float.
         n_trees, seed = self.n_trees, self.seed
         if type(n_trees) is not int or not 1 <= n_trees < 2**31 or n_trees % 2 == 0:
-            raise ValueError(f"n_trees must be an odd integer in [1, 2**31), got {n_trees!r}")
+            raise InvalidArgument(f"n_trees must be an odd integer in [1, 2**31), got {n_trees!r}")
         if type(seed) is not int or not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+            raise InvalidArgument(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +110,7 @@ def train_forest(
     impurity. Given identical data and config the result is identical.
     """
     if not isinstance(feature_mode, FeatureMode):
-        raise ValueError(f"feature_mode must be a FeatureMode, got {feature_mode!r}")
+        raise InvalidArgument(f"feature_mode must be a FeatureMode, got {feature_mode!r}")
     _check_matrix(X)
     n, d = X.shape
     if n < 2:
@@ -136,16 +137,16 @@ def train_forest(
 
 
 def _check_matrix(X) -> None:
-    """ValueError unless X is a FeatureMatrix of finite values: no cut
+    """InvalidArgument unless X is a FeatureMatrix of finite values: no cut
     separates a NaN or infinite value from its neighbours."""
     if not isinstance(X, FeatureMatrix):
-        raise ValueError(f"X must be a FeatureMatrix (see from_dense), got {type(X).__name__}")
+        raise InvalidArgument(f"X must be a FeatureMatrix (see from_dense), got {type(X).__name__}")
     if not np.isfinite(X.values).all():
-        raise ValueError("X holds NaN or infinite values")
+        raise InvalidArgument("X holds NaN or infinite values")
 
 
 class WorkerFailed(RuntimeError):
-    """A tree-growing worker process raised or was killed."""
+    """A tree-growing worker process raised, was killed or could not start."""
 
 
 #: Seconds a fork round trip costs: forking a worker, pickling its trees
@@ -175,8 +176,9 @@ def _grow_forest(
     trees t with t % w == r; this process is worker 0 and forks the others,
     which share X and y copy-on-write and send their trees back pickled
     over a pipe. Tree t is a function of (seed, t) alone, so the result
-    does not depend on w. A worker that fails or dies raises WorkerFailed
-    here, after every worker has been killed and reaped.
+    does not depend on w. A worker that fails, dies or cannot be started
+    (os.pipe or os.fork raising OSError) raises WorkerFailed here, after
+    every worker already started has been killed and reaped.
     """
     def grow(trees: range) -> list[DecisionTree]:
         return [_grow_tree(X, y, np.random.default_rng([seed, t])) for t in trees]
@@ -199,8 +201,14 @@ def _grow_forest(
     gc.freeze()
     try:
         for r in range(1, workers):
-            read, write = os.pipe()
-            pid = os.fork()
+            fds: tuple[int, ...] = ()
+            try:
+                fds = read, write = os.pipe()
+                pid = os.fork()
+            except OSError as exc:  # EMFILE, EAGAIN: no input is at fault
+                for fd in fds:
+                    os.close(fd)
+                raise WorkerFailed(f"tree worker {r} could not be started: {exc}") from exc
             if pid == 0:
                 os.close(read)
                 for _, pipe in children.values():

@@ -18,7 +18,7 @@ from crowd_consensus import (
     sweep,
 )
 from crowd_consensus.allocation import _MC_TRIAL_CHUNK, TRUTH_MIN_COUNT
-from crowd_consensus.errors import InvalidBudget, InvalidCounts, KeyMismatch
+from crowd_consensus.errors import InvalidArgument, KeyMismatch
 
 from conftest import (
     make_random_corpus,
@@ -113,30 +113,30 @@ def test_make_plan_boundaries():
 
 
 def test_make_plan_validation():
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidArgument):
         make_plan([0, 1], budget=3)
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidArgument):
         make_plan([0, 1], budget=-1)
-    with pytest.raises(InvalidCounts):
+    with pytest.raises(InvalidArgument):
         make_plan([0, 1], budget=1, s=0, r=5)
-    with pytest.raises(InvalidCounts):
+    with pytest.raises(InvalidArgument):
         make_plan([0, 1], budget=1, s=5, r=5)
-    with pytest.raises(InvalidCounts, match=r"R < 2\*\*63"):
+    with pytest.raises(InvalidArgument, match=r"R < 2\*\*63"):
         make_plan([0, 1], budget=1, s=1, r=2**63 + 1)  # would overflow the int64 counts
     assert make_plan([1, 0], budget=1, s=1, r=2**63 - 1).tolist() == [1, 2**63 - 1]
     # R = 5.5 once became 5 in the int64 counts without an error.
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidArgument):
         make_plan([1, 0], budget=1.0)
     for s, r in ((1, 5.5), (1.0, 5), (1, "5")):
-        with pytest.raises(InvalidCounts):
+        with pytest.raises(InvalidArgument):
             make_plan([1, 0], budget=2, s=s, r=r)
     assert make_plan([1, 0], np.int64(1), np.int64(2), np.int64(6)).tolist() == [2, 6]
     # A bool is an Integral: make_plan(range(6), True, True, 5) once gave counts [5, 1, 1, 1, 1, 1].
     for budget in (True, False):
-        with pytest.raises(InvalidBudget):
+        with pytest.raises(InvalidArgument):
             make_plan(range(6), budget)
     for s, r in ((True, 5), (1, True), (np.True_, 5)):
-        with pytest.raises(InvalidCounts):
+        with pytest.raises(InvalidArgument):
             make_plan(range(6), 1, s, r)
 
 
@@ -205,7 +205,7 @@ def test_simulate_validation():
     with pytest.raises(KeyMismatch):
         _scored(corpus, [1], 1)  # the question id, not its row
     small = Corpus.from_questions([vq(1, "is it", ["x", "x", "y"])])
-    with pytest.raises(InvalidCounts):
+    with pytest.raises(InvalidArgument):
         _scored(small, [0], 0, 1, 5)
     with pytest.raises(ValueError):
         _scored(corpus, [0], 0, mode="bogus")
@@ -336,17 +336,17 @@ def test_exact_diversity_depends_only_on_the_top_b_set():
 def test_sweep_validation():
     corpus = make_random_corpus(5, seed=1)
     rows = list(range(5))
-    with pytest.raises(InvalidBudget):
+    with pytest.raises(InvalidArgument):
         sweep(corpus, {"x": [rows]}, [6])
-    with pytest.raises(InvalidCounts):
+    with pytest.raises(InvalidArgument):
         sweep(corpus, {"x": [rows]}, [1], s=3, r=3)
-    with pytest.raises(InvalidCounts):
+    with pytest.raises(InvalidArgument):
         sweep(corpus, {"x": [rows]}, [1], r=11)
     # At budget True, prefix[True] once indexed by mask and gave a 2-D diversity.
     for budget in (True, False):
-        with pytest.raises(InvalidBudget):
+        with pytest.raises(InvalidArgument):
             sweep(corpus, {"x": [rows]}, [budget])
-    with pytest.raises(InvalidCounts):
+    with pytest.raises(InvalidArgument):
         sweep(corpus, {"x": [rows]}, [1], s=True)
     bad = [
         [rows[:-1] + rows[:1]],  # a repeated row

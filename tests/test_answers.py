@@ -17,7 +17,7 @@ from crowd_consensus import (
     normalize_answer,
 )
 from crowd_consensus.answers import ARTICLES, NUMBER_WORDS, AnswerTable
-from crowd_consensus.errors import AnswerCountMismatch, InvalidThreshold
+from crowd_consensus.errors import AnswerCountMismatch, InvalidArgument
 
 from conftest import vq
 
@@ -186,13 +186,13 @@ def test_valid_answers_counts_cover_all_answers():
 
 def test_valid_answers_threshold_validation():
     corpus = Corpus.from_questions([vq(1, "is it", ["yes"] * 10)])
-    with pytest.raises(InvalidThreshold):
+    with pytest.raises(InvalidArgument):
         diversity_histogram(corpus, m=0)
-    with pytest.raises(InvalidThreshold):
+    with pytest.raises(InvalidArgument):
         diversity_histogram(corpus, m=11)
     # 1.5 once gave the m = 2 histogram, 2.5 the m = 3 one and True the m = 1 one.
     for m in (1.5, 2.5, 2.0, True):
-        with pytest.raises(InvalidThreshold, match="m must be in"):
+        with pytest.raises(InvalidArgument, match="m must be in"):
             diversity_histogram(corpus, m)
     assert diversity_histogram(corpus, np.int64(2)) == diversity_histogram(corpus, 2)
 
@@ -201,7 +201,7 @@ def test_distinct_at_least_reads_only_integers_from_one():
     table = make_planted_corpus(40, seed=1).answer_table
     # 1.5 once counted as 2 and True as 1, and m <= 0 counted every answer.
     for m in (1.5, 2.0, True, False, 0, -1):
-        with pytest.raises(InvalidThreshold, match=r"m must be an integer >= 1"):
+        with pytest.raises(InvalidArgument, match=r"m must be an integer >= 1"):
             table.distinct_at_least(m)
     assert table.distinct_at_least(np.int64(2)).tolist() == table.distinct_at_least(2).tolist()
     assert table.distinct_at_least(11).tolist() == [0] * 40  # past A: legal, counts none
@@ -292,7 +292,7 @@ def test_diversity_histogram_conservation(mixed_corpus):
 
 
 def test_diversity_histogram_threshold_validation(mixed_corpus):
-    with pytest.raises(InvalidThreshold):
+    with pytest.raises(InvalidArgument):
         diversity_histogram(mixed_corpus, 0)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from crowd_consensus import make_planted_corpus, save_corpus_jsonl, status_quo_ranking
 from crowd_consensus.cli import _StatusQuoOrderings, main
+from crowd_consensus.errors import CrowdConsensusError, InvalidArgument
 
 from conftest import (
     reference_exact_capture,
@@ -124,6 +125,50 @@ def test_internal_errors_exit_three(toy_corpus_path, tmp_path, monkeypatch, caps
     assert main(["analyze", "--corpus", str(toy_corpus_path),
                  "--out-dir", str(tmp_path)]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_a_bare_value_error_is_internal(tmp_path, monkeypatch, capsys):
+    # Only a CrowdConsensusError or an OSError blames the input; a ValueError
+    # that a layer raises on its own is a fault of the program.
+    import crowd_consensus.cli as cli_module
+
+    evaluate = cli_module.stratified_eval
+
+    def faulty(*args, **kwargs):
+        evaluate(*args, **kwargs)
+        raise ValueError("layer fault")
+
+    monkeypatch.setattr(cli_module, "stratified_eval", faulty)
+    out = tmp_path / "out"
+    assert main(["eval", "--corpus", str(GOLDEN_MODEL.parent / "corpus.jsonl"),
+                 "--model", str(GOLDEN_MODEL), "--out-dir", str(out)]) == 3
+    assert "internal error: ValueError: layer fault" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_refused_argument_is_a_toolkit_error_and_a_value_error():
+    assert issubclass(InvalidArgument, CrowdConsensusError)
+    assert issubclass(InvalidArgument, ValueError)
+
+
+def test_question_word_that_utf8_cannot_store(tmp_path, capsys):
+    # json reads "\ud800" as a lone surrogate, which model.json could not hold as a
+    # vocabulary word; as a later word it is read and ignored by every command.
+    path = tmp_path / "corpus.jsonl"
+    save_corpus_jsonl(make_planted_corpus(12, seed=1), path)
+    lines = path.read_text().splitlines()
+    for words, code in (('"\\ud800 ', 2), ('"what is \\ud800 ', 0)):
+        edited = lines[:3] + [lines[3].replace('"question": "', '"question": ' + words, 1)]
+        path.write_text("\n".join(edited + lines[4:]) + "\n")
+        out = tmp_path / f"out{code}"
+        assert main(["train", "--corpus", str(path), "--mode", "q", "--trees", "1",
+                     "--out-dir", str(out)]) == code
+    assert "question word '\\ud800' is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out2").exists()
+    model = str(tmp_path / "out0" / "model.json")
+    for argv in (["analyze"], ["predict", "--model", model], ["eval", "--model", model],
+                 ["allocate", "--model", model, "--budget", "3"], ["sweep", "--model", model]):
+        assert main([*argv, "--corpus", str(path), "--out-dir", str(tmp_path / "out0")]) == 0
 
 
 def test_deleted_command_and_flags_exit_two(toy_corpus_path, tmp_path, capsys):

@@ -535,18 +535,21 @@ def test_image_features_memory_is_bounded(tmp_path):
     # 6,000 rows, as in the planted benchmark workloads. Measured peaks: 1.7 MB
     # keeping a dict of tuples, 0.7 MB filling id and probability arrays (0.3 MB
     # kept). The bound is that plus 0.2 MB.
+    # The rows are read in id order and shuffled: the peak must not depend on order.
     rows = np.random.default_rng(1).dirichlet(np.ones(5), size=6000).tolist()
-    path = _write_features(
-        tmp_path, [f"{3 * i}," + ",".join(map(repr, row)) for i, row in enumerate(rows)]
-    )
-    tracemalloc.start()
-    try:
-        table = load_image_features(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.probabilities.shape == (6000, 5)
-    assert peak < 900_000, peak
+    lines = [f"{3 * i}," + ",".join(map(repr, row)) for i, row in enumerate(rows)]
+    shuffled = [lines[k] for k in np.random.default_rng(2).permutation(len(lines))]
+    for content in (lines, shuffled):
+        path = _write_features(tmp_path, content)
+        tracemalloc.start()
+        try:
+            table = load_image_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.image_ids.tolist() == list(range(0, 18000, 3))
+        assert table.probabilities.shape == (6000, 5)
+        assert peak < 900_000, peak
 
 
 def test_saliency_rows_are_summed_left_to_right(tmp_path):
@@ -592,7 +595,7 @@ def test_from_questions_applies_the_jsonl_type_rule():
 
 
 def test_first_failing_saliency_row_is_reported(tmp_path):
-    # A repeated id is found once the file is read; it still goes before a later bad row.
+    # A repeated id is reported on its own row, before any later bad row.
     path = _write_features(tmp_path, ["5,0.2,0.2,0.2,0.2,0.2", "", "5,0.2,0.2,0.2,0.2,0.2",
                                       "6,0.5,0.5,0.5,0.5,0.5"])
     with pytest.raises(ParseError, match=re.escape(f"{path}:4: duplicate image_id 5")):
@@ -603,6 +606,11 @@ def test_first_failing_saliency_row_is_reported(tmp_path):
         load_image_features(path)
     path = _write_features(tmp_path, ["5,0.2,0.2,0.2,0.2,0.2", "5,nan,0.2,0.2,0.2,0.2"])
     with pytest.raises(ParseError, match=re.escape(f"{path}:3: duplicate image_id 5")):
+        load_image_features(path)
+    # The first repeat in file order, not the smallest repeated id; blank lines counted.
+    path = _write_features(tmp_path, ["9,0.2,0.2,0.2,0.2,0.2", "4,0.2,0.2,0.2,0.2,0.2", "",
+                                      "9,0.2,0.2,0.2,0.2,0.2", "4,0.2,0.2,0.2,0.2,0.2"])
+    with pytest.raises(ParseError, match=re.escape(f"{path}:5: duplicate image_id 9")):
         load_image_features(path)
 
 

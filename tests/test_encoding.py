@@ -49,7 +49,7 @@ def _saliency_table(corpus, seed):
     rng = np.random.default_rng(seed)
     rows = rng.dirichlet(np.ones(5), size=4)
     images = sorted({vq.image_id for vq in corpus})[::2]
-    return ImageFeatureTable.from_rows({i: tuple(rows[rng.integers(4)]) for i in images})
+    return ImageFeatureTable(np.array(images, dtype=np.int64), rows[[rng.integers(4) for _ in images]])
 
 
 @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ from crowd_consensus import (
     train_forest,
 )
 from crowd_consensus.answers import words
-from crowd_consensus.errors import DimensionMismatch, EmptyQuestion
+from crowd_consensus.errors import DimensionMismatch, EmptyQuestion, InvalidArgument
 
 from conftest import dense, vq
 
@@ -77,6 +77,15 @@ def test_build_vocabularies_empty_corpus():
         build_vocabularies(Corpus.from_questions([]))
 
 
+def test_build_vocabularies_refuses_a_word_utf8_cannot_store():
+    # json reads "\ud800" as a lone surrogate; only the two kept words reach model.json.
+    for text in ("\ud800 what is it", "what \ud800 is it"):
+        with pytest.raises(InvalidArgument, match=r"question word '\\ud800' is not UTF-8 text"):
+            build_vocabularies(Corpus.from_questions([vq(1, text, ["a1"] * 10)]))
+    vocab = build_vocabularies(Corpus.from_questions([vq(1, "où est \ud800", ["a1"] * 10)]))
+    assert vocab.first_words == ("où",) and vocab.second_words == ("est",)
+
+
 def test_extract_worked_example(small_corpus):
     vocab = build_vocabularies(small_corpus)
     x = extract_features(vq(9, "what is this", ["a1"] * 10), vocab, mode=FeatureMode.QI)
@@ -113,7 +122,7 @@ def test_unseen_and_missing_words_are_coded_as_the_vocabulary_size(small_corpus)
 
 def test_extract_image_mode_uses_table(small_corpus):
     vocab = build_vocabularies(small_corpus)
-    table = ImageFeatureTable.from_rows({5: (0.5, 0.2, 0.1, 0.1, 0.1)})
+    table = ImageFeatureTable(np.array([5]), np.array([[0.5, 0.2, 0.1, 0.1, 0.1]]))
     x = extract_features(
         vq(9, "what is x", ["a1"] * 10, image_id=5), vocab, table, FeatureMode.I
     )
@@ -147,7 +156,7 @@ def test_a_mode_must_be_a_feature_mode():
 def test_ablation_nesting(small_corpus):
     vocab = build_vocabularies(small_corpus)
     question = vq(9, "is it z", ["a1"] * 10)
-    table = ImageFeatureTable.from_rows({9: (0.4, 0.3, 0.1, 0.1, 0.1)})
+    table = ImageFeatureTable(np.array([9]), np.array([[0.4, 0.3, 0.1, 0.1, 0.1]]))
     full = extract_features(question, vocab, table, FeatureMode.QI)
     q_only = extract_features(question, vocab, table, FeatureMode.Q)
     i_only = extract_features(question, vocab, table, FeatureMode.I)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import gc
 import json
 import math
@@ -689,3 +690,45 @@ def test_train_command_exits_three_when_a_worker_fails(tmp_path, monkeypatch, ca
     assert not (tmp_path / "model.json").exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_fails(monkeypatch):
+    """Make os.fork raise EAGAIN and return the file descriptors os.pipe opens."""
+    opened, pipe = [], os.pipe
+
+    def recorded_pipe():
+        fds = pipe()
+        opened.extend(fds)
+        return fds
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", no_fork)
+    return opened
+
+
+@needs_fork
+def test_a_worker_that_cannot_start_is_an_error_and_leaks_no_pipe(training_sets, monkeypatch):
+    X, y = training_sets["encoded"]
+    opened = _fork_fails(monkeypatch)
+    _on_cpus(monkeypatch, 2)
+    with pytest.raises(WorkerFailed, match=r"tree worker 1 could not be started: .*Errno 11"):
+        train_forest(X, y, ForestConfig(n_trees=3, seed=1))
+    assert len(opened) == 2
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+@needs_fork
+def test_train_command_exits_three_when_a_worker_cannot_start(tmp_path, monkeypatch, capsys):
+    # An exhausted process table is no fault of the input, so it is not exit 2.
+    _fork_fails(monkeypatch)
+    _on_cpus(monkeypatch, 2)
+    code = main(["train", "--corpus", str(GOLDEN / "corpus.jsonl"), "--mode", "q",
+                 "--trees", "3", "--out-dir", str(tmp_path)])
+    assert code == 3
+    assert "WorkerFailed: tree worker 1 could not be started" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
