@@ -1,7 +1,10 @@
 """Command-line pipeline: analyze, train, predict, eval, allocate, sweep.
 
 A command computes all of its outputs, then writes them into --out-dir,
-creating it, so one that fails on its input creates no directory. main
+creating it, so one that fails on its input creates no directory. Each
+file is written to a temporary file and renamed over the output, unless
+the output already holds exactly those bytes: then it is left as it is,
+same inode and mtime, so a rerun rewrites only what changed. main
 then writes the resolved run configuration (run_config.json) next to
 them, so a finished run can be reproduced exactly. Exit codes: 0 success;
 2 for a CrowdConsensusError (bad input, or a flag refused as InvalidArgument)
@@ -16,6 +19,7 @@ import gc
 import json
 import os
 import re
+import stat
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -171,16 +175,44 @@ def _check_seed(args) -> None:
 def _atomic_write(path: Path, write) -> None:
     """Call write(tmp) on a sibling temporary file, then move it over path.
 
-    Creates path's directory. A write that fails leaves any previous file
+    Creates path's directory. If path is already a regular file holding
+    exactly tmp's bytes, it is left as it is (same inode and mtime) and tmp
+    is removed: a rerun pays no rename over an existing file, which ext4
+    makes wait for writeback. A write that fails leaves any previous file
     at path untouched and no temporary file behind.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         write(tmp)
-        os.replace(tmp, path)
+        if not _holds_bytes_of(path, tmp):
+            os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _holds_bytes_of(path: Path, tmp: Path) -> bool:
+    """Whether path is a regular file, not a symlink, with exactly tmp's bytes.
+
+    Both are read in 8 KiB chunks, so memory stays flat. Any OSError, or a
+    short read, answers False, and the caller then replaces path as usual.
+    """
+    fds = []
+    try:
+        st = os.lstat(path)
+        if not stat.S_ISREG(st.st_mode) or st.st_size != os.stat(tmp).st_size:
+            return False
+        for name in (tmp, path):
+            fds.append(os.open(name, os.O_RDONLY))
+        while (chunk := os.read(fds[0], 8192)) == os.read(fds[1], 8192):
+            if not chunk:
+                return True
+        return False
+    except OSError:
+        return False
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -251,6 +283,7 @@ def cmd_train(args) -> dict:
     mode = FeatureMode(args.mode)
     X = extract_matrix(corpus, vocab, table, mode)
     y = corpus.answer_table.labels()
+    del corpus, table  # the forest grows from X and y alone; free the rest first
     model = train_forest(X, y, config, vocab=vocab, feature_mode=mode)
     model_path = Path(args.model or Path(args.out_dir) / "model.json")
     _atomic_write(model_path, lambda tmp: save_model(model, tmp))

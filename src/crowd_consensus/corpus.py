@@ -602,15 +602,19 @@ def load_image_features(path: str | Path) -> ImageFeatureTable:
         probabilities.extend([p / total for p in probs])
     order = _id_order(ids, path)
     return ImageFeatureTable(
-        np.array(ids, dtype=np.int64)[order],
+        np.frombuffer(ids, dtype=np.int64)[order],
         np.frombuffer(probabilities, dtype=np.float64).reshape(len(ids), 5)[order],
     )
 
 
-def _id_order(ids: array, path) -> np.ndarray:
-    """The stable order that sorts ids; ParseError names the first row (in
-    file order) whose image_id an earlier row holds, read again for its line."""
-    image_ids = np.array(ids, dtype=np.int64)
+def _id_order(ids: array, path) -> np.ndarray | slice:
+    """The order that sorts ids: a slice of all of them, which copies
+    nothing, when they strictly ascend, else a stable argsort. ParseError
+    names the first row (in file order) whose image_id an earlier row
+    holds, read again for its line."""
+    image_ids = np.frombuffer(ids, dtype=np.int64)
+    if (image_ids[1:] > image_ids[:-1]).all():
+        return slice(None)
     order = np.argsort(image_ids, kind="stable")
     repeats = order[1:][image_ids[order[1:]] == image_ids[order[:-1]]]
     if repeats.size:

@@ -651,3 +651,81 @@ def test_failed_write_keeps_previous_output(tmp_path, planted_path, monkeypatch)
                  "--out-dir", str(out)]) == 2
     assert model.read_bytes() == before
     assert not list(out.glob("*.tmp"))
+
+
+def _outputs(out):
+    """Each file in out: (inode, mtime in ns, bytes)."""
+    return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes()) for p in out.iterdir()}
+
+
+def test_rerun_leaves_identical_outputs_in_place(planted_path, tmp_path):
+    out = tmp_path / "run"
+    model = str(out / "model.json")
+    for argv in (["analyze"], ["train", "--mode", "q", "--trees", "3"], ["eval", "--model", model],
+                 ["sweep", "--model", model, "--budgets", "0,150,300"]):
+        argv = [*argv, "--corpus", str(planted_path), "--out-dir", str(out)]
+        assert main(argv) == 0
+        before = _outputs(out)
+        assert main(argv) == 0
+        assert _outputs(out) == before, argv[0]
+        assert not list(out.glob("*.tmp"))
+
+    # Other bytes replace the file: a new inode.
+    inode = os.stat(model).st_ino
+    old = Path(model).read_bytes()
+    assert main(["train", "--corpus", str(planted_path), "--mode", "q", "--trees", "3",
+                 "--seed", "1", "--out-dir", str(out)]) == 0
+    assert os.stat(model).st_ino != inode and Path(model).read_bytes() != old
+
+
+def test_only_the_same_bytes_in_a_regular_file_are_kept(tmp_path):
+    import crowd_consensus.cli as cli_module
+
+    data = bytes(range(256)) * 80  # 20,480 bytes: three 8 KiB reads
+    target = tmp_path / "out.bin"
+    target.write_bytes(data)
+    inode = target.stat().st_ino
+    cli_module._atomic_write(target, lambda tmp: tmp.write_bytes(data))
+    assert target.stat().st_ino == inode
+    # The same size, differing only in the last byte.
+    changed = data[:-1] + b"\x00"
+    cli_module._atomic_write(target, lambda tmp: tmp.write_bytes(changed))
+    assert target.read_bytes() == changed and target.stat().st_ino != inode
+
+    # A symlink to a file with the same bytes becomes a regular file; its target
+    # stays. The link's own size, len("real.bin"), is the size of the bytes too.
+    real = tmp_path / "real.bin"
+    real.write_bytes(b"8 bytes.")
+    link = tmp_path / "link.bin"
+    link.symlink_to("real.bin")
+    assert os.lstat(link).st_size == 8
+    cli_module._atomic_write(link, lambda tmp: tmp.write_bytes(b"8 bytes."))
+    assert not link.is_symlink() and link.read_bytes() == b"8 bytes."
+    assert os.stat(link).st_ino != os.stat(real).st_ino and real.read_bytes() == b"8 bytes."
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.bin", "out.bin", "real.bin"]
+
+
+def test_a_failed_comparison_replaces_the_file(tmp_path, monkeypatch):
+    import crowd_consensus.cli as cli_module
+
+    target = tmp_path / "report.json"
+    target.write_text("same\n")
+    inode = target.stat().st_ino
+
+    def unreadable(fd, n):
+        raise OSError(5, "Input/output error")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_module.os, "read", unreadable)
+        cli_module._atomic_write(target, lambda tmp: tmp.write_text("same\n"))
+    assert target.read_text() == "same\n" and target.stat().st_ino != inode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_a_directory_at_an_output_path_exits_two(planted_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "answer_types.csv").mkdir(parents=True)
+    assert main(["analyze", "--corpus", str(planted_path), "--out-dir", str(out)]) == 2
+    assert "answer_types.csv" in capsys.readouterr().err
+    assert (out / "answer_types.csv").is_dir()
+    assert not list(out.glob("*.tmp"))

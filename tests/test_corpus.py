@@ -726,3 +726,17 @@ def test_file_text_places_bad_utf8_as_a_whole_decode(tmp_path_factory, data, chu
                 corpus_module._file_text(path)
         else:
             assert corpus_module._file_text(path) == text
+
+
+def test_saliency_rows_in_any_order_give_one_table(tmp_path):
+    rng = np.random.default_rng(3)
+    rows = rng.dirichlet(np.ones(5), size=50).tolist()
+    lines = [f"{7 * i - 20}," + ",".join(map(repr, row)) for i, row in enumerate(rows)]
+    ascending = load_image_features(_write_features(tmp_path, lines))
+    shuffled = load_image_features(_write_features(tmp_path, [lines[k] for k in rng.permutation(50)]))
+    assert ascending.image_ids.tolist() == shuffled.image_ids.tolist() == [7 * i - 20 for i in range(50)]
+    assert ascending.probabilities.tolist() == shuffled.probabilities.tolist()
+    # A repeat next to its first row, in rows that otherwise ascend, names its line.
+    path = _write_features(tmp_path, lines[:10] + [lines[9]] + lines[10:])
+    with pytest.raises(ParseError, match=re.escape(f"{path}:12: duplicate image_id 43")):
+        load_image_features(path)
